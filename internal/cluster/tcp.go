@@ -29,7 +29,10 @@ import (
 //     connection per peer carries many concurrent calls, request-id-tagged
 //     frames let a demux goroutine route replies to waiting callers, and the
 //     hot proto messages use the hand-rolled binary codec with pooled
-//     buffers (gob-blob frames cover everything else).
+//     buffers (gob-blob frames cover everything else). A quorum round runs
+//     on its caller's goroutine (roundTrip) and the server hands requests to
+//     parked per-connection workers (serveWire): steady traffic creates no
+//     goroutine on either side.
 //   - WithLegacyWire selects the original one-call-at-a-time gob protocol
 //     over a small per-peer connection pool, kept for A/B measurement.
 //
@@ -47,10 +50,10 @@ import (
 //
 // A connection that was healthy when a call borrowed it but dies before the
 // reply arrives is the signature of a peer restart, not a request failure:
-// the call transparently redials once on a fresh connection before giving
-// up. Handlers tolerate the resulting at-least-once delivery (prepares
-// re-vote, commits are version-guarded — the same contract FaultTransport's
-// duplicate injection already relies on).
+// the call (each leg of a round, independently) transparently redials once
+// on a fresh connection before giving up. Handlers tolerate the resulting
+// at-least-once delivery (prepares re-vote, commits are version-guarded — the
+// same contract FaultTransport's duplicate injection already relies on).
 
 type tcpEnvelope struct {
 	From proto.NodeID
@@ -205,20 +208,29 @@ func (s *TCPServer) serveGob(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// serveWire speaks the pipelined binary protocol: each request frame is
-// dispatched to its own goroutine so many calls proceed concurrently on one
-// connection, and replies are written back (tagged with the request id)
-// in whatever order the handlers finish.
+// serveWire speaks the pipelined binary protocol. The reader decodes each
+// request frame inline and hands it to a worker goroutine, so many calls
+// proceed concurrently on one connection and replies are written back
+// (tagged with the request id) in whatever order the handlers finish.
+//
+// The handler never runs on the reader: durable handlers block in
+// wal.Append, and the connection must keep pipelining behind them. Workers
+// are per-connection and parked between requests rather than spawned per
+// request, so a steady stream of requests reuses goroutines whose stacks
+// have already grown to the handler's depth (the grpc-go serverWorkers
+// idiom). A worker is created only when none is idle — the pool is never
+// bounded and the reader never waits, so requests cannot queue behind
+// blocked handlers or blocked reply writes — and retires when the connection
+// closes or when maxParkedWorkers others are already idle.
 func (s *TCPServer) serveWire(conn net.Conn, br *bufio.Reader) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != wireMagic {
 		return
 	}
-	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	defer wg.Wait()
+	c := &wireConn{s: s, conn: conn}
+	c.ready.L = &c.mu
+	defer c.wg.Wait()
+	defer c.close()
 	var scratch []byte
 	for {
 		payload, err := readFrame(br, scratch)
@@ -229,40 +241,107 @@ func (s *TCPServer) serveWire(conn net.Conn, br *bufio.Reader) {
 		if len(payload) < 9 || payload[8] != frameReq {
 			return
 		}
-		id := binary.BigEndian.Uint64(payload)
-		// Decode inline (the codec copies everything out of the frame
-		// buffer, so scratch is reusable immediately), dispatch concurrently.
-		from, req, derr := decodeRequestBody(payload[9:])
-		wg.Add(1)
-		go func(id uint64, from proto.NodeID, req any, derr error) {
-			defer wg.Done()
-			var (
-				out  any
-				herr error
-			)
-			if derr != nil {
-				herr = derr
-			} else {
-				out, herr = s.handle(from, req)
-			}
-			rb := getFrameBuf()
-			body, encErr := appendReply((*rb)[:0], out, herr)
-			if encErr != nil {
-				body, _ = appendReply((*rb)[:0], nil, encErr)
-			}
-			*rb = body
-			frame := getFrameBuf()
-			*frame = appendFrame((*frame)[:0], id, frameRep, body)
-			putFrameBuf(rb)
-			wmu.Lock()
-			_, werr := conn.Write(*frame)
-			wmu.Unlock()
-			putFrameBuf(frame)
-			if werr != nil {
-				// Unblock the read loop; the connection is done for.
-				_ = conn.Close()
-			}
-		}(id, from, req, derr)
+		// Decode inline: the codec copies everything out of the frame buffer,
+		// so scratch is reusable immediately.
+		rq := wireReq{id: binary.BigEndian.Uint64(payload)}
+		rq.from, rq.req, rq.err = decodeRequestBody(payload[9:])
+		c.dispatch(rq)
+	}
+}
+
+// maxParkedWorkers caps the idle workers one connection keeps; a burst's
+// extra workers exit after their request instead of parking.
+const maxParkedWorkers = 32
+
+// wireReq is one decoded request on its way to a worker. err is a decode
+// failure, answered without running the handler.
+type wireReq struct {
+	id   uint64
+	from proto.NodeID
+	req  any
+	err  error
+}
+
+// wireConn is the server side of one binary-protocol connection.
+type wireConn struct {
+	s    *TCPServer
+	conn net.Conn
+	wmu  sync.Mutex // serializes reply writes
+	wg   sync.WaitGroup
+
+	mu       sync.Mutex
+	ready    sync.Cond // a request was assigned, or the reader exited
+	idle     int       // workers that will take from assigned next and have nothing assigned yet
+	assigned []wireReq // requests handed to idle workers, not yet taken
+	closed   bool      // the reader exited: idle workers retire
+}
+
+// dispatch hands rq to an idle worker, or to a new one when none is idle.
+func (c *wireConn) dispatch(rq wireReq) {
+	c.mu.Lock()
+	if c.idle == 0 {
+		c.mu.Unlock()
+		c.wg.Add(1)
+		go c.worker(rq)
+		return
+	}
+	c.idle--
+	c.assigned = append(c.assigned, rq)
+	c.mu.Unlock()
+	c.ready.Signal()
+}
+
+// close retires the idle workers once the reader has exited.
+func (c *wireConn) close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.ready.Broadcast()
+}
+
+// worker serves rq, then every request it takes while idle.
+func (c *wireConn) worker(rq wireReq) {
+	defer c.wg.Done()
+	for {
+		var out any
+		herr := rq.err
+		if herr == nil {
+			out, herr = c.s.handle(rq.from, rq.req)
+		}
+		frame := getFrameBuf()
+		*frame = appendReplyFrame((*frame)[:0], rq.id, out, herr)
+		// Count as idle before the write, not after: by the time the client
+		// has the reply and sends its next request this worker is already
+		// counted, so a sequential caller is served by one worker, never two.
+		c.mu.Lock()
+		park := c.idle < maxParkedWorkers && !c.closed
+		if park {
+			c.idle++
+		}
+		c.mu.Unlock()
+		c.wmu.Lock()
+		_, werr := c.conn.Write(*frame)
+		c.wmu.Unlock()
+		putFrameBuf(frame)
+		if werr != nil {
+			// Unblock the reader; the connection is done for.
+			_ = c.conn.Close()
+		}
+		if !park {
+			return
+		}
+		c.mu.Lock()
+		for len(c.assigned) == 0 && !c.closed {
+			c.ready.Wait()
+		}
+		last := len(c.assigned) - 1
+		if last < 0 {
+			c.mu.Unlock()
+			return
+		}
+		rq, c.assigned[last] = c.assigned[last], wireReq{}
+		c.assigned = c.assigned[:last]
+		c.mu.Unlock()
 	}
 }
 
@@ -281,17 +360,28 @@ type TCPTransport struct {
 	legacy bool
 	obsReg *obs.Registry
 
-	mu     sync.Mutex
-	idle   map[proto.NodeID][]*tcpConn // legacy pool
-	conns  map[proto.NodeID]*muxConn   // binary protocol: one per peer
-	closed bool
+	mu      sync.Mutex
+	idle    map[proto.NodeID][]*tcpConn  // legacy pool
+	conns   map[proto.NodeID]*muxConn    // binary protocol: one per peer
+	dialing map[proto.NodeID]*dialFlight // binary protocol: dials in progress, one per peer
+	closed  bool
+
+	// dialCtx bounds the binary protocol's dial goroutines (counted by
+	// dials): Close cancels it and waits for them.
+	dialCtx     context.Context
+	cancelDials context.CancelFunc
+	dials       sync.WaitGroup
 
 	nextID      atomic.Uint64
 	dialTimeout time.Duration
-	messages    atomic.Uint64
-	bytes       atomic.Uint64
-	calls       atomic.Uint64
-	failed      atomic.Uint64
+	// dialConn opens the TCP connection to an address; a field so tests can
+	// gate and count dials.
+	dialConn func(ctx context.Context, addr string) (net.Conn, error)
+
+	messages atomic.Uint64
+	bytes    atomic.Uint64
+	calls    atomic.Uint64
+	failed   atomic.Uint64
 
 	// peerState tracks each peer's last-call outcome (1 = up, 2 = down;
 	// 0 = never called) for the /healthz peer summary. Allocated once at
@@ -343,8 +433,14 @@ func NewTCPTransport(peers map[proto.NodeID]string, opts ...TCPOption) *TCPTrans
 		peers:       p,
 		idle:        make(map[proto.NodeID][]*tcpConn),
 		conns:       make(map[proto.NodeID]*muxConn),
+		dialing:     make(map[proto.NodeID]*dialFlight),
 		dialTimeout: 2 * time.Second,
 		peerState:   st,
+	}
+	t.dialCtx, t.cancelDials = context.WithCancel(context.Background())
+	t.dialConn = func(ctx context.Context, addr string) (net.Conn, error) {
+		d := net.Dialer{Timeout: t.dialTimeout}
+		return d.DialContext(ctx, "tcp", addr)
 	}
 	for _, o := range opts {
 		o(t)
@@ -469,8 +565,7 @@ func (t *TCPTransport) dial(ctx context.Context, to proto.NodeID) (net.Conn, err
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown peer %v", to)
 	}
-	d := net.Dialer{Timeout: t.dialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	conn, err := t.dialConn(ctx, addr)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			// The caller gave up; say so rather than suspecting the peer.
@@ -493,193 +588,301 @@ func classifyCallErr(ctx context.Context, err error) error {
 	return errors.Join(ErrNodeDown, ErrTransient, err)
 }
 
-// Call implements Transport.
+// Call implements Transport: the one-leg case of a quorum round.
 func (t *TCPTransport) Call(ctx context.Context, from, to proto.NodeID, req any) (any, error) {
 	if t.legacy {
 		return t.legacyCall(ctx, from, to, req)
 	}
-	buf := getFrameBuf()
-	body, err := appendRequestBody((*buf)[:0], from, req)
-	if err != nil {
-		putFrameBuf(buf)
-		t.calls.Add(1)
-		t.failed.Add(1)
-		return nil, err
-	}
-	*buf = body
-	resp, err := t.callWire(ctx, to, body)
-	putFrameBuf(buf)
-	return resp, err
+	nodes := [1]proto.NodeID{to}
+	legs := t.roundTrip(ctx, from, nodes[:], req)
+	return legs[0].Resp, legs[0].Err
 }
 
 // CallMany implements MultiCaller: the request body is serialized once and
 // the frames fan out to every node, so a k-member quorum multicast pays one
-// encode instead of k.
+// encode instead of k — and runs on the calling goroutine alone.
 func (t *TCPTransport) CallMany(ctx context.Context, from proto.NodeID, nodes []proto.NodeID, req any) []Reply {
 	if t.legacy {
 		return MulticastEach(ctx, t, from, nodes, func(proto.NodeID) any { return req })
 	}
-	buf := getFrameBuf()
-	body, err := appendRequestBody((*buf)[:0], from, req)
-	if err != nil {
-		putFrameBuf(buf)
-		replies := make([]Reply, len(nodes))
-		for i, n := range nodes {
-			t.calls.Add(1)
-			t.failed.Add(1)
-			replies[i] = Reply{Node: n, Err: err}
-		}
-		return replies
-	}
-	*buf = body
 	replies := make([]Reply, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n proto.NodeID) {
-			defer wg.Done()
-			resp, err := t.callWire(ctx, n, body)
-			replies[i] = Reply{Node: n, Resp: resp, Err: err}
-		}(i, n)
+	legs := t.roundTrip(ctx, from, nodes, req)
+	for i := range legs {
+		replies[i] = legs[i].Reply
 	}
-	wg.Wait()
-	putFrameBuf(buf)
 	return replies
 }
 
-// Outcomes of one pipelined call attempt.
+var errTransportClosed = errors.New("cluster: transport closed")
+
+// roundTrip sends req to every node and returns one finished leg per node,
+// in order, all on the caller's goroutine: encode once, register every leg
+// against one reply channel, enqueue the frames, then collect replies,
+// connection deaths and ctx.Done() in a single loop.
+//
+// A leg whose connection pre-existed the round and dies before its reply is
+// re-sent exactly once on a fresh dial (stale-connection masking, see the
+// file comment); a connection dialed for this round that dies stands as a
+// fault. When ctx fires, exactly the unanswered legs fail with ctx.Err() and
+// every connection stays usable.
+func (t *TCPTransport) roundTrip(ctx context.Context, from proto.NodeID, nodes []proto.NodeID, req any) []leg {
+	n := len(nodes)
+	t.calls.Add(uint64(n))
+	legs := make([]leg, n)
+	for i, node := range nodes {
+		legs[i].Node = node
+	}
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	body, err := appendRequestBody((*buf)[:0], from, req)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		t.failed.Add(uint64(n))
+		for i := range legs {
+			legs[i].Err = err
+		}
+		return legs
+	}
+	*buf = body
+	r := round{
+		t:    t,
+		body: body,
+		legs: legs,
+		// One slot per leg: a leg waits on one thing at a time (a dial, or its
+		// registration on a connection) and each yields at most one message,
+		// so senders never block.
+		ch:     make(chan legMsg, n),
+		baseID: t.nextID.Add(uint64(n)) - uint64(n),
+		open:   n,
+	}
+	r.send(ctx)
+	r.collect(ctx)
+	return legs
+}
+
+// legMsg is one event for one leg of a round.
+type legMsg struct {
+	leg  int
+	kind msgKind
+	resp any      // msgReply: the reply
+	err  error    // msgReply: the remote handler's error; msgDead: the cause; msgDialed: the dial's failure
+	mc   *muxConn // msgDialed: the new connection
+}
+
+type msgKind uint8
+
 const (
-	attemptReply = iota // got a reply frame (possibly a remote error)
-	attemptCtx          // caller's context fired first
-	attemptDead         // the connection died before the reply
+	msgReply  msgKind = iota // the leg's reply frame arrived
+	msgDead                  // the connection the leg was registered on died
+	msgDialed                // the dial the leg waited for ended
 )
 
-// callWire runs one call over the peer's multiplexed connection. A
-// connection that pre-existed the call and dies mid-exchange is retried
-// exactly once on a fresh dial (stale-connection masking, see the file
-// comment); a fresh connection's death stands as a fault.
-func (t *TCPTransport) callWire(ctx context.Context, to proto.NodeID, body []byte) (any, error) {
-	t.calls.Add(1)
-	if err := ctx.Err(); err != nil {
-		t.failed.Add(1)
-		return nil, err
-	}
-	retried := false
-	for {
-		mc, preexisting, err := t.getMux(ctx, to)
-		if err != nil {
-			t.failed.Add(1)
-			if errors.Is(err, ErrNodeDown) {
-				t.notePeer(to, false)
-			}
-			return nil, err
-		}
-		resp, callErr, outcome := t.wireAttempt(ctx, mc, body)
-		switch outcome {
-		case attemptReply:
-			t.notePeer(to, true)
-			return resp, callErr
-		case attemptCtx:
-			t.failed.Add(1)
-			return nil, callErr
-		default: // attemptDead
-			if preexisting && !retried && ctx.Err() == nil {
-				retried = true
+// waiter routes a request id, or a dial's outcome, to a leg of the round
+// awaiting it.
+type waiter struct {
+	ch  chan<- legMsg
+	leg int
+}
+
+// leg is one destination's progress through a round, ending in its Reply.
+type leg struct {
+	Reply
+	mc     *muxConn // connection the request is (or was last) registered on
+	state  legState
+	fresh  bool // mc was dialed during this round: its death is final
+	resent bool // already re-sent once after a connection death
+}
+
+type legState uint8
+
+const (
+	legUnsent  legState = iota // to be connected and enqueued by send
+	legDialing                 // waiting for its peer's dial (a msgDialed)
+	legQueued                  // registered and enqueued: waiting for a msgReply or msgDead
+	legDone                    // answered or failed
+)
+
+// round is the state of one roundTrip.
+type round struct {
+	t      *TCPTransport
+	body   []byte
+	legs   []leg
+	ch     chan legMsg
+	baseID uint64
+	open   int // legs not yet done
+}
+
+// id is leg i's request id, the same on a re-send (which goes to another
+// connection).
+func (r *round) id(i int) uint64 { return r.baseID + uint64(i) + 1 }
+
+// send enqueues every unsent leg whose peer has a live connection and
+// subscribes the others to their peer's dial, starting it if need be: a cold
+// round over k peers has k dials in flight at once, and each leg is sent the
+// moment its own dial ends (collect), not when an earlier leg's does.
+func (r *round) send(ctx context.Context) {
+	t := r.t
+	for again := true; again; {
+		again = false
+		t.mu.Lock()
+		for i := range r.legs {
+			l := &r.legs[i]
+			if l.state != legUnsent {
 				continue
 			}
-			t.failed.Add(1)
-			err := classifyCallErr(ctx, mc.deathErr())
-			if errors.Is(err, ErrNodeDown) {
-				t.notePeer(to, false)
+			if t.closed {
+				r.fail(i, errTransportClosed)
+			} else if mc := t.conns[l.Node]; mc != nil && !mc.isDead() {
+				l.mc, l.fresh = mc, false
+			} else {
+				t.joinDialLocked(l.Node, waiter{ch: r.ch, leg: i})
+				l.state = legDialing
 			}
-			return nil, err
+		}
+		t.mu.Unlock()
+		for i := range r.legs {
+			if r.legs[i].state == legUnsent {
+				again = r.enqueue(ctx, i) || again
+			}
 		}
 	}
 }
 
-// wireAttempt sends body as one frame on mc and waits for the reply, the
-// context, or the connection's death — whichever comes first. On
-// attemptReply, callErr is the remote handler's error (nil on success).
-func (t *TCPTransport) wireAttempt(ctx context.Context, mc *muxConn, body []byte) (resp any, callErr error, outcome int) {
-	id := t.nextID.Add(1)
-	ch := make(chan muxReply, 1)
-	if !mc.register(id, ch) {
-		return nil, nil, attemptDead
-	}
+// enqueue registers leg i on its connection and queues its frame. A
+// connection found dead fails the leg, unless it pre-existed the round and
+// the leg has its one re-send left: then enqueue reports true and the leg
+// stays unsent for send's next pass.
+func (r *round) enqueue(ctx context.Context, i int) (retry bool) {
+	l := &r.legs[i]
 	frame := getFrameBuf()
-	*frame = appendFrame((*frame)[:0], id, frameReq, body)
-	// Frames already queued ahead of this one: the backlog this call is about
-	// to wait behind. Sampled before blocking, so a full queue reads 64.
-	mc.obs.Observe(obs.SiteQueueDepth, int64(len(mc.wq)))
-	select {
-	case mc.wq <- queuedFrame{buf: frame, enq: mc.obs.Start()}:
-	case <-mc.deadCh:
-		mc.deregister(id)
-		putFrameBuf(frame)
-		return nil, nil, attemptDead
-	case <-ctx.Done():
-		mc.deregister(id)
-		putFrameBuf(frame)
-		return nil, ctx.Err(), attemptCtx
+	*frame = appendFrame((*frame)[:0], r.id(i), frameReq, r.body)
+	if l.mc.send(r.id(i), waiter{ch: r.ch, leg: i}, frame) {
+		l.state = legQueued
+		r.t.messages.Add(1) // request leg
+		return false
 	}
-	t.messages.Add(1) // request leg
-	select {
-	case r := <-ch:
-		t.messages.Add(1) // reply leg
-		return r.resp, r.err, attemptReply
-	case <-mc.deadCh:
-		mc.deregister(id)
-		return nil, nil, attemptDead
-	case <-ctx.Done():
-		// Abandon the call but leave the connection healthy: the demux loop
-		// drops the late reply when it finds no waiter registered.
-		mc.deregister(id)
-		return nil, ctx.Err(), attemptCtx
+	putFrameBuf(frame)
+	return r.died(ctx, i, l.mc.deathErr())
+}
+
+// died handles the death of leg i's connection before its reply: the one
+// transparent re-send if the connection pre-existed the round (reported as
+// true; the caller runs send), a failed leg otherwise.
+func (r *round) died(ctx context.Context, i int, cause error) (resend bool) {
+	l := &r.legs[i]
+	if l.fresh || l.resent || ctx.Err() != nil {
+		r.fail(i, classifyCallErr(ctx, cause))
+		return false
+	}
+	l.resent, l.state = true, legUnsent
+	return true
+}
+
+// collect waits for every open leg to be answered or to fail.
+func (r *round) collect(ctx context.Context) {
+	for r.open > 0 {
+		var m legMsg
+		select {
+		case m = <-r.ch:
+		case <-ctx.Done():
+			r.abandon(ctx.Err())
+			return
+		}
+		l := &r.legs[m.leg]
+		switch m.kind {
+		case msgReply:
+			r.t.messages.Add(1) // reply leg
+			r.t.notePeer(l.Node, true)
+			l.Resp, l.Err, l.state = m.resp, m.err, legDone
+			r.open--
+		case msgDead:
+			if r.died(ctx, m.leg, m.err) {
+				r.send(ctx) // joins the peer's dial; never waits for it
+			}
+		case msgDialed:
+			if m.err != nil {
+				r.fail(m.leg, m.err)
+			} else {
+				l.mc, l.fresh, l.state = m.mc, true, legUnsent
+				r.enqueue(ctx, m.leg) // fresh: fails rather than retries
+			}
+		}
 	}
 }
 
-// getMux returns the peer's live multiplexed connection, dialing one if
-// needed. preexisting reports whether the connection predates this call
-// (it was found live, or another call's dial won the install race) — the
-// condition under which a mid-call death is retried.
-func (t *TCPTransport) getMux(ctx context.Context, to proto.NodeID) (mc *muxConn, preexisting bool, err error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, false, errors.New("cluster: transport closed")
+// abandon fails every unanswered leg with err and deregisters the queued
+// ones, leaving the connections healthy: the demux loop drops a late reply
+// when it finds no waiter registered, and a dial still running ends in a
+// message nobody reads.
+func (r *round) abandon(err error) {
+	for i := range r.legs {
+		l := &r.legs[i]
+		if l.state == legQueued {
+			l.mc.deregister(r.id(i))
+		}
+		if l.state != legDone {
+			r.fail(i, err)
+		}
 	}
-	if mc := t.conns[to]; mc != nil && !mc.isDead() {
-		t.mu.Unlock()
-		return mc, true, nil
-	}
-	t.mu.Unlock()
-	conn, err := t.dial(ctx, to)
-	if err != nil {
-		return nil, false, err
-	}
-	fresh := newMuxConn(&countingConn{Conn: conn, bytes: &t.bytes}, t.obsReg)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		fresh.kill(errors.New("cluster: transport closed"))
-		return nil, false, errors.New("cluster: transport closed")
-	}
-	if old := t.conns[to]; old != nil && !old.isDead() {
-		// A concurrent call's dial won; use its connection.
-		t.mu.Unlock()
-		fresh.kill(errors.New("cluster: duplicate dial"))
-		return old, true, nil
-	}
-	t.conns[to] = fresh
-	t.mu.Unlock()
-	fresh.start()
-	return fresh, false, nil
 }
 
-// muxReply is one demultiplexed reply.
-type muxReply struct {
-	resp any
-	err  error
+// fail closes leg i with a transport-level error.
+func (r *round) fail(i int, err error) {
+	l := &r.legs[i]
+	r.t.failed.Add(1)
+	if errors.Is(err, ErrNodeDown) {
+		r.t.notePeer(l.Node, false)
+	}
+	l.Err, l.state = err, legDone
+	r.open--
+}
+
+// dialFlight is one in-progress dial to a peer, shared by every leg that
+// finds the peer without a live connection while it runs: each is told the
+// outcome through its round's channel.
+type dialFlight struct {
+	waiters []waiter
+}
+
+// joinDialLocked subscribes w to the peer's in-progress dial, starting one if
+// none is running. The dial runs on its own goroutine under the transport's
+// context, not a caller's: each round honours its own ctx while it waits,
+// and one caller giving up does not fail the others. t.mu must be held and
+// t.closed false.
+func (t *TCPTransport) joinDialLocked(to proto.NodeID, w waiter) {
+	if f := t.dialing[to]; f != nil {
+		f.waiters = append(f.waiters, w)
+		return
+	}
+	f := &dialFlight{waiters: []waiter{w}}
+	t.dialing[to] = f
+	t.dials.Add(1)
+	go func() {
+		defer t.dials.Done()
+		conn, err := t.dial(t.dialCtx, to)
+		var mc *muxConn
+		t.mu.Lock()
+		delete(t.dialing, to) // no waiter joins after this
+		switch {
+		case t.closed:
+			if err == nil {
+				_ = conn.Close()
+			}
+			err = errTransportClosed
+		case err == nil:
+			mc = newMuxConn(&countingConn{Conn: conn, bytes: &t.bytes}, t.obsReg)
+			t.conns[to] = mc
+		}
+		t.mu.Unlock()
+		if mc != nil {
+			mc.start()
+		}
+		for _, w := range f.waiters {
+			w.ch <- legMsg{leg: w.leg, kind: msgDialed, mc: mc, err: err} // never blocks: see round.ch
+		}
+	}()
 }
 
 // queuedFrame is one frame awaiting the write loop, stamped at enqueue so
@@ -692,29 +895,30 @@ type queuedFrame struct {
 }
 
 // muxConn is one multiplexed connection: a write loop drains queued frames
-// (coalescing flushes across pipelined calls), a read loop routes reply
-// frames to waiting callers by request id, and deadCh broadcasts the
-// connection's death to everyone blocked on it.
+// (coalescing flushes across pipelined calls) and a read loop routes reply
+// frames to waiting rounds by request id. The connection's death reaches
+// every waiter through its own reply channel, so a round watches one channel
+// however many connections it spans.
 type muxConn struct {
 	conn net.Conn
-	wq   chan queuedFrame
 	obs  *obs.Registry
+	wake chan struct{} // cap 1: the queue went non-empty, or the connection died
 
+	// mu orders send against kill: a frame is either queued before the death
+	// (and returned to the pool by kill or the write loop) or refused.
 	mu      sync.Mutex
-	pending map[uint64]chan muxReply
+	pending map[uint64]waiter
+	queue   []queuedFrame
 	dead    bool
 	err     error
-
-	deadCh chan struct{}
 }
 
 func newMuxConn(conn net.Conn, reg *obs.Registry) *muxConn {
 	return &muxConn{
 		conn:    conn,
-		wq:      make(chan queuedFrame, 64),
 		obs:     reg,
-		pending: make(map[uint64]chan muxReply),
-		deadCh:  make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		pending: make(map[uint64]waiter),
 	}
 }
 
@@ -731,24 +935,53 @@ func (mc *muxConn) start() {
 	go mc.writeLoop()
 }
 
+// isDead reads the flag under mu, the lock kill holds while it posts the
+// death notices: a round that has been told of the death can never find the
+// connection still looking alive.
 func (mc *muxConn) isDead() bool {
-	select {
-	case <-mc.deadCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// register adds a waiter; it reports false when the connection is already
-// dead (the reply can never arrive).
-func (mc *muxConn) register(id uint64, ch chan muxReply) bool {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	if mc.dead {
+	return mc.dead
+}
+
+// maxQueuedFrames bounds a connection's write queue. A caller has at most
+// one frame per connection in flight, so only a peer that has stopped
+// reading (while callers time out and retry) can reach it.
+const maxQueuedFrames = 1 << 14
+
+var errQueueOverflow = errors.New("cluster: write queue overflow (peer not reading)")
+
+// send registers w under id and queues frame for the write loop. It reports
+// false, taking neither, when the connection is already dead (the reply can
+// never arrive).
+func (mc *muxConn) send(id uint64, w waiter, frame *[]byte) bool {
+	enq := mc.obs.Start()
+	mc.mu.Lock()
+	if !mc.dead && len(mc.queue) >= maxQueuedFrames {
+		// The write loop has been stuck for this many frames: the peer stopped
+		// reading. Callers that time out and retry would grow the queue
+		// without bound, so the connection is declared dead instead.
+		mc.mu.Unlock()
+		mc.kill(errQueueOverflow)
 		return false
 	}
-	mc.pending[id] = ch
+	if mc.dead {
+		mc.mu.Unlock()
+		return false
+	}
+	mc.pending[id] = w
+	depth := len(mc.queue)
+	mc.queue = append(mc.queue, queuedFrame{buf: frame, enq: enq})
+	mc.mu.Unlock()
+	// Frames already queued ahead of this one: the backlog it waits behind.
+	mc.obs.Observe(obs.SiteQueueDepth, int64(depth))
+	if depth == 0 {
+		// Whoever found the queue non-empty knows a wake-up is already owed.
+		select {
+		case mc.wake <- struct{}{}:
+		default:
+		}
+	}
 	return true
 }
 
@@ -760,39 +993,46 @@ func (mc *muxConn) deregister(id uint64) {
 
 // deliver hands a reply to its waiter; replies whose caller already gave up
 // are dropped.
-func (mc *muxConn) deliver(id uint64, r muxReply) {
+func (mc *muxConn) deliver(id uint64, resp any, err error) {
 	mc.mu.Lock()
-	ch := mc.pending[id]
+	w, ok := mc.pending[id]
 	delete(mc.pending, id)
 	mc.mu.Unlock()
-	if ch != nil {
-		ch <- r
+	if ok {
+		w.ch <- legMsg{leg: w.leg, kind: msgReply, resp: resp, err: err}
 	}
 }
 
-// kill marks the connection dead exactly once, closes it, and wakes every
-// waiter via deadCh.
+// kill marks the connection dead exactly once, tells every waiter through
+// its reply channel, returns the unwritten frames to the pool and closes the
+// connection.
 func (mc *muxConn) kill(err error) {
 	mc.mu.Lock()
 	if mc.dead {
 		mc.mu.Unlock()
 		return
 	}
-	mc.dead = true
-	mc.err = err
+	mc.dead, mc.err = true, err
+	for _, w := range mc.pending {
+		w.ch <- legMsg{leg: w.leg, kind: msgDead, err: err} // never blocks: see round.ch
+	}
 	mc.pending = nil
+	for _, qf := range mc.queue {
+		putFrameBuf(qf.buf)
+	}
+	mc.queue = nil
 	mc.mu.Unlock()
-	close(mc.deadCh)
+	select {
+	case mc.wake <- struct{}{}: // the write loop, if parked, sees dead and exits
+	default:
+	}
 	_ = mc.conn.Close()
 }
 
 func (mc *muxConn) deathErr() error {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	if mc.err != nil {
-		return mc.err
-	}
-	return errors.New("cluster: connection closed")
+	return mc.err
 }
 
 // readLoop demultiplexes reply frames to waiting callers by request id.
@@ -812,60 +1052,34 @@ func (mc *muxConn) readLoop() {
 		}
 		id := binary.BigEndian.Uint64(payload)
 		resp, rerr := decodeReply(payload[9:])
-		mc.deliver(id, muxReply{resp: resp, err: rerr})
+		mc.deliver(id, resp, rerr)
 	}
 }
 
-// writeLoop writes queued frames, draining everything already queued before
-// flushing so pipelined calls share flushes (and, under load, packets).
+// writeLoop writes queued frames, taking everything queued since its last
+// pass before flushing so pipelined calls share flushes (and, under load,
+// packets).
 func (mc *muxConn) writeLoop() {
 	bw := bufio.NewWriter(mc.conn)
-	if _, err := bw.Write(wireMagic[:]); err != nil {
-		mc.kill(err)
-		return
-	}
+	_, _ = bw.Write(wireMagic[:]) // a failure is sticky: the first Flush reports it
+	var batch []queuedFrame
 	for {
-		select {
-		case qf := <-mc.wq:
+		<-mc.wake
+		mc.mu.Lock()
+		if mc.dead {
+			mc.mu.Unlock()
+			return
+		}
+		batch, mc.queue = mc.queue, batch[:0]
+		mc.mu.Unlock()
+		for _, qf := range batch {
 			mc.obs.ObserveSince(obs.SiteQueueWait, qf.enq)
-			_, err := bw.Write(*qf.buf)
+			_, _ = bw.Write(*qf.buf) // sticky, as above
 			putFrameBuf(qf.buf)
-			if err != nil {
-				mc.kill(err)
-				return
-			}
-		drain:
-			for {
-				select {
-				case qf := <-mc.wq:
-					mc.obs.ObserveSince(obs.SiteQueueWait, qf.enq)
-					_, err := bw.Write(*qf.buf)
-					putFrameBuf(qf.buf)
-					if err != nil {
-						mc.kill(err)
-						return
-					}
-				default:
-					break drain
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				mc.kill(err)
-				return
-			}
-		case <-mc.deadCh:
-			// Return queued-but-unwritten frames to the pool so the live
-			// gauge doesn't drift on every connection death. (A racing
-			// enqueue can still slip one in after this drain; such a buffer
-			// is garbage-collected, not leaked — only the gauge overcounts.)
-			for {
-				select {
-				case qf := <-mc.wq:
-					putFrameBuf(qf.buf)
-				default:
-					return
-				}
-			}
+		}
+		if err := bw.Flush(); err != nil {
+			mc.kill(err)
+			return
 		}
 	}
 }
@@ -1011,10 +1225,13 @@ func (t *TCPTransport) CloseIdle() {
 	}
 }
 
-// Close drops all connections and stops pooling new ones.
+// Close drops all connections, stops pooling and dialing new ones, and
+// waits for dials in progress to end.
 func (t *TCPTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
+	t.cancelDials()
 	t.CloseIdle()
+	t.dials.Wait()
 }

@@ -1,0 +1,586 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"qrdtm/internal/proto"
+)
+
+// These tests pin the round engine's structure — who runs a round, what a
+// connection death or a cancellation costs, how dials and server workers are
+// shared — by counting goroutines, deliveries, dials and Stats. None of them
+// compares a duration or a rate against a threshold; the only clocks are
+// watchdogs that turn a hang into a failure.
+
+const roundWatchdog = 10 * time.Second
+
+// roundPeer is one test server: it counts deliveries, and parks a delivery in
+// the handler — until released — when its ping number is negative or
+// parkNext is set (which that delivery consumes).
+type roundPeer struct {
+	srv        *TCPServer
+	deliveries atomic.Int64
+	parkNext   atomic.Bool
+	entered    chan struct{} // one token per parked delivery
+	release    chan struct{} // closed to free every parked delivery
+}
+
+// startRoundPeers starts n servers with ids 1..n and a transport reaching
+// them; sample, when non-nil, runs inside every delivery. Parked handlers
+// are released before the servers close.
+func startRoundPeers(t *testing.T, n int, sample func()) ([]*roundPeer, *TCPTransport) {
+	t.Helper()
+	peers := make([]*roundPeer, n)
+	addrs := make(map[proto.NodeID]string, n)
+	for i := range peers {
+		p := &roundPeer{entered: make(chan struct{}, 64), release: make(chan struct{})}
+		srv, err := ListenTCP(proto.NodeID(i+1), "127.0.0.1:0", func(_ proto.NodeID, req any) any {
+			p.deliveries.Add(1)
+			if sample != nil {
+				sample()
+			}
+			ping := req.(tcpPing)
+			if ping.N < 0 || p.parkNext.CompareAndSwap(true, false) {
+				p.entered <- struct{}{}
+				<-p.release
+			}
+			return tcpPong{N: ping.N + 1}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.srv = srv
+		peers[i] = p
+		addrs[srv.ID] = srv.Addr()
+	}
+	tr := NewTCPTransport(addrs)
+	t.Cleanup(func() {
+		tr.Close()
+		for _, p := range peers {
+			p.freeParked()
+			_ = p.srv.Close()
+		}
+	})
+	return peers, tr
+}
+
+func (p *roundPeer) freeParked() {
+	select {
+	case <-p.release:
+	default:
+		close(p.release)
+	}
+}
+
+func nodeIDs(n int) []proto.NodeID {
+	ids := make([]proto.NodeID, n)
+	for i := range ids {
+		ids[i] = proto.NodeID(i + 1)
+	}
+	return ids
+}
+
+// waitFor polls cond until it holds; the watchdog turns a hang into a failure.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(roundWatchdog)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// recvWithin receives from ch under the watchdog.
+func recvWithin[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(roundWatchdog):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine() once goroutines that are
+// on their way out (an earlier test's connection loops) have exited: the
+// count must read the same on ten consecutive polls.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(roundWatchdog)
+	prev, same := runtime.NumGoroutine(), 0
+	for same < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", prev)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n == prev {
+			same++
+		} else {
+			prev, same = n, 0
+		}
+	}
+	return prev
+}
+
+func checkPongs(t *testing.T, replies []Reply, want int) {
+	t.Helper()
+	for _, r := range replies {
+		if r.Err != nil {
+			t.Fatalf("node %v: %v", r.Node, r.Err)
+		}
+		if got := r.Resp.(tcpPong).N; got != want {
+			t.Fatalf("node %v: pong %d, want %d", r.Node, got, want)
+		}
+	}
+}
+
+// (a) Warm rounds create no goroutine on either side: the count sampled from
+// inside every handler of 1 000 seven-leg rounds — when a per-leg client
+// goroutine or a per-request server goroutine would be alive — never exceeds
+// the idle count, and the idle count is the same afterwards.
+func TestRoundCreatesNoGoroutines(t *testing.T) {
+	const legs, rounds = 7, 1000
+	var maxSeen atomic.Int64
+	peers, tr := startRoundPeers(t, legs, func() {
+		n := int64(runtime.NumGoroutine())
+		for {
+			cur := maxSeen.Load()
+			if n <= cur || maxSeen.CompareAndSwap(cur, n) {
+				return
+			}
+		}
+	})
+	nodes := nodeIDs(legs)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ { // warm-up: dial, start loops, create the workers
+		checkPongs(t, tr.CallMany(ctx, 0, nodes, tcpPing{N: i}), i+1)
+	}
+	idle := settledGoroutines(t)
+	maxSeen.Store(0)
+	for i := 0; i < rounds; i++ {
+		checkPongs(t, tr.CallMany(ctx, 0, nodes, tcpPing{N: i}), i+1)
+	}
+	if got := maxSeen.Load(); got > int64(idle) {
+		t.Errorf("%d goroutines alive inside a handler, %d when idle: a round created %d", got, idle, got-int64(idle))
+	}
+	if after := settledGoroutines(t); after != idle {
+		t.Errorf("goroutines %d before %d warm rounds, %d after", idle, rounds, after)
+	}
+	for _, p := range peers {
+		if got := p.deliveries.Load(); got != 20+rounds {
+			t.Errorf("node %v served %d requests, want %d", p.srv.ID, got, 20+rounds)
+		}
+	}
+}
+
+// (b) Cancelling a round fails exactly the legs still unanswered — here the
+// k of n whose handlers are parked — with ctx.Err(), returns the n-k replies
+// that had arrived, and leaves every connection in use.
+func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
+	const n, k = 5, 2
+	peers, tr := startRoundPeers(t, n, nil)
+	nodes := nodeIDs(n)
+	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 1}), 2)
+	before := tr.Stats()
+	conns := snapshotConns(tr)
+
+	for _, p := range peers[:k] {
+		p.parkNext.Store(true)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan []Reply, 1)
+	go func() { done <- tr.CallMany(ctx, 0, nodes, tcpPing{N: 7}) }()
+	for _, p := range peers[:k] {
+		recvWithin(t, "handler to park", p.entered)
+	}
+	// n requests out, n-k replies in: the round now waits on the parked k only.
+	waitFor(t, "the unparked replies", func() bool {
+		return tr.Stats().Messages-before.Messages == uint64(2*n-k)
+	})
+	cancel()
+	for i, r := range recvWithin(t, "cancelled round", done) {
+		if i < k {
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Errorf("parked node %v: err = %v, want context.Canceled", r.Node, r.Err)
+			}
+			if errors.Is(r.Err, ErrNodeDown) {
+				t.Errorf("parked node %v: cancellation misreported as ErrNodeDown: %v", r.Node, r.Err)
+			}
+		} else if r.Err != nil || r.Resp.(tcpPong).N != 8 {
+			t.Errorf("answered node %v: resp %+v err %v", r.Node, r.Resp, r.Err)
+		}
+	}
+	st := tr.Stats()
+	if st.Calls-before.Calls != n || st.Failed-before.Failed != k {
+		t.Errorf("calls +%d failed +%d, want +%d and +%d", st.Calls-before.Calls, st.Failed-before.Failed, n, k)
+	}
+	if got := tr.inflightTotal(); got != 0 {
+		t.Errorf("%d requests still registered after the round returned", got)
+	}
+
+	// The same connections serve the next round, behind the parked handlers.
+	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 3}), 4)
+	for id, mc := range snapshotConns(tr) {
+		if mc != conns[id] {
+			t.Errorf("node %v: connection was replaced after a cancelled round", id)
+		}
+	}
+}
+
+func snapshotConns(tr *TCPTransport) map[proto.NodeID]*muxConn {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	out := make(map[proto.NodeID]*muxConn, len(tr.conns))
+	for id, mc := range tr.conns {
+		out[id] = mc
+	}
+	return out
+}
+
+// (c) A pre-existing connection that dies mid-round costs one re-send of
+// that leg alone and no failure; a connection dialed for the round that dies
+// fails its leg as a transient node-down fault, with no re-send.
+func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
+	const n = 3
+	const victim = proto.NodeID(2)
+	errKilled := errors.New("test: connection killed")
+
+	// run kills the victim's connection while the victim has the round's
+	// request parked in its handler; a re-sent request would be answered.
+	run := func(t *testing.T, warm bool) (peers []*roundPeer, tr *TCPTransport, replies []Reply, delta Stats) {
+		peers, tr = startRoundPeers(t, n, nil)
+		nodes := nodeIDs(n)
+		if warm {
+			checkPongs(t, tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 1}), 2)
+		}
+		vp := peers[victim-1]
+		vp.parkNext.Store(true)
+		for _, p := range peers {
+			p.deliveries.Store(0)
+		}
+		before := tr.Stats()
+		done := make(chan []Reply, 1)
+		go func() { done <- tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 5}) }()
+		recvWithin(t, "victim handler to park", vp.entered)
+		snapshotConns(tr)[victim].kill(errKilled)
+		replies = recvWithin(t, "round", done)
+		after := tr.Stats()
+		delta = Stats{
+			Calls: after.Calls - before.Calls, Failed: after.Failed - before.Failed,
+			Messages: after.Messages - before.Messages,
+		}
+		return peers, tr, replies, delta
+	}
+
+	t.Run("pre-existing connection", func(t *testing.T) {
+		peers, _, replies, delta := run(t, true)
+		checkPongs(t, replies, 6)
+		if delta.Calls != n || delta.Failed != 0 {
+			t.Errorf("calls +%d failed +%d, want +%d and +0", delta.Calls, delta.Failed, n)
+		}
+		// n requests, one re-sent request, n replies.
+		if delta.Messages != 2*n+1 {
+			t.Errorf("messages +%d, want +%d", delta.Messages, 2*n+1)
+		}
+		for _, p := range peers {
+			want := int64(1)
+			if p.srv.ID == victim {
+				want = 2
+			}
+			if got := p.deliveries.Load(); got != want {
+				t.Errorf("node %v: %d deliveries, want %d", p.srv.ID, got, want)
+			}
+		}
+	})
+
+	t.Run("freshly dialed connection", func(t *testing.T) {
+		peers, _, replies, delta := run(t, false)
+		for _, r := range replies {
+			if r.Node != victim {
+				if r.Err != nil || r.Resp.(tcpPong).N != 6 {
+					t.Errorf("node %v: resp %+v err %v", r.Node, r.Resp, r.Err)
+				}
+				continue
+			}
+			if !errors.Is(r.Err, ErrNodeDown) || !errors.Is(r.Err, ErrTransient) {
+				t.Errorf("victim err = %v, want ErrNodeDown+ErrTransient", r.Err)
+			}
+			if !errors.Is(r.Err, errKilled) {
+				t.Errorf("victim err = %v does not carry the connection's cause", r.Err)
+			}
+		}
+		if delta.Calls != n || delta.Failed != 1 {
+			t.Errorf("calls +%d failed +%d, want +%d and +1", delta.Calls, delta.Failed, n)
+		}
+		for _, p := range peers {
+			if got := p.deliveries.Load(); got != 1 {
+				t.Errorf("node %v: %d deliveries, want 1 (no re-send on a fresh connection)", p.srv.ID, got)
+			}
+		}
+	})
+}
+
+// (d) Cold dials are concurrent and single-flighted: with every dial gated,
+// several concurrent rounds over k cold peers put exactly k dials in flight —
+// all k before any is released — and each peer ends up with one connection.
+func TestRoundColdDialsConcurrentAndSingleFlight(t *testing.T) {
+	const k, callers = 6, 4
+	_, tr := startRoundPeers(t, k, nil)
+	gate := make(chan struct{})
+	var inFlight, total atomic.Int64
+	realDial := tr.dialConn
+	tr.dialConn = func(ctx context.Context, addr string) (net.Conn, error) {
+		total.Add(1)
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return realDial(ctx, addr)
+	}
+	nodes := nodeIDs(k)
+	done := make(chan []Reply, callers)
+	for c := 0; c < callers; c++ {
+		go func() { done <- tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 1}) }()
+	}
+	// A round that dialed its legs one after another would park here with a
+	// single dial in flight.
+	waitFor(t, "all cold dials in flight", func() bool { return inFlight.Load() == k })
+	close(gate)
+	for c := 0; c < callers; c++ {
+		checkPongs(t, recvWithin(t, "cold round", done), 2)
+	}
+	if got := total.Load(); got != k {
+		t.Errorf("%d dials for %d cold peers under %d concurrent rounds, want one each", got, k, callers)
+	}
+	if got := len(snapshotConns(tr)); got != k {
+		t.Errorf("transport holds %d connections, want %d", got, k)
+	}
+}
+
+// A waiter on a shared dial honours its own context, and giving up leaves
+// the dial running for the others.
+func TestRoundDialWaiterHonoursOwnContext(t *testing.T) {
+	_, tr := startRoundPeers(t, 1, nil)
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	realDial := tr.dialConn
+	tr.dialConn = func(ctx context.Context, addr string) (net.Conn, error) {
+		started <- struct{}{}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return realDial(ctx, addr)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(ctx, 0, 1, tcpPing{N: 1})
+		first <- err
+	}()
+	recvWithin(t, "dial to start", started)
+	second := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1})
+		second <- err
+	}()
+	cancel()
+	if err := recvWithin(t, "cancelled waiter", first); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+	}
+	close(gate)
+	if err := recvWithin(t, "surviving waiter", second); err != nil {
+		t.Fatalf("surviving waiter: %v", err)
+	}
+}
+
+// (e) Parked workers keep the connection pipelining: with one handler
+// blocked, later requests on the same connection are still served.
+func TestRoundBlockedHandlerDoesNotStallConnection(t *testing.T) {
+	peers, tr := startRoundPeers(t, 1, nil)
+	p := peers[0]
+	ctx := context.Background()
+	checkPongs(t, tr.CallMany(ctx, 0, nodeIDs(1), tcpPing{N: 1}), 2)
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(ctx, 0, 1, tcpPing{N: -1})
+		blocked <- err
+	}()
+	recvWithin(t, "handler to park", p.entered)
+	for i := 0; i < 50; i++ {
+		resp, err := tr.Call(ctx, 0, 1, tcpPing{N: i})
+		if err != nil || resp.(tcpPong).N != i+1 {
+			t.Fatalf("call %d behind a blocked handler: resp %+v err %v", i, resp, err)
+		}
+	}
+	select {
+	case err := <-blocked:
+		t.Fatalf("blocked call returned early: %v", err)
+	default:
+	}
+	if got := len(snapshotConns(tr)); got != 1 {
+		t.Fatalf("transport holds %d connections, want 1 (all calls shared it)", got)
+	}
+	p.freeParked()
+	if err := recvWithin(t, "blocked call", blocked); err != nil {
+		t.Fatalf("blocked call: %v", err)
+	}
+}
+
+// (f) A server with parked idle workers closes promptly and leaves no
+// goroutine behind.
+func TestRoundServerCloseWithParkedWorkers(t *testing.T) {
+	const workers = 4
+	base := settledGoroutines(t)
+	entered := make(chan struct{}, workers)
+	release := make(chan struct{})
+	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
+		entered <- struct{}{}
+		<-release
+		return req
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+				t.Errorf("call: %v", err)
+			}
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		recvWithin(t, "handler to block", entered) // four handlers at once: four workers
+	}
+	close(release)
+	wg.Wait()
+	// Server: accept loop, connection reader, the parked workers. Client:
+	// read loop, write loop.
+	if got, want := settledGoroutines(t), base+2+workers+2; got != want {
+		t.Fatalf("%d goroutines with %d workers parked, want %d", got, workers, want)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	if err := recvWithin(t, "server Close", closed); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	tr.Close()
+	if got := settledGoroutines(t); got != base {
+		t.Fatalf("%d goroutines after Close, %d before the server existed", got, base)
+	}
+}
+
+// Frames queued on a connection when it dies go back to the pool, and a send
+// after the death takes nothing: the live-buffer gauge cannot drift.
+func TestMuxConnDeathReturnsQueuedFrames(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	mc := newMuxConn(a, nil) // loops not started: frames stay queued
+	live0, _ := FrameBufStats()
+	const queued = 3
+	ch := make(chan legMsg, queued)
+	for i := 0; i < queued; i++ {
+		if !mc.send(uint64(i), waiter{ch: ch, leg: i}, getFrameBuf()) {
+			t.Fatal("send refused on a live connection")
+		}
+	}
+	cause := errors.New("test: killed")
+	mc.kill(cause)
+	if live, _ := FrameBufStats(); live != live0 {
+		t.Errorf("%d frame buffers live after the death, %d before the sends", live, live0)
+	}
+	for i := 0; i < queued; i++ {
+		m := recvWithin(t, "death notice", ch)
+		if m.kind != msgDead || !errors.Is(m.err, cause) {
+			t.Errorf("waiter got %+v, want a death notice carrying the cause", m)
+		}
+	}
+	frame := getFrameBuf()
+	if mc.send(99, waiter{ch: ch, leg: 0}, frame) {
+		t.Error("send accepted on a dead connection")
+	}
+	putFrameBuf(frame)
+	if got := mc.pendingCount(); got != 0 {
+		t.Errorf("%d waiters registered on a dead connection", got)
+	}
+}
+
+// A waiter told of its connection's death finds the connection dead: the
+// round's re-send looks the peer up again at once, and a connection that
+// still read as alive there would be chosen again and spend the one re-send
+// on a corpse. kill runs on another goroutine, as it does from the read loop.
+func TestMuxConnDeathNoticeImpliesDead(t *testing.T) {
+	for i := 0; i < 500; i++ {
+		a, b := net.Pipe()
+		mc := newMuxConn(a, nil)
+		ch := make(chan legMsg, 1)
+		if !mc.send(1, waiter{ch: ch}, getFrameBuf()) {
+			t.Fatal("send refused on a live connection")
+		}
+		go mc.kill(errors.New("test: killed"))
+		if m := recvWithin(t, "death notice", ch); m.kind != msgDead {
+			t.Fatalf("waiter got %+v, want a death notice", m)
+		}
+		if !mc.isDead() {
+			t.Fatalf("iteration %d: connection reads as alive after its death notice was delivered", i)
+		}
+		_ = b.Close()
+	}
+}
+
+// A peer that stops reading cannot grow the write queue without bound: at
+// maxQueuedFrames the connection is declared dead and every waiter told.
+func TestMuxConnQueueOverflowKillsConnection(t *testing.T) {
+	a, b := net.Pipe() // unbuffered and never read: the write loop sticks on its first write
+	defer b.Close()
+	mc := newMuxConn(a, nil)
+	mc.start()
+	live0, _ := FrameBufStats()
+	// The write loop takes the frames queued before its first pass and sticks
+	// writing them; everything after that stays queued.
+	const limit = 2 * maxQueuedFrames
+	ch := make(chan legMsg, limit)
+	accepted := 0
+	for ; accepted < limit; accepted++ {
+		frame := getFrameBuf()
+		*frame = append(*frame, 0)
+		if !mc.send(uint64(accepted), waiter{ch: ch, leg: accepted}, frame) {
+			putFrameBuf(frame)
+			break
+		}
+	}
+	if accepted < maxQueuedFrames || accepted == limit {
+		t.Fatalf("%d frames accepted by a connection nobody reads, want a refusal soon after %d", accepted, maxQueuedFrames)
+	}
+	if !mc.isDead() || !errors.Is(mc.deathErr(), errQueueOverflow) {
+		t.Fatalf("connection dead=%v err=%v, want a queue-overflow death", mc.isDead(), mc.deathErr())
+	}
+	for i := 0; i < accepted; i++ {
+		if m := recvWithin(t, "death notice", ch); m.kind != msgDead {
+			t.Fatalf("waiter got %+v, want a death notice", m)
+		}
+	}
+	waitFor(t, "the write loop to return its batch", func() bool {
+		live, _ := FrameBufStats()
+		return live == live0
+	})
+}

@@ -89,17 +89,28 @@ func Multicast(ctx context.Context, t Transport, from proto.NodeID, nodes []prot
 // called once per node before its leg is sent. Delta-validated batched reads
 // use it, since each quorum member has its own validation watermark and
 // therefore receives a different footprint suffix.
+//
+// The last leg runs on the caller's goroutine, so a one-member round (the
+// read quorum of an intact tree is its root alone) spawns nothing.
 func MulticastEach(ctx context.Context, t Transport, from proto.NodeID, nodes []proto.NodeID, build func(proto.NodeID) any) []Reply {
 	replies := make([]Reply, len(nodes))
+	if len(nodes) == 0 {
+		return replies
+	}
+	call := func(i int, n proto.NodeID, req any) {
+		resp, err := t.Call(ctx, from, n, req)
+		replies[i] = Reply{Node: n, Resp: resp, Err: err}
+	}
 	var wg sync.WaitGroup
-	for i, n := range nodes {
+	last := len(nodes) - 1
+	for i, n := range nodes[:last] {
 		wg.Add(1)
 		go func(i int, n proto.NodeID, req any) {
 			defer wg.Done()
-			resp, err := t.Call(ctx, from, n, req)
-			replies[i] = Reply{Node: n, Resp: resp, Err: err}
+			call(i, n, req)
 		}(i, n, build(n))
 	}
+	call(last, nodes[last], build(nodes[last]))
 	wg.Wait()
 	return replies
 }

@@ -115,8 +115,11 @@ func appendMessage(buf []byte, msg any) ([]byte, error) {
 	if out, ok := proto.AppendWire(append(buf, encBinary), msg); ok {
 		return out, nil
 	}
+	// Encode a copy: taking msg's own address would move the parameter to the
+	// heap on every call, binary path included.
 	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&msg); err != nil {
+	boxed := msg
+	if err := gob.NewEncoder(&blob).Encode(&boxed); err != nil {
 		return buf, fmt.Errorf("cluster: gob-encode %T: %w", msg, err)
 	}
 	return append(append(buf, encGob), blob.Bytes()...), nil
@@ -141,13 +144,37 @@ func decodeMessage(b []byte) (any, error) {
 	}
 }
 
-// appendFrame appends one complete frame — length prefix, request id, frame
-// kind, body — to buf.
-func appendFrame(buf []byte, id uint64, kind byte, body []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(8+1+len(body)))
+// beginFrame appends a frame's header — length prefix (blank until endFrame),
+// request id, frame kind — and endFrame fills in the length once the body has
+// been appended after it; start is len(buf) before beginFrame.
+func beginFrame(buf []byte, id uint64, kind byte) []byte {
+	buf = append(buf, 0, 0, 0, 0)
 	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = append(buf, kind)
-	return append(buf, body...)
+	return append(buf, kind)
+}
+
+func endFrame(buf []byte, start int) []byte {
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf
+}
+
+// appendFrame appends one complete frame around an already-encoded body.
+func appendFrame(buf []byte, id uint64, kind byte, body []byte) []byte {
+	start := len(buf)
+	return endFrame(append(beginFrame(buf, id, kind), body...), start)
+}
+
+// appendReplyFrame appends one complete reply frame to buf, encoding the
+// reply straight into the frame; a reply that cannot be encoded is sent as
+// that encode error instead.
+func appendReplyFrame(buf []byte, id uint64, resp any, err error) []byte {
+	start := len(buf)
+	buf = beginFrame(buf, id, frameRep)
+	out, encErr := appendReply(buf, resp, err)
+	if encErr != nil {
+		out, _ = appendReply(buf, nil, encErr)
+	}
+	return endFrame(out, start)
 }
 
 // appendRequestBody appends a request frame's body: the sender's node id,
@@ -170,11 +197,14 @@ func decodeRequestBody(b []byte) (proto.NodeID, any, error) {
 // readFrame reads one frame's payload into buf (growing it as needed) and
 // returns the filled slice, which aliases buf's backing array.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// Peek, not ReadFull into a local: a local passed through io.Reader
+	// escapes, one allocation per frame.
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // cannot fail: the four bytes are buffered
 	if n > maxFramePayload {
 		return nil, errFrameTooLarge
 	}

@@ -91,6 +91,31 @@ type loadBench struct {
 	Verified     bool        `json:"verified"` // conservation oracle after the run
 }
 
+// newLoadStep turns one generator run into its ladder-step record (the
+// cluster-side fields — aborts, audit deltas — are the caller's to fill).
+func newLoadStep(step int, target float64, st load.Stats) loadStep {
+	rec := loadStep{
+		Step:          step,
+		TargetRate:    target,
+		OfferedRate:   st.OfferedRate,
+		CompletedRate: st.CompletedRate,
+		P50Ms:         float64(st.Latency.P50()) / 1e6,
+		P99Ms:         float64(st.Latency.P99()) / 1e6,
+		P999Ms:        float64(st.Latency.P999()) / 1e6,
+		ServiceP50Ms:  float64(st.Service.P50()) / 1e6,
+		ServiceP99Ms:  float64(st.Service.P99()) / 1e6,
+		Shed:          st.Shed,
+		Queued:        st.Queued,
+		Failed:        st.Failed,
+		MaxLagMs:      float64(st.MaxLag) / 1e6,
+		Timeline:      st.Timeline,
+	}
+	if st.Offered > 0 {
+		rec.CompletedFrac = float64(st.Completed) / float64(st.Offered)
+	}
+	return rec
+}
+
 // DetectKnee returns the index of the first ladder step where the system is
 // saturated — completed rate below kneeCompletedFrac of offered, or
 // intended-time p99 beyond kneeP99Factor × the baseline p99 (the first
@@ -264,29 +289,10 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 		}
 		prevAborts = aborts
 
-		rec := loadStep{
-			Step:          i,
-			TargetRate:    rate,
-			OfferedRate:   st.OfferedRate,
-			CompletedRate: st.CompletedRate,
-			P50Ms:         float64(st.Latency.P50()) / 1e6,
-			P99Ms:         float64(st.Latency.P99()) / 1e6,
-			P999Ms:        float64(st.Latency.P999()) / 1e6,
-			ServiceP50Ms:  float64(st.Service.P50()) / 1e6,
-			ServiceP99Ms:  float64(st.Service.P99()) / 1e6,
-			Shed:          st.Shed,
-			Queued:        st.Queued,
-			Failed:        st.Failed,
-			MaxLagMs:      float64(st.MaxLag) / 1e6,
-
-			Aborts:          abortDelta,
-			AuditViolations: audit.Violations - prevAudit.Violations,
-			AuditGapSpans:   audit.GapSpans - prevAudit.GapSpans,
-			Timeline:        st.Timeline,
-		}
-		if st.Offered > 0 {
-			rec.CompletedFrac = float64(st.Completed) / float64(st.Offered)
-		}
+		rec := newLoadStep(i, rate, st)
+		rec.Aborts = abortDelta
+		rec.AuditViolations = audit.Violations - prevAudit.Violations
+		rec.AuditGapSpans = audit.GapSpans - prevAudit.GapSpans
 		prevAudit = audit
 		doc.Steps = append(doc.Steps, rec)
 		t.Rows = append(t.Rows, []string{

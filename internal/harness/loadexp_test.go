@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"qrdtm/internal/load"
 )
 
 func TestDetectKnee(t *testing.T) {
@@ -55,10 +58,58 @@ func TestDetectKnee(t *testing.T) {
 	})
 }
 
+// TestKneeOnStubService is where the ladder's rate claims live: a knee
+// exists, it is not the baseline step, and the past-capacity step sheds or
+// queues. The generator drives a stub transaction of fixed service time, so
+// capacity is workers / service by construction (2 / 10 ms = 200 txn/s) and
+// neither claim depends on how fast this machine or a live cluster is: a
+// sleep never returns early, so at 2x at most 100 arrivals finish in the
+// 500 ms offer plus the 34 the pool and queue hold, of 200 offered; at 0.4x
+// an arrival is shed only after a stall of about 0.4 s.
+func TestKneeOnStubService(t *testing.T) {
+	const (
+		workers  = 2
+		service  = 10 * time.Millisecond
+		capacity = float64(workers) / 0.010
+	)
+	var steps []loadStep
+	for i, frac := range []float64{0.4, 2.0} {
+		gen, err := load.New(load.Config{
+			Rate:     frac * capacity,
+			Schedule: load.Uniform,
+			Workers:  workers,
+			QueueCap: 32,
+			Duration: 500 * time.Millisecond,
+			Seed:     uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := gen.Run(context.Background(), func(context.Context, int, int) error {
+			time.Sleep(service)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, newLoadStep(i, frac*capacity, st))
+	}
+	if last := steps[1]; last.Shed == 0 && last.Queued == 0 {
+		t.Errorf("past-capacity step shows no queueing or shedding: %+v", last)
+	}
+	if knee, reason := DetectKnee(steps); knee != 1 {
+		t.Errorf("knee = %d (%s), want step 1; steps %+v", knee, reason, steps)
+	}
+}
+
 // TestLoadExperiment runs the open-loop ladder at the CI smoke scale (2
 // steps, 13 nodes, real localhost TCP) and pins the structural contract of
-// BENCH_load.json: per-step rates, intended-time quantiles, shed/queued
-// counts, a conserving final state, and a clean audit below the knee.
+// BENCH_load.json: the cluster shape, per-step rates and ordered
+// intended-time quantiles, timelines, a conserving final state, and a clean
+// audit below whatever knee the run found. It asserts no rate: where the
+// knee falls on a live cluster depends on the machine and on what else runs
+// beside the test (TestKneeOnStubService owns those claims, make
+// bench-load-quick shows the live knee).
 func TestLoadExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
@@ -106,16 +157,13 @@ func TestLoadExperiment(t *testing.T) {
 			t.Fatalf("step %d has no timeline", st.Step)
 		}
 	}
-	// The 1.4x-capacity step must visibly saturate: the open-loop generator
-	// keeps offering, so the overflow shows up as shed/queued arrivals, and
-	// the knee detector marks the run.
-	last := doc.Steps[len(doc.Steps)-1]
-	if last.Shed == 0 && last.Queued == 0 {
-		t.Errorf("past-capacity step shows no queueing or shedding: %+v", last)
+	below := len(doc.Steps)
+	if doc.Knee != nil {
+		below = doc.Knee.Step
 	}
-	if doc.Knee == nil {
-		t.Error("no saturation knee detected on a ladder ending past capacity")
-	} else if doc.Knee.Step == 0 {
-		t.Errorf("knee at the baseline step: %+v", doc.Knee)
+	for _, st := range doc.Steps[:below] {
+		if st.AuditViolations != 0 {
+			t.Errorf("step %d (below the knee) has %d trace violations", st.Step, st.AuditViolations)
+		}
 	}
 }

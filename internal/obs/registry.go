@@ -424,7 +424,8 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Heat = r.HeatSnapshot()
 		s.Gauges = r.GaugeValues()
 		if b := r.spans; b != nil {
-			s.SpanStats = &SpanBufStats{Seen: b.Seen(), Dropped: b.Dropped(), Cap: b.Cap()}
+			st := b.Stats()
+			s.SpanStats = &st
 		}
 	}
 	return s

@@ -82,13 +82,7 @@ func (b *SpanBuffer) Cap() int {
 // did not keep up (Spans, SpansSince, the streaming auditor) has an
 // incomplete view.
 func (b *SpanBuffer) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	if head := b.pos.Load(); head > uint64(len(b.ring)) {
-		return head - uint64(len(b.ring))
-	}
-	return 0
+	return b.Stats().Dropped
 }
 
 // SpanBufStats is the serializable retention summary of a span buffer.
@@ -96,6 +90,17 @@ type SpanBufStats struct {
 	Seen    uint64 `json:"seen"`
 	Dropped uint64 `json:"dropped"`
 	Cap     int    `json:"cap"`
+}
+
+// Stats summarizes retention from ONE reading of the ring position, so
+// Dropped can never exceed Seen however fast writers are adding (separate
+// Seen and Dropped calls can be a whole ring apart).
+func (b *SpanBuffer) Stats() SpanBufStats {
+	st := SpanBufStats{Seen: b.Seen(), Cap: b.Cap()}
+	if st.Seen > uint64(st.Cap) {
+		st.Dropped = st.Seen - uint64(st.Cap)
+	}
+	return st
 }
 
 // SpansSince returns the spans recorded after the cursor (a value previously

@@ -142,6 +142,11 @@ func (r *Replica) Metrics() *Metrics { return &r.metrics }
 // type confusion between client and server is a programming error, not a
 // runtime condition.
 //
+// The four messages of the transaction path — read, batched read, prepare,
+// decide — are served by their own small functions, and everything else
+// (bootstrap, reconfiguration, catch-up, trace collection) by handleAdmin,
+// so the hot path's stack frame is not sized by the cold one's.
+//
 // Delivery contract: with the cluster layer's RetryTransport (and
 // FaultTransport's duplicate injection) a request may be delivered more than
 // once — a reply lost to a connection reset is retried by the client even
@@ -153,103 +158,161 @@ func (r *Replica) Metrics() *Metrics { return &r.metrics }
 func (r *Replica) Handle(_ proto.NodeID, req any) any {
 	switch m := req.(type) {
 	case proto.ReadReq:
-		sp := r.obs.StartRemoteSpan(proto.SpanServeRead, r.ID, m.TC)
-		r.tagShard(&sp)
-		t0 := r.obs.Start()
-		rep := r.handleRead(m)
-		r.obs.ObserveSince(obs.SiteServeRead, t0)
-		sp.SetTxn(m.Txn)
-		sp.SetObj(m.Obj)
-		sp.SetOK(rep.OK)
-		if rep.OK {
-			sp.SetVersion(rep.Copy.Version)
-			r.obs.HeatRead(m.Obj)
-		} else {
-			r.obs.HeatConflict(m.Obj)
-			// The denial's routing answer: which owner depth / checkpoint
-			// epoch this replica wants aborted.
-			sp.SetDepth(rep.AbortDepth)
-			sp.SetChk(rep.AbortChk)
-			switch {
-			case rep.WrongShard:
-				sp.SetNote("wrong-shard")
-			case rep.LockOnly:
-				sp.SetNote("lock-only")
-			}
-		}
-		sp.End()
-		return rep
+		return r.serveRead(m)
 	case proto.BatchReadReq:
-		sp := r.obs.StartRemoteSpan(proto.SpanServeRead, r.ID, m.TC)
-		r.tagShard(&sp)
-		t0 := r.obs.Start()
-		rep := r.handleBatchRead(m)
-		r.obs.ObserveSince(obs.SiteServeRead, t0)
-		sp.SetTxn(m.Txn)
-		if len(m.Objs) == 1 {
-			sp.SetObj(m.Objs[0]) // single-object batches stay greppable like plain reads
-		}
-		sp.SetOK(rep.OK)
-		if rep.OK {
-			for _, c := range rep.Copies {
-				sp.AddItem(c.ID, c.Version)
-				r.obs.HeatRead(c.ID)
-			}
-			if len(rep.Copies) == 1 {
-				sp.SetVersion(rep.Copies[0].Version)
-			}
-		} else {
-			sp.SetDepth(rep.AbortDepth)
-			sp.SetChk(rep.AbortChk)
-			switch {
-			case rep.WrongShard:
-				sp.SetNote("wrong-shard")
-			case rep.NeedFull:
-				sp.SetNote("need-full")
-			case rep.LockOnly:
-				sp.SetNote("lock-only")
-			}
-		}
-		sp.End()
-		return rep
+		return r.serveBatchRead(m)
 	case proto.PrepareReq:
-		sp := r.obs.StartRemoteSpan(proto.SpanServePrepare, r.ID, m.TC)
-		r.tagShard(&sp)
-		r.metrics.Prepares.Add(1)
-		if !r.ownsPrepare(m) {
-			// This node is not (or no longer) the home of part of the
-			// footprint — stale client map or migration fence. Vote no
-			// without taking any locks; the client refreshes and re-routes.
-			r.metrics.PrepareRejects.Add(1)
-			sp.SetTxn(m.Txn)
-			sp.SetOK(false)
+		return r.servePrepare(m)
+	case proto.DecideReq:
+		return r.serveDecide(m)
+	default:
+		return r.handleAdmin(req)
+	}
+}
+
+// serveRead answers one ReadReq under its serve span and service-time site.
+func (r *Replica) serveRead(m proto.ReadReq) proto.ReadRep {
+	sp := r.obs.StartRemoteSpan(proto.SpanServeRead, r.ID, m.TC)
+	r.tagShard(&sp)
+	t0 := r.obs.Start()
+	rep := r.handleRead(m)
+	r.obs.ObserveSince(obs.SiteServeRead, t0)
+	sp.SetTxn(m.Txn)
+	sp.SetObj(m.Obj)
+	sp.SetOK(rep.OK)
+	if rep.OK {
+		sp.SetVersion(rep.Copy.Version)
+		r.obs.HeatRead(m.Obj)
+	} else {
+		r.obs.HeatConflict(m.Obj)
+		// The denial's routing answer: which owner depth / checkpoint
+		// epoch this replica wants aborted.
+		sp.SetDepth(rep.AbortDepth)
+		sp.SetChk(rep.AbortChk)
+		switch {
+		case rep.WrongShard:
 			sp.SetNote("wrong-shard")
-			sp.End()
-			return proto.PrepareRep{OK: false, WrongShard: true}
+		case rep.LockOnly:
+			sp.SetNote("lock-only")
 		}
-		t0 := r.obs.Start()
-		ok := r.st.PrepareOpen(m.Txn, m.Reads, m.Writes, m.AbsLocks, m.Owner)
-		if ok && r.dur != nil {
-			// Log before ack: a yes vote is a promise the replica must keep
-			// across kill -9. If it cannot be made durable, undo the
-			// acquisitions (protections and abstract locks) and vote no.
-			if err := r.dur.w.Append(wal.KindPrepare, m); err != nil {
-				ids := make([]proto.ObjectID, len(m.Writes))
-				for i, w := range m.Writes {
-					ids[i] = w.ID
-				}
-				r.st.Abort(m.Txn, ids)
-				ok = false
-			}
+	}
+	sp.End()
+	return rep
+}
+
+// serveBatchRead answers one BatchReadReq under its serve span.
+func (r *Replica) serveBatchRead(m proto.BatchReadReq) proto.BatchReadRep {
+	sp := r.obs.StartRemoteSpan(proto.SpanServeRead, r.ID, m.TC)
+	r.tagShard(&sp)
+	t0 := r.obs.Start()
+	rep := r.handleBatchRead(m)
+	r.obs.ObserveSince(obs.SiteServeRead, t0)
+	sp.SetTxn(m.Txn)
+	if len(m.Objs) == 1 {
+		sp.SetObj(m.Objs[0]) // single-object batches stay greppable like plain reads
+	}
+	sp.SetOK(rep.OK)
+	if rep.OK {
+		for _, c := range rep.Copies {
+			sp.AddItem(c.ID, c.Version)
+			r.obs.HeatRead(c.ID)
 		}
-		r.obs.ObserveSince(obs.SiteServePrepare, t0)
-		if !ok {
-			r.metrics.PrepareRejects.Add(1)
+		if len(rep.Copies) == 1 {
+			sp.SetVersion(rep.Copies[0].Version)
 		}
+	} else {
+		sp.SetDepth(rep.AbortDepth)
+		sp.SetChk(rep.AbortChk)
+		switch {
+		case rep.WrongShard:
+			sp.SetNote("wrong-shard")
+		case rep.NeedFull:
+			sp.SetNote("need-full")
+		case rep.LockOnly:
+			sp.SetNote("lock-only")
+		}
+	}
+	sp.End()
+	return rep
+}
+
+// servePrepare votes on one PrepareReq, logging a yes before it is acked.
+func (r *Replica) servePrepare(m proto.PrepareReq) proto.PrepareRep {
+	sp := r.obs.StartRemoteSpan(proto.SpanServePrepare, r.ID, m.TC)
+	r.tagShard(&sp)
+	r.metrics.Prepares.Add(1)
+	if !r.ownsPrepare(m) {
+		// This node is not (or no longer) the home of part of the
+		// footprint — stale client map or migration fence. Vote no
+		// without taking any locks; the client refreshes and re-routes.
+		r.metrics.PrepareRejects.Add(1)
 		sp.SetTxn(m.Txn)
-		sp.SetOK(ok)
+		sp.SetOK(false)
+		sp.SetNote("wrong-shard")
 		sp.End()
-		return proto.PrepareRep{OK: ok}
+		return proto.PrepareRep{OK: false, WrongShard: true}
+	}
+	t0 := r.obs.Start()
+	ok := r.st.PrepareOpen(m.Txn, m.Reads, m.Writes, m.AbsLocks, m.Owner)
+	if ok && r.dur != nil {
+		// Log before ack: a yes vote is a promise the replica must keep
+		// across kill -9. If it cannot be made durable, undo the
+		// acquisitions (protections and abstract locks) and vote no.
+		if err := r.dur.w.Append(wal.KindPrepare, m); err != nil {
+			r.st.Abort(m.Txn, writeIDs(m.Writes))
+			ok = false
+		}
+	}
+	r.obs.ObserveSince(obs.SiteServePrepare, t0)
+	if !ok {
+		r.metrics.PrepareRejects.Add(1)
+	}
+	sp.SetTxn(m.Txn)
+	sp.SetOK(ok)
+	sp.End()
+	return proto.PrepareRep{OK: ok}
+}
+
+// serveDecide applies one commit or abort decision. Decisions are always
+// accepted, ownership or not: an in-flight 2PC that prepared here before a
+// migration fence must still be able to release its locks (or install its
+// writes) at this member.
+func (r *Replica) serveDecide(m proto.DecideReq) proto.DecideRep {
+	sp := r.obs.StartRemoteSpan(proto.SpanServeDecide, r.ID, m.TC)
+	r.tagShard(&sp)
+	if m.Commit {
+		r.metrics.CommitDecisions.Add(1)
+		r.st.Commit(m.Txn, m.Writes)
+		for _, w := range m.Writes {
+			sp.AddItem(w.ID, w.Version)
+			r.obs.HeatWrite(w.ID)
+		}
+	} else {
+		r.metrics.AbortDecisions.Add(1)
+		r.st.Abort(m.Txn, writeIDs(m.Writes))
+	}
+	// Log before ack: a restarted replica must re-reach this decision's
+	// outcome. A flush failure is sticky in the WAL (and coordinators
+	// ignore decide replies), so the error is not actionable here.
+	_ = r.walAppend(wal.KindDecide, m)
+	sp.SetTxn(m.Txn)
+	sp.SetOK(m.Commit)
+	sp.End()
+	return proto.DecideRep{}
+}
+
+// writeIDs lists the object ids of a write set.
+func writeIDs(writes []proto.ObjectCopy) []proto.ObjectID {
+	ids := make([]proto.ObjectID, len(writes))
+	for i, w := range writes {
+		ids[i] = w.ID
+	}
+	return ids
+}
+
+// handleAdmin serves every message off the transaction path.
+func (r *Replica) handleAdmin(req any) any {
+	switch m := req.(type) {
 	case proto.ReleaseReq:
 		sp := r.obs.StartRemoteSpan(proto.SpanServeRelease, r.ID, m.TC)
 		r.st.ReleaseAbstract(m.Owner)
@@ -257,35 +320,6 @@ func (r *Replica) Handle(_ proto.NodeID, req any) any {
 		sp.SetOK(true)
 		sp.End()
 		return proto.ReleaseRep{}
-	case proto.DecideReq:
-		// Decisions are always accepted, ownership or not: an in-flight 2PC
-		// that prepared here before a migration fence must still be able to
-		// release its locks (or install its writes) at this member.
-		sp := r.obs.StartRemoteSpan(proto.SpanServeDecide, r.ID, m.TC)
-		r.tagShard(&sp)
-		if m.Commit {
-			r.metrics.CommitDecisions.Add(1)
-			r.st.Commit(m.Txn, m.Writes)
-			for _, w := range m.Writes {
-				sp.AddItem(w.ID, w.Version)
-				r.obs.HeatWrite(w.ID)
-			}
-		} else {
-			r.metrics.AbortDecisions.Add(1)
-			ids := make([]proto.ObjectID, len(m.Writes))
-			for i, w := range m.Writes {
-				ids[i] = w.ID
-			}
-			r.st.Abort(m.Txn, ids)
-		}
-		// Log before ack: a restarted replica must re-reach this decision's
-		// outcome. A flush failure is sticky in the WAL (and coordinators
-		// ignore decide replies), so the error is not actionable here.
-		_ = r.walAppend(wal.KindDecide, m)
-		sp.SetTxn(m.Txn)
-		sp.SetOK(m.Commit)
-		sp.End()
-		return proto.DecideRep{}
 	case proto.LoadReq:
 		r.st.Load(m.Objects)
 		_ = r.walAppend(wal.KindLoad, m)
