@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test flake race bench-compare bench bench-quick bench-obs bench-trace bench-wire bench-shard bench-load bench-load-quick bench-wal exp exp-quick fmt cover clean check
+.PHONY: all build vet test flake race bench-compare bench bench-quick bench-obs bench-trace bench-wire bench-shard bench-load bench-load-quick exp exp-quick fmt cover clean check
 
 all: build vet test
 
@@ -95,15 +95,6 @@ bench-load:
 bench-load-quick:
 	$(GO) run ./cmd/qr-bench -exp load -quick
 	@grep -q '"steps"' BENCH_load.json || { echo "bench-load-quick: BENCH_load.json missing step ladder" >&2; exit 1; }
-
-# Durable vs in-memory commit cost over real TCP at several group-commit
-# flush intervals → BENCH_wal.json. The greps guard the artifact's
-# load-bearing fields: without a durable cell and its fsync accounting the
-# README's durability table has no measurement behind it.
-bench-wal:
-	$(GO) run ./cmd/qr-bench -exp wal
-	@grep -q '"durability": "wal"' BENCH_wal.json || { echo "bench-wal: BENCH_wal.json missing durable cell" >&2; exit 1; }
-	@grep -q '"fsyncs_per_txn"' BENCH_wal.json || { echo "bench-wal: BENCH_wal.json missing fsync accounting" >&2; exit 1; }
 
 # Regenerate the paper's figures and tables.
 exp:

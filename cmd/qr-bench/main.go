@@ -37,7 +37,6 @@ func main() {
 	wireOut := flag.String("wire-out", harness.BenchWirePath, "output path for the wire experiment's JSON (empty disables)")
 	shardOut := flag.String("shard-out", harness.BenchShardPath, "output path for the shard experiment's JSON (empty disables)")
 	loadOut := flag.String("load-out", harness.BenchLoadPath, "output path for the load experiment's JSON (empty disables)")
-	walOut := flag.String("wal-out", harness.BenchWALPath, "output path for the wal experiment's JSON (empty disables)")
 	cpuProf := flag.String("cpuprofile", "", "per-step CPU profile prefix for the load experiment (measured window only)")
 	memProf := flag.String("memprofile", "", "per-step heap profile prefix for the load experiment (measured window only)")
 	admin := flag.String("admin", "", "serve the load experiment's obs registry on this address (e.g. 127.0.0.1:7500) for qr-top")
@@ -49,7 +48,6 @@ func main() {
 	harness.BenchWirePath = *wireOut
 	harness.BenchShardPath = *shardOut
 	harness.BenchLoadPath = *loadOut
-	harness.BenchWALPath = *walOut
 	harness.CPUProfilePrefix = *cpuProf
 	harness.MemProfilePrefix = *memProf
 	harness.LoadAdminAddr = *admin

@@ -64,7 +64,6 @@ func main() {
 	shards := flag.Int("shards", 0, "client mode: partition the object space into this many quorum groups (0/1 = one tree over all replicas)")
 	goMetrics := flag.Bool("go-metrics", false, "export Go runtime gauges (goroutines, heap, GC pause p99) on /metrics; off by default so untouched scrapes stay byte-identical")
 	dataDir := flag.String("data-dir", "", "server mode: durable data directory (write-ahead log + snapshots); empty runs in-memory")
-	fsyncInterval := flag.Duration("fsync-interval", time.Millisecond, "server mode: group-commit window — how long appends wait to share one fsync (0 = sync every batch immediately)")
 	snapshotEvery := flag.Uint64("snapshot-every", 4096, "server mode: snapshot + compact the log every this many records (0 disables automatic snapshots)")
 	flag.Parse()
 
@@ -89,7 +88,6 @@ func main() {
 		// live prepare can race the catch-up.
 		w, res, err := wal.Open(wal.Options{
 			Dir:           *dataDir,
-			FsyncInterval: *fsyncInterval,
 			SnapshotEvery: *snapshotEvery,
 			Obs:           reg,
 		})

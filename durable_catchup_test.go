@@ -33,7 +33,7 @@ type durableNode struct {
 
 func startDurableNode(t *testing.T, id proto.NodeID, dir string) *durableNode {
 	t.Helper()
-	w, res, err := wal.Open(wal.Options{Dir: dir, FsyncInterval: time.Millisecond})
+	w, res, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("node %d: open wal: %v", id, err)
 	}

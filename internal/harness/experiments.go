@@ -549,10 +549,9 @@ var Experiments = map[string]Experiment{
 	"wire":    Wire,
 	"shard":   Shard,
 	"load":    Load,
-	"wal":     WALCost,
 }
 
 // ExperimentOrder lists experiment ids in presentation order.
 var ExperimentOrder = []string{
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "chkovh", "ablrqv", "ablchk", "ablcm", "ablopen", "ntfa", "quorums", "faults", "obs", "trace", "batch", "wire", "shard", "load", "wal",
+	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "chkovh", "ablrqv", "ablchk", "ablcm", "ablopen", "ntfa", "quorums", "faults", "obs", "trace", "batch", "wire", "shard", "load",
 }

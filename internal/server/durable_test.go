@@ -2,7 +2,6 @@ package server
 
 import (
 	"testing"
-	"time"
 
 	"qrdtm/internal/proto"
 	"qrdtm/internal/wal"
@@ -18,7 +17,7 @@ import (
 // durableReplica opens a WAL in dir and attaches it to a fresh replica.
 func durableReplica(t *testing.T, dir string) *Replica {
 	t.Helper()
-	w, res, err := wal.Open(wal.Options{Dir: dir, FsyncInterval: time.Millisecond})
+	w, res, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,7 +235,7 @@ func TestShortWriteSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 5   // the next flush gets 5 bytes onto disk, then fails
-	w.ioMu.Lock() // newFile is read under ioMu in the flusher
+	w.ioMu.Lock() // newFile is read under ioMu by flushLocked
 	w.newFile = func(f *os.File) walFile { return &faultFile{f: f, budget: &budget} }
 	w.ioMu.Unlock()
 	if err := w.Append(KindCursor, Cursor{Peer: 2, Index: 2}); !errors.Is(err, errInjected) {

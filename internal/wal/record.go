@@ -105,7 +105,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // treats it as the end of the log (torn tail), not as a fatal error.
 var errCorrupt = errors.New("wal: corrupt record")
 
-// ErrClosed is returned by Append after Close.
+// ErrClosed is returned by Append and Snapshot after Close.
 var ErrClosed = errors.New("wal: closed")
 
 // appendFrame encodes one record onto buf.

@@ -19,10 +19,8 @@ import (
 type Options struct {
 	// Dir is the data directory (created if absent). One log per directory.
 	Dir string
-	// FsyncInterval is how long the flusher waits after the first staged
-	// append before syncing, letting concurrent commits amortize one fsync
-	// (group commit). Zero flushes immediately — lowest latency, one fsync
-	// per quiet-period append.
+	// Deprecated: ignored. Batches form naturally: whatever is staged while
+	// one write+fsync runs becomes the next batch.
 	FsyncInterval time.Duration
 	// SnapshotEvery triggers an automatic background snapshot once this many
 	// records have accumulated past the last snapshot. Zero disables
@@ -53,7 +51,7 @@ type WAL struct {
 	opts Options
 
 	// mu guards the staging state: the pending buffer, the open batch, index
-	// allocation and the sticky failure.
+	// allocation, the sticky failure and the closed flag.
 	mu        sync.Mutex
 	pend      []byte
 	pendBatch *batch
@@ -61,19 +59,21 @@ type WAL struct {
 	failed    error
 	closed    bool
 
-	// ioMu guards the segment file set (active file, sealed list, snapshot
-	// floor) and serializes all file writes and tail reads. Lock order:
-	// ioMu before mu when both are held.
+	// ioMu guards the segment file set (active file, sealed list) and
+	// serializes all file writes and tail reads. Lock order: ioMu before mu
+	// when both are held.
 	ioMu     sync.Mutex
 	seg      *os.File
 	segStart uint64
 	sealed   []segment
-	floor    uint64 // snapshot applied index: records <= floor may be compacted away
+	// floor is the snapshot applied index: records <= floor may be compacted
+	// away. Written under ioMu; atomic so a returning Append can check it
+	// without queueing behind the next batch's fsync.
+	floor atomic.Uint64
 
-	flushCh chan struct{}
-	quit    chan struct{}
-	flushed chan struct{} // flusher exited
-
+	// snaps counts running snapshots; Close waits for them. Add happens under
+	// mu while !closed, so it is ordered before Close's Wait.
+	snaps        sync.WaitGroup
 	snapshotting atomic.Bool
 	snapErr      atomic.Value // error from the last background snapshot
 	snapSource   func() (SnapshotState, error)
@@ -126,8 +126,8 @@ type Restore struct {
 	Torn     bool
 }
 
-// Open opens (or creates) the log in opts.Dir, recovers its durable state,
-// truncates any torn tail, and starts the group-commit flusher.
+// Open opens (or creates) the log in opts.Dir, recovers its durable state and
+// truncates any torn tail.
 func Open(opts Options) (*WAL, *Restore, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("wal: Options.Dir is required")
@@ -135,12 +135,7 @@ func Open(opts Options) (*WAL, *Restore, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	w := &WAL{
-		opts:    opts,
-		flushCh: make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		flushed: make(chan struct{}),
-	}
+	w := &WAL{opts: opts}
 	res := &Restore{}
 
 	snap, snapSize, err := readSnapshot(filepath.Join(opts.Dir, snapName))
@@ -149,7 +144,7 @@ func Open(opts Options) (*WAL, *Restore, error) {
 	}
 	if snap != nil {
 		res.Snapshot = snap
-		w.floor = snap.AppliedIndex
+		w.floor.Store(snap.AppliedIndex)
 		w.snapBytes.Store(snapSize)
 	}
 
@@ -157,7 +152,7 @@ func Open(opts Options) (*WAL, *Restore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w.nextIndex = w.floor + 1
+	w.nextIndex = w.floor.Load() + 1
 	for i, sg := range segs {
 		recs, goodSize, torn, err := replaySegment(sg.path)
 		if err != nil {
@@ -211,7 +206,6 @@ func Open(opts Options) (*WAL, *Restore, error) {
 		opts.Obs.RegisterGauge("wal_fsync_total", w.fsyncs.Load)
 		opts.Obs.RegisterGauge("wal_append_total", w.appends.Load)
 	}
-	go w.flusher()
 	return w, res, nil
 }
 
@@ -288,18 +282,13 @@ func (w *WAL) openSegmentLocked(first uint64) error {
 	return nil
 }
 
-// file returns the active segment's write surface, applying the test hook.
-func (w *WAL) file() walFile {
-	if w.newFile != nil {
-		return w.newFile(w.seg)
-	}
-	return w.seg
-}
-
 // Append durably logs one record: it stages the encoded frame, joins the
 // open group-commit batch, and blocks until that batch's write+fsync
-// completes. On return the record is on disk (or err says why not — a write
-// failure is sticky and fails every subsequent append).
+// completes. The append that opens a batch leads it: it queues for ioMu and
+// flushes on its own goroutine, so everything staged while the previous
+// batch was being written joins this one. On return the record is on disk
+// (or err says why not — a write failure is sticky and fails every
+// subsequent append).
 func (w *WAL) Append(kind Kind, msg any) error {
 	w.mu.Lock()
 	if w.closed {
@@ -318,15 +307,19 @@ func (w *WAL) Append(kind Kind, msg any) error {
 		return err
 	}
 	w.nextIndex++
-	if w.pendBatch == nil {
-		w.pendBatch = &batch{done: make(chan struct{})}
+	b, lead := w.pendBatch, w.pendBatch == nil
+	if lead {
+		b = &batch{done: make(chan struct{})}
+		w.pendBatch = b
 	}
-	b := w.pendBatch
 	w.mu.Unlock()
 
-	select {
-	case w.flushCh <- struct{}{}:
-	default: // flusher already signalled
+	if lead {
+		// Snapshot or Close may flush this batch first; then the flush
+		// below finds the next batch (or nothing) and is harmless.
+		w.ioMu.Lock()
+		w.flushLocked()
+		w.ioMu.Unlock()
 	}
 	<-b.done
 	if b.err != nil {
@@ -337,48 +330,28 @@ func (w *WAL) Append(kind Kind, msg any) error {
 	return nil
 }
 
-// flusher is the single goroutine performing group commits: on each signal
-// it optionally waits FsyncInterval (the amortization window), then flushes
-// whatever accumulated.
-func (w *WAL) flusher() {
-	defer close(w.flushed)
-	for {
-		select {
-		case <-w.quit:
-			w.flushOnce() // drain whatever was staged after the last flush
-			return
-		case <-w.flushCh:
-		}
-		if d := w.opts.FsyncInterval; d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-w.quit:
-				t.Stop()
-			case <-t.C:
-			}
-		}
-		w.flushOnce()
-	}
-}
-
-// flushOnce writes and fsyncs the staged batch, then releases its waiters.
-func (w *WAL) flushOnce() {
-	w.ioMu.Lock()
+// flushLocked writes and fsyncs whatever is staged, releases its waiters, and
+// returns the index of the last record it covered — read under the same mu
+// hold that takes the buffer, so a later append never counts. Caller holds
+// ioMu.
+func (w *WAL) flushLocked() (uint64, error) {
 	w.mu.Lock()
 	buf, b := w.pend, w.pendBatch
 	w.pend, w.pendBatch = nil, nil
+	last := w.nextIndex - 1
 	w.mu.Unlock()
 	if b == nil {
-		w.ioMu.Unlock()
-		return
+		return last, nil
 	}
 	start := time.Now()
-	f := w.file()
+	var f walFile = w.seg
+	if w.newFile != nil {
+		f = w.newFile(w.seg)
+	}
 	_, err := f.Write(buf)
 	if err == nil {
 		err = f.Sync()
 	}
-	w.ioMu.Unlock()
 	w.opts.Obs.ObserveSince(obs.SiteWALFsync, start)
 	w.fsyncs.Add(1)
 	if err != nil {
@@ -393,6 +366,7 @@ func (w *WAL) flushOnce() {
 	}
 	b.err = err
 	close(b.done)
+	return last, err
 }
 
 // maybeSnapshot kicks off a background snapshot when the log has grown
@@ -403,24 +377,44 @@ func (w *WAL) maybeSnapshot() {
 	if every == 0 {
 		return
 	}
-	w.mu.Lock()
-	last := w.nextIndex - 1
-	w.mu.Unlock()
-	w.ioMu.Lock()
-	floor := w.floor
-	w.ioMu.Unlock()
+	last, floor := w.LastIndex(), w.floor.Load()
 	if last < floor || last-floor < every {
 		return
 	}
 	if !w.snapshotting.CompareAndSwap(false, true) {
 		return
 	}
+	src, err := w.beginSnapshot()
+	if err != nil {
+		w.snapshotting.Store(false)
+		if !errors.Is(err, ErrClosed) {
+			w.snapErr.Store(err)
+		}
+		return
+	}
 	go func() {
+		defer w.snaps.Done()
 		defer w.snapshotting.Store(false)
-		if err := w.Snapshot(); err != nil {
+		if err := w.snapshot(src); err != nil {
 			w.snapErr.Store(err)
 		}
 	}()
+}
+
+// beginSnapshot registers a snapshot with Close (which waits for it) and
+// returns the snapshot source. The caller must call w.snaps.Done when the
+// snapshot ends.
+func (w *WAL) beginSnapshot() (func() (SnapshotState, error), error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return nil, ErrClosed
+	}
+	if w.snapSource == nil {
+		return nil, errors.New("wal: no snapshot source installed")
+	}
+	w.snaps.Add(1)
+	return w.snapSource, nil
 }
 
 // SnapshotErr returns the error of the most recent failed background
@@ -439,49 +433,28 @@ func (w *WAL) SnapshotErr() error {
 // the retained suffix (N, lastIndex] stays replayable and servable to
 // catching-up peers. The source may observe effects of records > N (it runs
 // outside the log lock); replay is idempotent, so the overlap is harmless.
+// After Close, Snapshot returns ErrClosed; Close waits for a running one.
 func (w *WAL) Snapshot() error {
-	w.mu.Lock()
-	src := w.snapSource
-	w.mu.Unlock()
-	if src == nil {
-		return errors.New("wal: no snapshot source installed")
+	src, err := w.beginSnapshot()
+	if err != nil {
+		return err
 	}
+	defer w.snaps.Done()
+	return w.snapshot(src)
+}
 
+func (w *WAL) snapshot(src func() (SnapshotState, error)) error {
 	// Rotate: flush staged appends, seal the active segment, open the next.
 	w.ioMu.Lock()
-	w.mu.Lock()
-	buf, b := w.pend, w.pendBatch
-	w.pend, w.pendBatch = nil, nil
-	applied := w.nextIndex - 1
-	w.mu.Unlock()
-	if b != nil {
-		f := w.file()
-		_, err := f.Write(buf)
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			err = fmt.Errorf("wal: flush: %w", err)
-			w.mu.Lock()
-			if w.failed == nil {
-				w.failed = err
-			}
-			w.mu.Unlock()
-			b.err = err
-			close(b.done)
-			w.ioMu.Unlock()
-			return err
-		}
-		w.logBytes.Add(int64(len(buf)))
-		w.fsyncs.Add(1)
-		b.err = nil
-		close(b.done)
-	}
-	if err := w.seg.Sync(); err != nil {
+	applied, err := w.flushLocked()
+	if err != nil {
 		w.ioMu.Unlock()
-		return fmt.Errorf("wal: sealing segment: %w", err)
+		return err
 	}
-	if err := w.seg.Close(); err != nil {
+	if err = w.seg.Sync(); err == nil {
+		err = w.seg.Close()
+	}
+	if err != nil {
 		w.ioMu.Unlock()
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
@@ -506,7 +479,7 @@ func (w *WAL) Snapshot() error {
 	// The snapshot is durable; every sealed segment's records are <= applied
 	// and can go.
 	w.ioMu.Lock()
-	w.floor = applied
+	w.floor.Store(applied)
 	drop := w.sealed
 	w.sealed = nil
 	w.ioMu.Unlock()
@@ -527,7 +500,7 @@ func (w *WAL) Snapshot() error {
 func (w *WAL) Tail(after uint64, max int) (recs []Record, more bool, compacted bool, err error) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
-	if after < w.floor {
+	if after < w.floor.Load() {
 		return nil, false, true, nil
 	}
 	// Flushes run under ioMu, so the files read below end on a frame
@@ -565,11 +538,7 @@ func (w *WAL) LastIndex() uint64 {
 
 // Floor returns the snapshot applied index (records <= Floor may be
 // compacted away and unavailable to Tail).
-func (w *WAL) Floor() uint64 {
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	return w.floor
-}
+func (w *WAL) Floor() uint64 { return w.floor.Load() }
 
 // Fsyncs returns how many group-commit flushes have run.
 func (w *WAL) Fsyncs() int64 { return w.fsyncs.Load() }
@@ -580,8 +549,8 @@ func (w *WAL) LogBytes() int64 { return w.logBytes.Load() }
 // SnapshotBytes returns the byte size of the newest snapshot file.
 func (w *WAL) SnapshotBytes() int64 { return w.snapBytes.Load() }
 
-// Close flushes staged appends and stops the flusher. Appends after Close
-// fail with ErrClosed.
+// Close waits for a running snapshot, flushes staged appends and closes the
+// active segment. Appends and snapshots after Close fail with ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -590,9 +559,9 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	close(w.quit)
-	<-w.flushed
+	w.snaps.Wait()
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
+	w.flushLocked() // a failure is already reported to the batch's appends
 	return w.seg.Close()
 }

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -101,7 +104,7 @@ func TestAppendReopenReplay(t *testing.T) {
 // order.
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := openT(t, dir, Options{FsyncInterval: 2 * time.Millisecond})
+	w, _ := openT(t, dir, Options{})
 	const workers, each = 16, 16
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*each)
@@ -137,6 +140,155 @@ func TestGroupCommit(t *testing.T) {
 		if rec.Index != uint64(i+1) {
 			t.Fatalf("record %d has index %d (order lost)", i, rec.Index)
 		}
+	}
+}
+
+// gatedFile parks a flush inside Write until release is closed, holding
+// ioMu the way a slow write+fsync would.
+type gatedFile struct {
+	*os.File
+	entered, release chan struct{}
+}
+
+func (g gatedFile) Write(p []byte) (int, error) {
+	close(g.entered)
+	<-g.release
+	return g.File.Write(p)
+}
+
+// TestNaturalBatching pins leader-run group commit without a clock: the
+// append that opens a batch flushes it, and everything staged while that
+// write+fsync is in flight forms exactly one next batch.
+func TestNaturalBatching(t *testing.T) {
+	t.Run("staged-during-flush", func(t *testing.T) {
+		w, _ := openT(t, t.TempDir(), Options{})
+		defer w.Close()
+		entered, release := make(chan struct{}), make(chan struct{})
+		gated := false // touched only under ioMu, by flushLocked
+		w.ioMu.Lock()
+		w.newFile = func(f *os.File) walFile {
+			if gated {
+				return f
+			}
+			gated = true
+			return gatedFile{f, entered, release}
+		}
+		w.ioMu.Unlock()
+
+		const n = 11 // A, then B…K
+		errs := make(chan error, n)
+		appendOne := func(i int) { errs <- w.Append(KindCursor, Cursor{Peer: 1, Index: uint64(i)}) }
+		go appendOne(0)
+		<-entered // A leads batch 1 and is parked in Write, holding ioMu
+		for i := 1; i < n; i++ {
+			go appendOne(i)
+		}
+		for w.LastIndex() < n { // B leads batch 2 and queues on ioMu; C…K join it
+			runtime.Gosched()
+		}
+		close(release)
+		for i := 0; i < n; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		if f := w.Fsyncs(); f != 2 {
+			t.Fatalf("Fsyncs = %d, want 2 (A alone, then B…K together)", f)
+		}
+	})
+	t.Run("fsync-interval-ignored", func(t *testing.T) {
+		w, _ := openT(t, t.TempDir(), Options{FsyncInterval: time.Hour})
+		defer w.Close()
+		done := make(chan error, 1)
+		go func() { done <- w.Append(KindCursor, Cursor{Peer: 1, Index: 1}) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a lone append waited on the deprecated FsyncInterval")
+		}
+		if f := w.Fsyncs(); f != 1 {
+			t.Fatalf("Fsyncs = %d, want 1", f)
+		}
+	})
+}
+
+// TestAppendSnapshotClose races appenders against background snapshots and
+// Close: every append returns nil or ErrClosed and none hangs, and the
+// reopened log holds exactly the acknowledged records, contiguously, across
+// snapshot and tail.
+func TestAppendSnapshotClose(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := openT(t, dir, Options{SnapshotEvery: 4})
+	w.SetSnapshotSource(func() (SnapshotState, error) { return SnapshotState{}, nil })
+	const appenders, closeAfter = 8, 40
+	var (
+		mu    sync.Mutex
+		acked = map[Cursor]bool{}
+		half  = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := uint64(0); ; i++ {
+				c := Cursor{Peer: proto.NodeID(g), Index: i}
+				err := w.Append(KindCursor, c)
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("append %+v: %v", c, err)
+					return
+				}
+				mu.Lock()
+				acked[c] = true
+				if len(acked) == closeAfter {
+					close(half)
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	<-half
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("an append hung across Close")
+	}
+	if err := w.SnapshotErr(); err != nil {
+		t.Fatalf("background snapshot: %v", err)
+	}
+	if err := w.Snapshot(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Snapshot after Close = %v, want ErrClosed", err)
+	}
+
+	w2, res := openT(t, dir, Options{})
+	defer w2.Close()
+	if res.Snapshot == nil {
+		t.Fatal("no automatic snapshot survived")
+	}
+	next := res.Snapshot.AppliedIndex + 1
+	for _, rec := range res.Records {
+		if rec.Index != next {
+			t.Fatalf("tail record index %d, want %d", rec.Index, next)
+		}
+		if !acked[rec.Msg.(Cursor)] {
+			t.Fatalf("record %+v was never acknowledged", rec)
+		}
+		next++
+	}
+	if next-1 != uint64(len(acked)) {
+		t.Fatalf("snapshot(%d) + tail(%d) covers %d records, %d were acknowledged",
+			res.Snapshot.AppliedIndex, len(res.Records), next-1, len(acked))
 	}
 }
 

@@ -79,7 +79,6 @@ func startNode(t *testing.T, bin string, id int, nd *crashNode, extra ...string)
 		"-admin", nd.admin,
 		"-data-dir", nd.dataDir,
 		"-trace",
-		"-fsync-interval", "1ms",
 		// Keep the whole log: the victim's cursor must stay above every
 		// peer's floor so recovery is a pure tail catch-up, no full resync.
 		"-snapshot-every", "1000000",
@@ -282,7 +281,7 @@ func TestSubprocessCrashRecovery(t *testing.T) {
 
 	waitCommits(10)
 	// SIGKILL mid-storm: no shutdown hooks, no final fsync — whatever the
-	// victim's WAL holds is whatever the group-commit flusher got to disk.
+	// victim's WAL holds is whatever its group commits got to disk.
 	if err := nodes[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
