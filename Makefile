@@ -27,7 +27,7 @@ flake:
 race:
 	$(GO) test -race ./internal/core/ ./internal/store/ ./internal/cluster/ ./internal/obs/ ./internal/wal/ ./internal/server/ .
 
-# Fast pre-commit gate: vet, the race-detected transport, engine, load,
+# Fast pre-commit gate: vet, gofmt, the race-detected transport, engine, load,
 # observability and WAL suites, short wire-message, binary-codec, shard/2PC
 # and WAL-record fuzz smokes (the codec, shard and WAL runs also seed from —
 # and so guard — their checked-in corpora), the race-detected subprocess
@@ -35,6 +35,7 @@ race:
 # open-loop ladder smoke, and the benchmark's own tests and quick run.
 check:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/load/... ./internal/wal/... ./internal/server/...
 	$(GO) test -run='^$$' -fuzz=FuzzBatchReadWire -fuzztime=5s ./internal/proto/
 	$(GO) test -run=TestWireFuzzCorpusPresent -fuzz=FuzzWireCodec -fuzztime=5s ./internal/proto/

@@ -18,8 +18,6 @@ type BSTNode struct {
 // CloneValue implements proto.Value.
 func (n BSTNode) CloneValue() proto.Value { return n }
 
-func init() { proto.RegisterValue(BSTNode{}) }
-
 // BST is the unbalanced binary search tree used in the paper's
 // fault-tolerance experiment (Figure 10).
 type BST struct {

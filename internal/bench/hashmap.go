@@ -20,8 +20,6 @@ type ChainNode struct {
 // so the receiver is its own deep copy.
 func (n ChainNode) CloneValue() proto.Value { return n }
 
-func init() { proto.RegisterValue(ChainNode{}) }
-
 // Hashmap is a chained hash map with a fixed bucket count: bucket heads and
 // every chain node are separate DTM objects, so operations traverse chains
 // transactionally. Growing the element count (Params.Objects) lengthens the

@@ -23,8 +23,6 @@ type RBNode struct {
 // CloneValue implements proto.Value (all fields are value types).
 func (n RBNode) CloneValue() proto.Value { return n }
 
-func init() { proto.RegisterValue(RBNode{}) }
-
 // rbStore abstracts node storage so the same red-black algorithms run over
 // a transaction (the benchmark), a plain map (Setup and pure-logic property
 // tests) and the verification oracle.

@@ -29,8 +29,6 @@ func (n SkipNode) CloneValue() proto.Value {
 	return out
 }
 
-func init() { proto.RegisterValue(SkipNode{}) }
-
 // SkipList is the paper's SList micro-benchmark: every node is a DTM
 // object, so a search reads the whole descent path. These are the paper's
 // longest transactions — and the benchmark where closed nesting gains the

@@ -36,11 +36,6 @@ type CustomerRecord struct {
 // CloneValue implements proto.Value.
 func (c CustomerRecord) CloneValue() proto.Value { return c }
 
-func init() {
-	proto.RegisterValue(ReservationItem{})
-	proto.RegisterValue(CustomerRecord{})
-}
-
 // Vacation is the STAMP-style travel-reservation macro-benchmark: relations
 // of cars, flights and rooms plus customer records, all as DTM objects. A
 // transaction is a sequence of reservation operations, each querying a few

@@ -36,11 +36,12 @@ import (
 //	flags + error text).
 //
 // Messages encode as a 1-byte encoding tag followed by the payload: encBinary
-// is the hand-rolled proto codec (hot-path messages), encGob is a
-// self-contained gob blob for anything the codec does not cover. Each gob
-// blob carries its own stream preamble because frames from different calls
-// interleave on the multiplexed connection — gob's stream statefulness cannot
-// be shared across concurrently pipelined calls.
+// is the hand-rolled proto codec (hot-path messages, application values
+// included), encGob is a self-contained gob blob for the message types the
+// codec does not cover. Each gob blob carries its own stream preamble because
+// frames from different calls interleave on the multiplexed connection —
+// gob's stream statefulness cannot be shared across concurrently pipelined
+// calls.
 //
 // The request id lets many calls be in flight on one connection per peer: a
 // demux goroutine on the client routes each reply frame to the waiting caller
@@ -64,7 +65,7 @@ const (
 
 // Message encodings.
 const (
-	encBinary byte = 0 // proto.AppendWire / proto.DecodeWire
+	encBinary byte = 0 // proto.EncodeWire / proto.DecodeWire
 	encGob    byte = 1 // self-contained gob blob of an interface value
 )
 
@@ -110,10 +111,17 @@ func FrameBufStats() (live int64, allocated uint64) {
 }
 
 // appendMessage appends the 1-byte encoding tag plus the encoded message:
-// the binary codec when it covers the type, a gob blob otherwise.
+// the binary codec for every type it covers, a gob blob for the cold types
+// it does not. A covered message the codec refuses — one carrying an
+// application value whose type was never registered — is an error naming
+// the type, never a gob blob: the hot messages have one encoding.
 func appendMessage(buf []byte, msg any) ([]byte, error) {
-	if out, ok := proto.AppendWire(append(buf, encBinary), msg); ok {
+	out, err := proto.EncodeWire(append(buf, encBinary), msg)
+	if err == nil {
 		return out, nil
+	}
+	if !errors.Is(err, proto.ErrNotWireEncodable) {
+		return buf, fmt.Errorf("cluster: encoding %T: %w", msg, err)
 	}
 	// Encode a copy: taking msg's own address would move the parameter to the
 	// heap on every call, binary path included.

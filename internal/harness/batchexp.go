@@ -17,13 +17,13 @@ var BenchBatchPath = "BENCH_batch.json"
 // batchRecord is one cell's row in BENCH_batch.json: a workload under one
 // protocol mode with batched delta-Rqv reads either on or off.
 type batchRecord struct {
-	Workload    string  `json:"workload"`
-	Mode        string  `json:"mode"`
-	Batched     bool    `json:"batched"`
-	Throughput  float64 `json:"txn_per_sec"`
-	Commits     uint64  `json:"commits"`
-	MsgsPerTxn  float64 `json:"msgs_per_txn"`
-	BytesPerTxn float64 `json:"bytes_per_txn"`
+	Workload     string  `json:"workload"`
+	Mode         string  `json:"mode"`
+	Batched      bool    `json:"batched"`
+	Throughput   float64 `json:"txn_per_sec"`
+	Commits      uint64  `json:"commits"`
+	MsgsPerTxn   float64 `json:"msgs_per_txn"`
+	BytesPerTxn  float64 `json:"bytes_per_txn"`
 	AbortsPerTxn float64 `json:"aborts_per_txn"`
 	// BatchP50/BatchP90 are the per-read-round object-count percentiles
 	// (obs.SiteBatchSize); 1.0 means every round fetched a single object.

@@ -1,11 +1,11 @@
 package proto
 
 // This file is the hand-rolled binary wire codec for the hot protocol
-// messages. The TCP transport's pipelined framing (internal/cluster) carries
-// message bodies either in this encoding or — for message types the codec
-// does not know — as a self-contained gob blob; AppendWire returning false is
-// the signal to fall back. Compared to gob the codec writes no type
-// descriptors, no field names and no per-connection stream state, so a
+// messages. The TCP transport's pipelined framing (internal/cluster) and the
+// WAL carry these messages in this encoding; only message types the codec
+// does not cover travel as a self-contained gob blob (EncodeWire's
+// ErrNotWireEncodable is the signal). Compared to gob the codec writes no
+// type descriptors, no field names and no per-connection stream state, so a
 // PrepareReq that gob spends ~400 bytes on fits in a few dozen, and one
 // encoding can be fanned out to every quorum member byte-identically.
 //
@@ -19,18 +19,18 @@ package proto
 //     matching gob's empty-slice omission so the two codecs are
 //     observationally equivalent (the fuzz target pins this);
 //   - booleans are one byte (0/1);
-//   - Value payloads carry a one-byte kind for the stock implementations in
-//     values.go and fall back to an embedded gob blob for application-defined
-//     types registered via RegisterValue.
+//   - Value payloads carry a one-byte kind. The stock implementations in
+//     values.go are encoded inline; an application-defined type is
+//     wireValApp, its RegisterValue tag, a uvarint length and the bytes of
+//     its own AppendBinary. A message holding an unregistered type cannot
+//     be encoded (ErrUnregisteredValue).
 //
 // Decoding is fuzz-hardened: every length is bounds-checked against the
 // remaining input before allocation, and malformed input yields an error,
 // never a panic or an oversized allocation.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -66,20 +66,38 @@ const (
 	wireValBytes
 	wireValInt64Slice
 	wireValIDSlice
-	wireValGob // application-defined Value, embedded gob blob
+	_          // older builds' embedded gob blob: left unused so it fails as an unknown kind
+	wireValApp // application-defined Value: tag, uvarint length, AppendBinary bytes
 )
 
 // ErrNotWireEncodable reports a message type the binary codec does not
 // cover; callers fall back to the gob path.
 var ErrNotWireEncodable = errors.New("proto: message not wire-encodable")
 
+// ErrUnregisteredValue reports an application-defined Value whose type was
+// never passed to RegisterValue; EncodeWire's error names the type.
+var ErrUnregisteredValue = errors.New("proto: value type not registered")
+
 // errWireCorrupt reports malformed codec input.
 var errWireCorrupt = errors.New("proto: corrupt wire encoding")
 
 // AppendWire appends the binary encoding of msg to buf and reports whether
-// the codec covers the message type; unsupported types return (buf, false)
-// with buf unchanged.
+// it could: a message type the codec does not cover, or one carrying an
+// application value it cannot encode, returns (buf, false) with buf
+// unchanged. EncodeWire says which.
 func AppendWire(buf []byte, msg any) ([]byte, bool) {
+	out, err := EncodeWire(buf, msg)
+	return out, err == nil
+}
+
+// EncodeWire is AppendWire with the reason for a refusal: ErrNotWireEncodable
+// for a message type outside the codec, ErrUnregisteredValue for an
+// application value whose type is not registered, or the error of a value's
+// own AppendBinary. On error buf is returned unchanged.
+func EncodeWire(buf []byte, msg any) ([]byte, error) {
+	start := len(buf)
+	// err is set only by a message's one value-carrying field.
+	var err error
 	switch m := msg.(type) {
 	case ReadReq:
 		buf = append(buf, wireTagReadReq)
@@ -88,15 +106,15 @@ func AppendWire(buf []byte, msg any) ([]byte, bool) {
 		buf = appendWireBool(buf, m.Write)
 		buf = binary.AppendVarint(buf, int64(m.Depth))
 		buf = appendWireItems(buf, m.DataSet)
-		return appendWireTC(buf, m.TC), true
+		buf = appendWireTC(buf, m.TC)
 	case ReadRep:
 		buf = append(buf, wireTagReadRep)
 		buf = appendWireBool(buf, m.OK)
-		buf = appendWireCopy(buf, m.Copy)
+		buf, err = appendWireCopy(buf, m.Copy)
 		buf = binary.AppendVarint(buf, int64(m.AbortDepth))
 		buf = binary.AppendVarint(buf, int64(m.AbortChk))
 		buf = appendWireBool(buf, m.LockOnly)
-		return appendWireBool(buf, m.WrongShard), true
+		buf = appendWireBool(buf, m.WrongShard)
 	case BatchReadReq:
 		buf = append(buf, wireTagBatchReadReq)
 		buf = binary.AppendUvarint(buf, uint64(m.Txn))
@@ -109,60 +127,64 @@ func AppendWire(buf []byte, msg any) ([]byte, bool) {
 		buf = appendWireBool(buf, m.Rqv)
 		buf = binary.AppendVarint(buf, int64(m.From))
 		buf = appendWireItems(buf, m.Delta)
-		return appendWireTC(buf, m.TC), true
+		buf = appendWireTC(buf, m.TC)
 	case BatchReadRep:
 		buf = append(buf, wireTagBatchReadRep)
 		buf = appendWireBool(buf, m.OK)
-		buf = appendWireCopies(buf, m.Copies)
+		buf, err = appendWireCopies(buf, m.Copies)
 		buf = binary.AppendVarint(buf, int64(m.AbortDepth))
 		buf = binary.AppendVarint(buf, int64(m.AbortChk))
 		buf = appendWireBool(buf, m.LockOnly)
 		buf = appendWireBool(buf, m.NeedFull)
-		return appendWireBool(buf, m.WrongShard), true
+		buf = appendWireBool(buf, m.WrongShard)
 	case PrepareReq:
 		buf = append(buf, wireTagPrepareReq)
 		buf = binary.AppendUvarint(buf, uint64(m.Txn))
 		buf = appendWireItems(buf, m.Reads)
-		buf = appendWireCopies(buf, m.Writes)
+		buf, err = appendWireCopies(buf, m.Writes)
 		buf = binary.AppendUvarint(buf, uint64(len(m.AbsLocks)))
 		for _, l := range m.AbsLocks {
 			buf = appendWireString(buf, l)
 		}
 		buf = binary.AppendUvarint(buf, uint64(m.Owner))
-		return appendWireTC(buf, m.TC), true
+		buf = appendWireTC(buf, m.TC)
 	case PrepareRep:
 		buf = append(buf, wireTagPrepareRep)
 		buf = appendWireBool(buf, m.OK)
-		return appendWireBool(buf, m.WrongShard), true
+		buf = appendWireBool(buf, m.WrongShard)
 	case DecideReq:
 		buf = append(buf, wireTagDecideReq)
 		buf = binary.AppendUvarint(buf, uint64(m.Txn))
 		buf = appendWireBool(buf, m.Commit)
-		buf = appendWireCopies(buf, m.Writes)
-		return appendWireTC(buf, m.TC), true
+		buf, err = appendWireCopies(buf, m.Writes)
+		buf = appendWireTC(buf, m.TC)
 	case DecideRep:
-		return append(buf, wireTagDecideRep), true
+		buf = append(buf, wireTagDecideRep)
 	case ReleaseReq:
 		buf = append(buf, wireTagReleaseReq)
 		buf = binary.AppendUvarint(buf, uint64(m.Owner))
-		return appendWireTC(buf, m.TC), true
+		buf = appendWireTC(buf, m.TC)
 	case ReleaseRep:
-		return append(buf, wireTagReleaseRep), true
+		buf = append(buf, wireTagReleaseRep)
 	case LoadReq:
 		buf = append(buf, wireTagLoadReq)
-		return appendWireCopies(buf, m.Objects), true
+		buf, err = appendWireCopies(buf, m.Objects)
 	case LoadRep:
-		return append(buf, wireTagLoadRep), true
+		buf = append(buf, wireTagLoadRep)
 	case DumpReq:
 		buf = append(buf, wireTagDumpReq)
-		return appendWireString(buf, string(m.Obj)), true
+		buf = appendWireString(buf, string(m.Obj))
 	case DumpRep:
 		buf = append(buf, wireTagDumpRep)
 		buf = appendWireBool(buf, m.OK)
-		return appendWireCopy(buf, m.Copy), true
+		buf, err = appendWireCopy(buf, m.Copy)
 	default:
-		return buf, false
+		return buf, ErrNotWireEncodable
 	}
+	if err != nil {
+		return buf[:start], err
+	}
+	return buf, nil
 }
 
 // DecodeWire decodes one message produced by AppendWire. Trailing garbage is
@@ -315,69 +337,91 @@ func appendWireItems(buf []byte, items []DataItem) []byte {
 	return buf
 }
 
-func appendWireCopy(buf []byte, c ObjectCopy) []byte {
+func appendWireCopy(buf []byte, c ObjectCopy) ([]byte, error) {
 	buf = appendWireString(buf, string(c.ID))
 	buf = binary.AppendUvarint(buf, uint64(c.Version))
 	return appendWireValue(buf, c.Val)
 }
 
-func appendWireCopies(buf []byte, cs []ObjectCopy) []byte {
+func appendWireCopies(buf []byte, cs []ObjectCopy) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(cs)))
 	for _, c := range cs {
-		buf = appendWireCopy(buf, c)
+		var err error
+		if buf, err = appendWireCopy(buf, c); err != nil {
+			return buf, err
+		}
 	}
-	return buf
+	return buf, nil
 }
 
-func appendWireValue(buf []byte, v Value) []byte {
+func appendWireValue(buf []byte, v Value) ([]byte, error) {
 	switch val := v.(type) {
 	case nil:
-		return append(buf, wireValNil)
+		return append(buf, wireValNil), nil
 	case Int64:
 		buf = append(buf, wireValInt64)
-		return binary.AppendVarint(buf, int64(val))
+		return binary.AppendVarint(buf, int64(val)), nil
 	case Float64:
 		buf = append(buf, wireValFloat64)
 		var b [8]byte
 		binary.BigEndian.PutUint64(b[:], math.Float64bits(float64(val)))
-		return append(buf, b[:]...)
+		return append(buf, b[:]...), nil
 	case String:
 		buf = append(buf, wireValString)
-		return appendWireString(buf, string(val))
+		return appendWireString(buf, string(val)), nil
 	case Bool:
 		buf = append(buf, wireValBool)
-		return appendWireBool(buf, bool(val))
+		return appendWireBool(buf, bool(val)), nil
 	case Bytes:
 		buf = append(buf, wireValBytes)
 		buf = binary.AppendUvarint(buf, uint64(len(val)))
-		return append(buf, val...)
+		return append(buf, val...), nil
 	case Int64Slice:
 		buf = append(buf, wireValInt64Slice)
 		buf = binary.AppendUvarint(buf, uint64(len(val)))
 		for _, n := range val {
 			buf = binary.AppendVarint(buf, n)
 		}
-		return buf
+		return buf, nil
 	case IDSlice:
 		buf = append(buf, wireValIDSlice)
 		buf = binary.AppendUvarint(buf, uint64(len(val)))
 		for _, id := range val {
 			buf = appendWireString(buf, string(id))
 		}
-		return buf
+		return buf, nil
 	default:
-		// Application-defined payload: embed a self-contained gob encoding of
-		// the interface (RegisterValue made the concrete type known to gob).
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(&v); err != nil {
-			// Unencodable values would also fail on the pure-gob path; encode
-			// the failure so it surfaces as a decode error, not corruption.
-			blob.Reset()
-		}
-		buf = append(buf, wireValGob)
-		buf = binary.AppendUvarint(buf, uint64(blob.Len()))
-		return append(buf, blob.Bytes()...)
+		return appendAppValue(buf, v)
 	}
+}
+
+// appendAppValue writes an application-defined value: wireValApp, its
+// registered tag, a uvarint length and the value's own AppendBinary bytes.
+// The payload is appended behind a one-byte length, which is widened in
+// place in the rare case the payload reaches 128 bytes.
+func appendAppValue(buf []byte, v Value) ([]byte, error) {
+	tag, ok := valueReg.Load().tagOf(v)
+	if !ok {
+		return buf, fmt.Errorf("%w: %T (see RegisterValue)", ErrUnregisteredValue, v)
+	}
+	start := len(buf)
+	buf = append(buf, wireValApp, tag, 0)
+	payload := len(buf)
+	buf, err := v.(BinaryValue).AppendBinary(buf)
+	if err != nil {
+		return buf[:start], fmt.Errorf("proto: encoding %T: %w", v, err)
+	}
+	n := len(buf) - payload
+	if n < 0x80 {
+		buf[payload-1] = byte(n)
+		return buf, nil
+	}
+	var lenBuf [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(lenBuf[:], uint64(n))
+	buf = append(buf, lenBuf[:k-1]...) // grow by the extra length bytes
+	copy(buf[payload-1+k:], buf[payload:payload+n])
+	copy(buf[payload-1:], lenBuf[:k])
+	return buf, nil
 }
 
 // ---- decode helpers ----
@@ -566,14 +610,23 @@ func (r *wireReader) value() Value {
 			return nil
 		}
 		return out
-	case wireValGob:
-		blob := r.take(int(r.uvarint()))
+	case wireValApp:
+		tag := r.byte()
+		payload := r.take(int(r.uvarint()))
 		if r.err != nil {
 			return nil
 		}
-		var v Value
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			r.fail("bad embedded value gob: " + err.Error())
+		decode := valueReg.Load().decoder(tag)
+		if decode == nil {
+			r.fail(fmt.Sprintf("unknown value tag %d", tag))
+			return nil
+		}
+		v, err := decode(payload)
+		if err == nil && v == nil {
+			err = errors.New("decoder returned nil")
+		}
+		if err != nil {
+			r.fail(fmt.Sprintf("value tag %d: %v", tag, err))
 			return nil
 		}
 		return v

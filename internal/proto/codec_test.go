@@ -2,7 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,8 +44,9 @@ func wireRoundTrip(t testing.TB, msg any) any {
 	return out
 }
 
-// customWireValue is an application-defined payload exercising the embedded
-// gob fallback inside ObjectCopy values.
+// customWireValue is an application-defined payload exercising the tagged
+// value encoding inside ObjectCopy values; gob still carries it too, which
+// keeps gob usable as the equivalence oracle.
 type customWireValue struct {
 	A int64
 	B string
@@ -51,12 +54,32 @@ type customWireValue struct {
 
 func (v customWireValue) CloneValue() Value { return v }
 
-func init() { RegisterValue(customWireValue{}) }
+// customWireTag is customWireValue's RegisterValue tag.
+const customWireTag = 0xf0
+
+func (v customWireValue) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, v.A)
+	return appendWireString(b, v.B), nil
+}
+
+func decodeCustomWireValue(b []byte) (Value, error) {
+	a, n := binary.Varint(b)
+	if n <= 0 {
+		return nil, errors.New("bad A")
+	}
+	l, m := binary.Uvarint(b[n:])
+	if m <= 0 || l != uint64(len(b)-n-m) {
+		return nil, errors.New("bad B")
+	}
+	return customWireValue{A: a, B: string(b[n+m:])}, nil
+}
+
+func init() { RegisterValue(customWireTag, customWireValue{}, decodeCustomWireValue) }
 
 // codecExamples is one representative message per covered type, with the
 // corner shapes that have bitten before: nil values, version-0 copies,
 // negative depth/epoch sentinels, zero and valid trace contexts, and an
-// app-defined Value that rides the gob fallback.
+// app-defined Value that rides its registered tag.
 func codecExamples() []any {
 	return []any{
 		ReadReq{Txn: 7, Obj: "acct/alice", Write: true, Depth: 2,
@@ -84,7 +107,7 @@ func codecExamples() []any {
 		PrepareReq{Txn: 12, Reads: []DataItem{{ID: "r", Version: 3, OwnerDepth: 0, OwnerChk: 1}},
 			Writes:   []ObjectCopy{{ID: "w", Version: 3, Val: Int64(-5)}},
 			AbsLocks: []string{"bucket/3", "bucket/4"}, Owner: 11,
-			TC:       TraceContext{Trace: 1, Span: 2, Parent: 3}},
+			TC: TraceContext{Trace: 1, Span: 2, Parent: 3}},
 		PrepareRep{OK: true},
 		PrepareRep{},
 		DecideReq{Txn: 12, Commit: true,
@@ -182,7 +205,7 @@ func fuzzWireMessage(z *fzReader) any {
 		return out
 	}
 	value := func() Value {
-		switch z.byte() % 8 {
+		switch z.byte() % 9 {
 		case 0:
 			return nil
 		case 1:
@@ -197,6 +220,8 @@ func fuzzWireMessage(z *fzReader) any {
 			return Bytes(z.str())
 		case 6:
 			return Int64Slice{int64(z.u64()), int64(z.u64())}
+		case 7:
+			return customWireValue{A: int64(z.u64()), B: z.str()}
 		default:
 			return IDSlice{ObjectID(z.str())}
 		}
@@ -310,14 +335,30 @@ func wireFuzzSeedInputs() [][]byte {
 		b, _ := AppendWire(nil, msg)
 		seeds = append(seeds, b)
 	}
+	appRep, _ := AppendWire(nil, ReadRep{OK: true,
+		Copy: ObjectCopy{ID: "hm/n7", Version: 3, Val: customWireValue{A: 77, B: "hm/n8"}}})
 	seeds = append(seeds,
 		[]byte{},
 		[]byte{wireTagInvalid},
 		[]byte{wireTagBatchReadRep, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, // hostile slice count
-		bytes.Repeat([]byte{0x80}, 24), // unterminated varint
+		bytes.Repeat([]byte{0x80}, 24),                               // unterminated varint
 		[]byte("qrdtm wire"),
+		appRep,
+		hostileAppValue(unknownWireTag, 0),
+		hostileAppValue(customWireTag, 1<<62),
 	)
 	return seeds
+}
+
+// unknownWireTag is a value tag no test registers.
+const unknownWireTag = 0xee
+
+// hostileAppValue is a ReadRep whose copy holds a wireValApp value with the
+// given tag and declared payload length, followed by two payload bytes.
+func hostileAppValue(tag byte, length uint64) []byte {
+	b := []byte{wireTagReadRep, 1, 1, 'x', 1, wireValApp, tag}
+	b = binary.AppendUvarint(b, length)
+	return append(b, 0, 0)
 }
 
 // TestWriteWireFuzzCorpus regenerates the checked-in seed corpus under

@@ -69,7 +69,8 @@ func fuzzBatchReadReq(z *fzReader) BatchReadReq {
 }
 
 // fuzzBatchReadRep builds a BatchReadRep from fuzz bytes. Copies carry a mix
-// of nil and registered interface payloads, the two shapes replicas ship.
+// of nil, stock and registered application payloads, the shapes replicas
+// ship.
 func fuzzBatchReadRep(z *fzReader) BatchReadRep {
 	rep := BatchReadRep{
 		OK:         z.byte()&1 == 1,
@@ -80,7 +81,7 @@ func fuzzBatchReadRep(z *fzReader) BatchReadRep {
 	}
 	for n := int(z.byte() % 6); n > 0; n-- {
 		c := ObjectCopy{ID: ObjectID(z.str()), Version: Version(z.u64())}
-		switch z.byte() % 4 {
+		switch z.byte() % 5 {
 		case 0: // nil Val: version-0 "never written" copies travel like this
 		case 1:
 			c.Val = Int64(int64(z.u64()))
@@ -88,6 +89,8 @@ func fuzzBatchReadRep(z *fzReader) BatchReadRep {
 			c.Val = String(z.str())
 		case 3:
 			c.Val = Int64Slice{int64(z.u64()), int64(z.u64())}
+		case 4:
+			c.Val = customWireValue{A: int64(z.u64()), B: z.str()}
 		}
 		rep.Copies = append(rep.Copies, c)
 	}

@@ -4,12 +4,16 @@
 // and the baseline DTM implementations (internal/tfa, internal/decent).
 //
 // All messages are plain data structs so that they can travel over the
-// in-memory simulated transport unchanged and over TCP via encoding/gob.
+// in-memory simulated transport unchanged and over TCP in the binary codec
+// of codec.go.
 package proto
 
 import (
 	"encoding/gob"
 	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a replica (or client-hosting) node in the cluster.
@@ -38,8 +42,9 @@ const NoDepth = -1
 
 // Value is the payload stored in a transactional object. Implementations
 // must provide a deep copy so that replicas and transactions never alias
-// mutable state. Values that cross the TCP transport must also be registered
-// with RegisterValue.
+// mutable state. Values other than the stock kinds of values.go that cross
+// the TCP transport or the WAL must also implement BinaryValue and be
+// registered with RegisterValue.
 type Value interface {
 	CloneValue() Value
 }
@@ -226,11 +231,92 @@ type DumpRep struct {
 	Copy ObjectCopy
 }
 
-// RegisterValue registers a concrete Value implementation with gob so it can
-// cross the TCP transport inside ObjectCopy. The in-memory transport does
-// not need registration.
-func RegisterValue(v Value) {
+// BinaryValue is an application-defined Value that encodes itself, in the
+// shape of encoding.BinaryAppender: AppendBinary appends the value's encoding
+// to b and returns the extended slice.
+type BinaryValue interface {
+	Value
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// ValueDecoder rebuilds a registered value from exactly the bytes its
+// AppendBinary wrote. It must copy whatever it keeps out of b (codec buffers
+// are reused) and return an error, never panic, for input it did not write.
+type ValueDecoder func(b []byte) (Value, error)
+
+// RegisterValue registers an application-defined Value under a one-byte tag
+// so that it can cross the TCP transport and the WAL inside ObjectCopy: the
+// codec writes the tag and then v's own AppendBinary encoding, and decodes
+// with decode. Tags are process-wide and must be unique. The in-memory
+// transport needs no registration.
+//
+// RegisterValue panics on a nil value or decoder, on a value that does not
+// implement BinaryValue, on one of the stock kinds of values.go (they have
+// their own encodings), and on a tag or type that is already registered.
+func RegisterValue(tag byte, v Value, decode ValueDecoder) {
+	switch v.(type) {
+	case nil:
+		panic("proto: RegisterValue of a nil value")
+	case Int64, Float64, String, Bool, Bytes, Int64Slice, IDSlice:
+		panic(fmt.Sprintf("proto: RegisterValue(%T): stock kinds are encoded without registration", v))
+	}
+	if _, ok := v.(BinaryValue); !ok {
+		panic(fmt.Sprintf("proto: RegisterValue(%T): missing method AppendBinary([]byte) ([]byte, error)", v))
+	}
+	if decode == nil {
+		panic(fmt.Sprintf("proto: RegisterValue(%T): nil decoder", v))
+	}
+	valueRegMu.Lock()
+	defer valueRegMu.Unlock()
+	old := valueReg.Load()
+	next := &valueRegistry{tags: make(map[reflect.Type]byte)}
+	if old != nil {
+		for t, tg := range old.tags {
+			next.tags[t] = tg
+		}
+		next.decode = old.decode
+	}
+	typ := reflect.TypeOf(v)
+	if next.decode[tag] != nil {
+		panic(fmt.Sprintf("proto: RegisterValue(%T): tag %d is already taken", v, tag))
+	}
+	if prev, ok := next.tags[typ]; ok {
+		panic(fmt.Sprintf("proto: RegisterValue(%T): already registered under tag %d", v, prev))
+	}
+	next.tags[typ] = tag
+	next.decode[tag] = decode
+	valueReg.Store(next)
+	// WAL snapshots and the messages outside the binary codec still carry
+	// values through gob.
 	gob.Register(v)
+}
+
+// valueRegistry maps registered application types to their tags and tags to
+// their decoders. It is copied on write, so the codec reads it without a
+// lock; a nil registry has nothing registered.
+type valueRegistry struct {
+	tags   map[reflect.Type]byte
+	decode [256]ValueDecoder
+}
+
+var (
+	valueRegMu sync.Mutex
+	valueReg   atomic.Pointer[valueRegistry]
+)
+
+func (r *valueRegistry) tagOf(v Value) (byte, bool) {
+	if r == nil {
+		return 0, false
+	}
+	tag, ok := r.tags[reflect.TypeOf(v)]
+	return tag, ok
+}
+
+func (r *valueRegistry) decoder(tag byte) ValueDecoder {
+	if r == nil {
+		return nil
+	}
+	return r.decode[tag]
 }
 
 func init() {
@@ -248,6 +334,11 @@ func init() {
 	gob.Register(LoadRep{})
 	gob.Register(DumpReq{})
 	gob.Register(DumpRep{})
+	// The stock kinds have their own binary encodings (codec.go); gob only
+	// needs them for the messages and snapshots that still travel as gob.
+	for _, v := range []Value{Int64(0), Float64(0), String(""), Bool(false), Bytes(nil), Int64Slice(nil), IDSlice(nil)} {
+		gob.Register(v)
+	}
 }
 
 func (n NodeID) String() string   { return fmt.Sprintf("n%d", int(n)) }

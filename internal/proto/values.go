@@ -2,7 +2,8 @@ package proto
 
 // This file provides ready-made Value implementations for common payloads.
 // Benchmarks and examples define richer structs; these cover the scalar and
-// slice cases so that simple uses of the DTM need no boilerplate.
+// slice cases so that simple uses of the DTM need no boilerplate. The binary
+// codec encodes them without registration (codec.go).
 
 // Int64 is a scalar integer payload (account balances, counters).
 type Int64 int64
@@ -58,14 +59,4 @@ func (v IDSlice) CloneValue() Value {
 	out := make(IDSlice, len(v))
 	copy(out, v)
 	return out
-}
-
-func init() {
-	RegisterValue(Int64(0))
-	RegisterValue(Float64(0))
-	RegisterValue(String(""))
-	RegisterValue(Bool(false))
-	RegisterValue(Bytes(nil))
-	RegisterValue(Int64Slice(nil))
-	RegisterValue(IDSlice(nil))
 }

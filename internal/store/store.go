@@ -45,8 +45,8 @@ type absLock struct {
 type Store struct {
 	mu       sync.Mutex
 	objs     map[proto.ObjectID]*record
-	absLocks map[string]*absLock      // abstract locks (open nesting), keyed by name
-	absPrep  map[proto.TxnID][]string // locks acquired by an in-flight prepare, keyed by the preparing transaction
+	absLocks map[string]*absLock              // abstract locks (open nesting), keyed by name
+	absPrep  map[proto.TxnID][]string         // locks acquired by an in-flight prepare, keyed by the preparing transaction
 	sessions map[proto.TxnID][]proto.DataItem // delta-validation sessions: accumulated footprint per transaction, in log order
 
 	// owns is the shard-ownership predicate (nil means this replica owns

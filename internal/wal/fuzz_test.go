@@ -52,8 +52,11 @@ func fuzzRecord(z *fz) (Kind, any) {
 		var out []proto.ObjectCopy
 		for n := int(z.byte() % max); n > 0; n-- {
 			c := proto.ObjectCopy{ID: proto.ObjectID(z.str()), Version: proto.Version(z.u64())}
-			if z.byte()&1 == 1 {
+			switch z.byte() % 3 {
+			case 1:
 				c.Val = proto.Int64(int64(z.u64()))
+			case 2:
+				c.Val = chainNode{Key: int64(z.u64()), Next: proto.ObjectID(z.str())}
 			}
 			out = append(out, c)
 		}
@@ -184,6 +187,7 @@ func walFuzzSeedInputs() [][]byte {
 		enc(4, KindInstall, proto.InstallReq{Copies: []proto.ObjectCopy{{ID: "acct/x", Version: 7, Val: proto.Int64(93)}}}),
 		enc(5, KindMap, proto.MapUpdateReq{Map: proto.PartitionMap([]proto.NodeID{0, 1, 2, 3}, 2)}),
 		enc(6, KindCursor, Cursor{Peer: 3, Index: 42}),
+		enc(7, KindPrepare, chainPrepare),
 		binary.LittleEndian.AppendUint32(nil, 10), // plausible length, garbage rest
 		bytes.Repeat([]byte{0x5a, 0xff, 0x00}, 30),
 	}

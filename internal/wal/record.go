@@ -105,6 +105,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // treats it as the end of the log (torn tail), not as a fatal error.
 var errCorrupt = errors.New("wal: corrupt record")
 
+// errUndecodable marks a frame whose CRC checks out but whose payload does
+// not decode. That is no torn write but a record this build cannot read (one
+// written by a build with another value encoding, say), so replay refuses
+// the log rather than truncate acknowledged records away.
+var errUndecodable = errors.New("wal: undecodable record")
+
 // ErrClosed is returned by Append and Snapshot after Close.
 var ErrClosed = errors.New("wal: closed")
 
@@ -122,9 +128,15 @@ func appendFrame(buf []byte, index uint64, kind Kind, msg any) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(m.Peer)))
 		buf = binary.LittleEndian.AppendUint64(buf, m.Index)
 	default:
-		if out, ok := proto.AppendWire(append(buf, encWire), msg); ok {
+		out, err := proto.EncodeWire(append(buf, encWire), msg)
+		switch {
+		case err == nil:
 			buf = out
-		} else {
+		case !errors.Is(err, proto.ErrNotWireEncodable):
+			// A hot kind the codec refuses (an unregistered value) is an
+			// error, not a gob record: each kind has one encoding on disk.
+			return buf[:start], fmt.Errorf("wal: encoding %T: %w", msg, err)
+		default:
 			var blob bytes.Buffer
 			if err := gob.NewEncoder(&blob).Encode(&msg); err != nil {
 				return buf[:start], fmt.Errorf("wal: encoding %T: %w", msg, err)
@@ -144,7 +156,8 @@ func appendFrame(buf []byte, index uint64, kind Kind, msg any) ([]byte, error) {
 // decodeFrame decodes the first record in b. It returns the record, the
 // total frame size consumed, and an error: io.ErrUnexpectedEOF-like short
 // frames and CRC mismatches all surface as errCorrupt — the caller treats
-// the log as ending at the previous record.
+// the log as ending at the previous record. A frame whose CRC checks out but
+// whose payload does not decode is errUndecodable instead.
 func decodeFrame(b []byte) (Record, int, error) {
 	if len(b) < frameHeaderSize {
 		return Record{}, 0, fmt.Errorf("%w: short frame header (%d bytes)", errCorrupt, len(b))
@@ -170,7 +183,7 @@ func decodeFrame(b []byte) (Record, int, error) {
 	var err error
 	if rec.Kind == KindCursor {
 		if enc != encWire || len(payload) != 16 {
-			return Record{}, 0, fmt.Errorf("%w: malformed cursor payload", errCorrupt)
+			return Record{}, 0, fmt.Errorf("%w: malformed cursor payload", errUndecodable)
 		}
 		rec.Msg = Cursor{
 			Peer:  proto.NodeID(int64(binary.LittleEndian.Uint64(payload))),
@@ -186,11 +199,11 @@ func decodeFrame(b []byte) (Record, int, error) {
 			err = fmt.Errorf("unknown payload encoding %d", enc)
 		}
 		if err != nil {
-			return Record{}, 0, fmt.Errorf("%w: %v", errCorrupt, err)
+			return Record{}, 0, fmt.Errorf("%w: %v", errUndecodable, err)
 		}
 	}
 	if !kindMatches(rec.Kind, rec.Msg) {
-		return Record{}, 0, fmt.Errorf("%w: kind %v carries %T", errCorrupt, rec.Kind, rec.Msg)
+		return Record{}, 0, fmt.Errorf("%w: kind %v carries %T", errUndecodable, rec.Kind, rec.Msg)
 	}
 	return rec, frameHeaderSize + int(bodyLen), nil
 }

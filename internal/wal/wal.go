@@ -248,6 +248,9 @@ func replaySegment(path string) (recs []Record, goodSize int64, torn bool, err e
 	off := int64(len(segMagic))
 	for int64(len(b)) > off {
 		rec, n, err := decodeFrame(b[off:])
+		if errors.Is(err, errUndecodable) {
+			return nil, 0, false, fmt.Errorf("%s at offset %d: %w", path, off, err)
+		}
 		if err != nil {
 			// First bad CRC (or short frame): everything from here on is the
 			// torn tail of a crashed append. Stop — never apply a partial

@@ -263,8 +263,18 @@ type (
 	Int64Slice = proto.Int64Slice
 )
 
-// RegisterValue registers a Value implementation for the TCP transport.
-func RegisterValue(v Value) { proto.RegisterValue(v) }
+// RegisterValue registers an application-defined Value for the TCP transport
+// and the WAL under a one-byte tag, unique within the process. v must also
+// implement AppendBinary(b []byte) ([]byte, error), appending its own
+// encoding to b, and decode must rebuild the value from exactly those bytes
+// (copying what it keeps). A message carrying an unregistered type fails its
+// call with an error naming the type. The stock payloads (Int64, String, …)
+// need no registration; the in-memory cluster needs none at all. It panics
+// on a taken tag, an already registered type, a stock kind, a nil value or
+// decoder, and a missing AppendBinary. See proto.RegisterValue.
+func RegisterValue(tag byte, v Value, decode func(b []byte) (Value, error)) {
+	proto.RegisterValue(tag, v, decode)
+}
 
 // Real-TCP deployment re-exports (see internal/cluster and DESIGN.md §11):
 // ListenTCP serves a replica, NewTCPTransport connects a client to the
