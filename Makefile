@@ -25,7 +25,7 @@ flake:
 	done; echo "flake: $(N)/$(N) green"
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/store/ ./internal/cluster/ ./internal/obs/ ./internal/wal/ ./internal/server/ .
+	$(GO) test -race ./internal/core/ ./internal/store/ ./internal/cluster/ ./internal/obs/ ./internal/wal/ ./internal/server/ ./internal/bench/ .
 
 # Fast pre-commit gate: vet, gofmt, the race-detected transport, engine, load,
 # observability and WAL suites, short wire-message, binary-codec, shard/2PC

@@ -61,7 +61,7 @@ func collectHashmapKeys(t *testing.T, oracle bench.Oracle, buckets int, prefix s
 		if !ok {
 			t.Fatalf("missing head %d", b)
 		}
-		cur := proto.ObjectID(v.(proto.String))
+		cur := v.(bench.ChainHead).First
 		for cur != "" {
 			nv, ok := oracle(cur)
 			if !ok {

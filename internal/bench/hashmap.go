@@ -20,6 +20,32 @@ type ChainNode struct {
 // so the receiver is its own deep copy.
 func (n ChainNode) CloneValue() proto.Value { return n }
 
+// AppendLinks implements proto.Linker: a node links to its successor.
+func (n ChainNode) AppendLinks(dst []proto.ObjectID) []proto.ObjectID {
+	if n.Next != "" {
+		dst = append(dst, n.Next)
+	}
+	return dst
+}
+
+// ChainHead is a hashmap bucket head: the id of the bucket's first chain
+// node ("" for an empty bucket).
+type ChainHead struct {
+	First proto.ObjectID
+}
+
+// CloneValue implements proto.Value.
+func (h ChainHead) CloneValue() proto.Value { return h }
+
+// AppendLinks implements proto.Linker: a head links to its first node, so
+// the read of a bucket head ships the bucket's chain with it.
+func (h ChainHead) AppendLinks(dst []proto.ObjectID) []proto.ObjectID {
+	if h.First != "" {
+		dst = append(dst, h.First)
+	}
+	return dst
+}
+
 // Hashmap is a chained hash map with a fixed bucket count: bucket heads and
 // every chain node are separate DTM objects, so operations traverse chains
 // transactionally. Growing the element count (Params.Objects) lengthens the
@@ -74,7 +100,7 @@ func (h *Hashmap) Setup(p Params, _ *rand.Rand) []proto.ObjectCopy {
 	}
 	for b := 0; b < h.buckets; b++ {
 		copies = append(copies, proto.ObjectCopy{
-			ID: h.head(b), Version: 1, Val: proto.String(heads[b]),
+			ID: h.head(b), Version: 1, Val: ChainHead{First: heads[b]},
 		})
 	}
 	return copies
@@ -85,6 +111,8 @@ func (h *Hashmap) Setup(p Params, _ *rand.Rand) []proto.ObjectCopy {
 // transaction will touch. The keys — and therefore the heads — are fixed at
 // build time, so the heads are a known read set: one batched quorum round
 // fetches them all, and each operation's chainFirst then resolves locally.
+// Heads and nodes link to their successors (proto.Linker), so the same round
+// also ships each bucket's chain and the traversals cost no further round.
 func (h *Hashmap) NewTxn(rng *rand.Rand, p Params) (core.State, []core.Step) {
 	steps := make([]core.Step, p.Ops)
 	heads := make([]proto.ObjectID, 0, p.Ops)
@@ -112,7 +140,7 @@ func (h *Hashmap) chainFirst(tx *core.Txn, b int) (proto.ObjectID, error) {
 	if err != nil || !ok {
 		return "", err
 	}
-	return proto.ObjectID(v.(proto.String)), nil
+	return v.(ChainHead).First, nil
 }
 
 func (h *Hashmap) containsStep(key int64) core.Step {
@@ -170,7 +198,7 @@ func (h *Hashmap) putStep(key int64, newID proto.ObjectID) core.Step {
 			cur = n.Next
 		}
 		tx.Create(newID, ChainNode{Key: key, Next: first})
-		return tx.Write(h.head(b), proto.String(newID))
+		return tx.Write(h.head(b), ChainHead{First: newID})
 	}
 }
 
@@ -197,7 +225,7 @@ func (h *Hashmap) removeStep(key int64) core.Step {
 			n := v.(ChainNode)
 			if n.Key == key {
 				if prev == "" {
-					return tx.Write(h.head(b), proto.String(n.Next))
+					return tx.Write(h.head(b), ChainHead{First: n.Next})
 				}
 				prevNode.Next = n.Next
 				return tx.Write(prev, prevNode)
@@ -220,7 +248,7 @@ func (h *Hashmap) Verify(p Params, read Oracle) error {
 		if !ok {
 			return fmt.Errorf("hashmap: missing head %d", b)
 		}
-		cur := proto.ObjectID(v.(proto.String))
+		cur := v.(ChainHead).First
 		for hops := 0; cur != ""; hops++ {
 			if hops > p.Objects+1 {
 				return fmt.Errorf("hashmap: bucket %d chain does not terminate", b)

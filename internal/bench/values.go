@@ -23,6 +23,7 @@ const (
 	tagSkipNode
 	tagReservationItem
 	tagCustomerRecord
+	tagChainHead
 )
 
 func init() {
@@ -32,6 +33,7 @@ func init() {
 	proto.RegisterValue(tagSkipNode, SkipNode{}, decodeSkipNode)
 	proto.RegisterValue(tagReservationItem, ReservationItem{}, decodeReservationItem)
 	proto.RegisterValue(tagCustomerRecord, CustomerRecord{}, decodeCustomerRecord)
+	proto.RegisterValue(tagChainHead, ChainHead{}, decodeChainHead)
 }
 
 // AppendBinary implements proto.BinaryValue.
@@ -44,6 +46,17 @@ func decodeChainNode(b []byte) (proto.Value, error) {
 	r := valueReader{b: b}
 	n := ChainNode{Key: r.varint(), Next: r.id()}
 	return n, r.done()
+}
+
+// AppendBinary implements proto.BinaryValue.
+func (h ChainHead) AppendBinary(b []byte) ([]byte, error) {
+	return appendID(b, h.First), nil
+}
+
+func decodeChainHead(b []byte) (proto.Value, error) {
+	r := valueReader{b: b}
+	h := ChainHead{First: r.id()}
+	return h, r.done()
 }
 
 // AppendBinary implements proto.BinaryValue.

@@ -18,6 +18,8 @@ func TestValueDecodersAreStrict(t *testing.T) {
 	}{
 		{ChainNode{Key: -7, Next: "hm/n9"}, decodeChainNode},
 		{ChainNode{Key: 0, Next: ""}, decodeChainNode},
+		{ChainHead{First: "hm/n3"}, decodeChainHead},
+		{ChainHead{}, decodeChainHead},
 		{RBNode{Key: 1 << 40, Red: true, L: "rb/1", P: "rb/0"}, decodeRBNode},
 		{BSTNode{Key: 3, L: "bst/1", R: "bst/2"}, decodeBSTNode},
 		{SkipNode{Key: math.MinInt64, Forward: proto.IDSlice{"sl/1", "", "sl/9"}}, decodeSkipNode},
@@ -43,7 +45,7 @@ func TestValueDecodersAreStrict(t *testing.T) {
 		}
 	}
 	hostile := []byte{2, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'} // key 1, id length 4 Gi
-	for _, decode := range []proto.ValueDecoder{decodeChainNode, decodeSkipNode} {
+	for _, decode := range []proto.ValueDecoder{decodeChainNode, decodeSkipNode, decodeChainHead} {
 		if _, err := decode(hostile); err == nil {
 			t.Fatal("hostile length accepted")
 		}

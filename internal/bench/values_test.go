@@ -131,7 +131,7 @@ func TestBenchValuesCrossTheWire(t *testing.T) {
 			t.Fatalf("%s: no transaction reached commit (prepares %d, decides %d)", name, prepares, decides)
 		}
 	}
-	for _, v := range []proto.Value{bench.ChainNode{}, bench.RBNode{}, bench.BSTNode{},
+	for _, v := range []proto.Value{bench.ChainNode{}, bench.ChainHead{}, bench.RBNode{}, bench.BSTNode{},
 		bench.SkipNode{}, bench.ReservationItem{}, bench.CustomerRecord{}} {
 		if !seen[reflect.TypeOf(v)] {
 			t.Errorf("no workload sent a %T", v)

@@ -165,6 +165,7 @@ func (tx *Txn) shardStale(shard proto.ShardID, items []proto.DataItem) bool {
 	if len(readQ) == 0 {
 		return true
 	}
+	tx.dropPrefetch()
 	req := proto.ReadReq{Txn: tx.id, Depth: tx.depth, DataSet: items}
 	if req.DataSet == nil {
 		req.DataSet = []proto.DataItem{}

@@ -27,6 +27,10 @@ type Metrics struct {
 	// LocalReads counts reads satisfied from the transaction's own or an
 	// ancestor's footprint without any remote call.
 	LocalReads atomic.Uint64
+	// PrefetchHits counts acquisitions served from the link-prefetch cache:
+	// copies a replica shipped with an earlier round's reply, so the object
+	// cost no read round of its own.
+	PrefetchHits atomic.Uint64
 	// CommitRequests counts write-quorum prepare multicasts.
 	CommitRequests atomic.Uint64
 	// QuorumRefreshes counts quorum reconfigurations after node failures.
@@ -53,6 +57,7 @@ type MetricsSnapshot struct {
 	Checkpoints     uint64
 	ReadRequests    uint64
 	LocalReads      uint64
+	PrefetchHits    uint64
 	CommitRequests  uint64
 	QuorumRefreshes uint64
 	LockWaits       uint64
@@ -73,6 +78,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Checkpoints:     m.Checkpoints.Load(),
 		ReadRequests:    m.ReadRequests.Load(),
 		LocalReads:      m.LocalReads.Load(),
+		PrefetchHits:    m.PrefetchHits.Load(),
 		CommitRequests:  m.CommitRequests.Load(),
 		QuorumRefreshes: m.QuorumRefreshes.Load(),
 		LockWaits:       m.LockWaits.Load(),
@@ -108,6 +114,7 @@ func (s MetricsSnapshot) Sub(o MetricsSnapshot) MetricsSnapshot {
 		Checkpoints:     s.Checkpoints - o.Checkpoints,
 		ReadRequests:    s.ReadRequests - o.ReadRequests,
 		LocalReads:      s.LocalReads - o.LocalReads,
+		PrefetchHits:    s.PrefetchHits - o.PrefetchHits,
 		CommitRequests:  s.CommitRequests - o.CommitRequests,
 		QuorumRefreshes: s.QuorumRefreshes - o.QuorumRefreshes,
 		LockWaits:       s.LockWaits - o.LockWaits,

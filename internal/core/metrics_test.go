@@ -134,6 +134,17 @@ func TestMetricsSnapshotIdentities(t *testing.T) {
 				Commits: 20, LocalCommits: 20, LocalReads: 60,
 			},
 		},
+		{
+			name: "prefetch hits cost no protocol request",
+			after: MetricsSnapshot{
+				Commits: 10, LocalCommits: 10, ReadRequests: 10, PrefetchHits: 150,
+			},
+			wantTotalAborts:  0,
+			wantProtocolReqs: 10,
+			wantWindow: MetricsSnapshot{
+				Commits: 10, LocalCommits: 10, ReadRequests: 10, PrefetchHits: 150,
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

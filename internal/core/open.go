@@ -56,6 +56,9 @@ func (tx *Txn) Open(locks []string, body func(*Txn) error, compensate func(*Txn)
 		return ErrOpenInCheckpointed
 	}
 	root := tx.rootTxn()
+	// The open child commits on its own: a linked copy the parent prefetched
+	// may be stale once it has (link-prefetch rule 1, see usePrefetched).
+	tx.dropPrefetch()
 
 	for attempt := 0; ; attempt++ {
 		if err := tx.ctx.Err(); err != nil {

@@ -166,6 +166,19 @@ type Txn struct {
 	// the footprint, and commit must validate per shard.
 	shards     map[proto.ShardID]struct{}
 	shardDirty bool
+
+	// Link prefetch (root transactions; see usePrefetched). pf holds the
+	// linked copies the last successful batched read round shipped, pfShard
+	// that round's shard.
+	pf      map[proto.ObjectID]pfCopy
+	pfShard proto.ShardID
+}
+
+// pfCopy is one link-prefetch cache entry: the highest-versioned copy the
+// round's members shipped, and how many members shipped it.
+type pfCopy struct {
+	c proto.ObjectCopy
+	n int
 }
 
 // noteShard records that the footprint touches shard s (sharded runtimes).
@@ -402,14 +415,27 @@ func (tx *Txn) Write(id proto.ObjectID, val proto.Value) error {
 // transaction can never commit — allocate a new ID per attempt, or use
 // Write, which fetches the current version first.
 func (tx *Txn) Create(id proto.ObjectID, val proto.Value) {
+	tx.admit(proto.ObjectCopy{ID: id, Version: 0, Val: cloneVal(val)}, true)
+}
+
+// admit enters a freshly acquired copy into this scope's read or write set:
+// owned by the current depth and checkpoint epoch, appended to the root's
+// footprint log (so the next round or the prepare validates it), and counted
+// as an acquisition.
+func (tx *Txn) admit(c proto.ObjectCopy, write bool) *entry {
 	e := &entry{
-		copyv:      proto.ObjectCopy{ID: id, Version: 0, Val: cloneVal(val)},
+		copyv:      c,
 		ownerDepth: tx.depth,
 		ownerChk:   tx.ownerChkNow(),
 	}
-	tx.writeset[id] = e
+	if write {
+		tx.writeset[c.ID] = e
+	} else {
+		tx.readset[c.ID] = e
+	}
 	tx.fpAppend(e)
 	tx.noteAcquisition()
+	return e
 }
 
 func cloneVal(v proto.Value) proto.Value {
@@ -429,11 +455,15 @@ func (tx *Txn) acquire(id proto.ObjectID, write bool) (*entry, error) {
 	return tx.acquireOne(id, write)
 }
 
-// acquireOne fetches a single unheld object: over the batched/delta path by
+// acquireOne fetches a single unheld object: from the link-prefetch cache
+// when the last round shipped it, else over the batched/delta path by
 // default (a one-object batch — same single quorum round, but the footprint
 // ships incrementally), or over the classic full-footprint ReadReq when the
 // runtime is configured with LegacyReads.
 func (tx *Txn) acquireOne(id proto.ObjectID, write bool) (*entry, error) {
+	if e, ok := tx.usePrefetched(id, write); ok {
+		return e, nil
+	}
 	if tx.rt.legacyReads {
 		return tx.acquireRemote(id, write)
 	}
@@ -515,6 +545,7 @@ func (tx *Txn) acquireRemote(id proto.ObjectID, write bool) (*entry, error) {
 		if len(readQ) == 0 {
 			return nil, ErrUnavailable
 		}
+		tx.dropPrefetch()
 		tx.rt.metrics.ReadRequests.Add(1)
 		// One read span per quorum round; its context rides in the request so
 		// every replica's serve-read span links back to it.
@@ -652,19 +683,7 @@ func (tx *Txn) acquireRemote(id proto.ObjectID, write bool) (*entry, error) {
 		if tx.rt.Sharded() {
 			tx.noteShard(shard)
 		}
-		e := &entry{
-			copyv:      best,
-			ownerDepth: tx.depth,
-			ownerChk:   tx.ownerChkNow(),
-		}
-		if write {
-			tx.writeset[id] = e
-		} else {
-			tx.readset[id] = e
-		}
-		tx.fpAppend(e)
-		tx.noteAcquisition()
-		return e, nil
+		return tx.admit(best, write), nil
 	}
 }
 
@@ -747,6 +766,7 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 			clear(root.wm)
 			root.wmEpoch = epoch
 		}
+		tx.dropPrefetch()
 		tx.rt.metrics.ReadRequests.Add(1)
 		tx.rt.obs.Observe(obs.SiteBatchSize, int64(len(ids)))
 		sp := tx.rt.obs.StartSpan(proto.SpanRead, tx.rt.node, tx.tc)
@@ -904,7 +924,10 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 			continue
 		}
 
-		sp.SetNote(fmt.Sprintf("batch=%d delta=%d", len(ids), deltaMax))
+		shipped := tx.keepPrefetch(shard, replies)
+		if sp.Active() {
+			sp.SetNote(fmt.Sprintf("batch=%d delta=%d prefetch=%d", len(ids), deltaMax, shipped))
+		}
 		if tx.rt.Sharded() {
 			tx.noteShard(shard)
 			tx.rt.obs.ShardObserveSince(shard, obs.SiteReadRTT, t0)
@@ -914,18 +937,7 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 			c.ID = id // unknown objects come back zero-valued; keep the ID
 			sp.AddItem(id, c.Version)
 			tx.rt.obs.HeatRead(id)
-			e := &entry{
-				copyv:      c,
-				ownerDepth: tx.depth,
-				ownerChk:   tx.ownerChkNow(),
-			}
-			if write {
-				tx.writeset[id] = e
-			} else {
-				tx.readset[id] = e
-			}
-			tx.fpAppend(e)
-			tx.noteAcquisition()
+			tx.admit(c, write)
 		}
 		if len(ids) == 1 {
 			sp.SetVersion(best[ids[0]].Version)
@@ -934,6 +946,101 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 		sp.End()
 		return nil
 	}
+}
+
+// Link prefetch. A replica answering a batched read also ships the objects
+// the returned copies link to (proto.Linker, store.Linked), and the root
+// keeps them in pf so that a traversal's next hops cost no read round. A
+// cached copy stands in for a fetched one only under four rules, each
+// required for correctness:
+//
+//  1. Lifetime. The cache belongs to the root and is filled only from the
+//     replies of the round that just succeeded (keepPrefetch). It is dropped
+//     at the start of every later message the root sends (dropPrefetch):
+//     each acquireBatchShard attempt, acquireRemote, the shardStale probe,
+//     and Txn.Open — an open child commits on its own, and a parent that
+//     kept a pre-commit copy of an object its child just wrote would fail
+//     validation the same way on every retry. A root retry is a new Txn
+//     with an empty cache. Since no message separates the round from the
+//     use, a cached copy is exactly what naming the object in that round's
+//     ReadAll would have returned, so the read-only local commit stays sound
+//     for the same reason it is sound for ReadAll.
+//  2. Quorum. An id is kept only if every member of the round shipped it,
+//     at the highest version among them — the rule for requested objects. A
+//     member that lacks the object, or whose walk reached a different chain
+//     or stopped at its bound, turns the lookup into a miss, which falls
+//     back to a normal read round.
+//  3. Shard. A copy is used only while its object still routes to the
+//     round's shard (replicas skip objects they do not own, but a stale map
+//     must not smuggle one in), and the use notes that shard.
+//  4. Bookkeeping. A used copy enters the read or write set through admit,
+//     exactly as a fetched one: owned by the current scope's depth and
+//     checkpoint epoch, appended to the footprint log (so the next round or
+//     the prepare validates it and routes partial aborts exactly), counted
+//     as an acquisition, and heat-attributed as a read.
+
+// usePrefetched serves id from the link-prefetch cache if rules 1–3 allow,
+// entering it in this scope's footprint (rule 4).
+func (tx *Txn) usePrefetched(id proto.ObjectID, write bool) (*entry, bool) {
+	r := tx.root()
+	p, ok := r.pf[id]
+	if !ok {
+		return nil, false
+	}
+	if tx.rt.Sharded() {
+		if tx.rt.shardFor(id) != r.pfShard {
+			return nil, false
+		}
+		tx.noteShard(r.pfShard)
+	}
+	delete(r.pf, id)
+	tx.rt.obs.HeatRead(id)
+	tx.rt.metrics.PrefetchHits.Add(1)
+	return tx.admit(p.c, write), true
+}
+
+// dropPrefetch empties the root's link-prefetch cache (rule 1).
+func (tx *Txn) dropPrefetch() {
+	clear(tx.root().pf)
+}
+
+// keepPrefetch fills the root's link-prefetch cache from the replies of the
+// batched round on shard that just succeeded, keeping only the ids every
+// member shipped (rule 2). It returns the most copies any member shipped.
+func (tx *Txn) keepPrefetch(shard proto.ShardID, replies []cluster.Reply) (shipped int) {
+	all := true
+	for _, rep := range replies {
+		n := len(rep.Resp.(proto.BatchReadRep).Prefetch)
+		shipped = max(shipped, n)
+		all = all && n > 0
+	}
+	if !all {
+		return shipped
+	}
+	r := tx.root()
+	if r.pf == nil {
+		r.pf = make(map[proto.ObjectID]pfCopy, shipped)
+	}
+	r.pfShard = shard
+	for i, rep := range replies {
+		for _, c := range rep.Resp.(proto.BatchReadRep).Prefetch {
+			p := r.pf[c.ID]
+			if p.n != i {
+				continue // missed by an earlier member, or shipped twice by this one
+			}
+			if p.n == 0 || c.Version > p.c.Version {
+				p.c = c
+			}
+			p.n++
+			r.pf[c.ID] = p
+		}
+	}
+	for id, p := range r.pf {
+		if p.n < len(replies) {
+			delete(r.pf, id)
+		}
+	}
+	return shipped
 }
 
 // routeAbort converts a validation denial into the mode-appropriate abort,

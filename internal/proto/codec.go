@@ -96,7 +96,7 @@ func AppendWire(buf []byte, msg any) ([]byte, bool) {
 // own AppendBinary. On error buf is returned unchanged.
 func EncodeWire(buf []byte, msg any) ([]byte, error) {
 	start := len(buf)
-	// err is set only by a message's one value-carrying field.
+	// err is set only by a message's value-carrying fields.
 	var err error
 	switch m := msg.(type) {
 	case ReadReq:
@@ -137,6 +137,9 @@ func EncodeWire(buf []byte, msg any) ([]byte, error) {
 		buf = appendWireBool(buf, m.LockOnly)
 		buf = appendWireBool(buf, m.NeedFull)
 		buf = appendWireBool(buf, m.WrongShard)
+		if err == nil {
+			buf, err = appendWireCopies(buf, m.Prefetch)
+		}
 	case PrepareReq:
 		buf = append(buf, wireTagPrepareReq)
 		buf = binary.AppendUvarint(buf, uint64(m.Txn))
@@ -239,6 +242,7 @@ func DecodeWire(b []byte) (any, error) {
 			LockOnly:   r.bool(),
 			NeedFull:   r.bool(),
 			WrongShard: r.bool(),
+			Prefetch:   r.copies(),
 		}
 	case wireTagPrepareReq:
 		m := PrepareReq{Txn: TxnID(r.uvarint())}

@@ -104,6 +104,12 @@ func codecExamples() []any {
 				{ID: "app", Version: 7, Val: customWireValue{A: -9, B: "blob"}},
 			}},
 		BatchReadRep{NeedFull: true, AbortDepth: NoDepth, AbortChk: NoChk},
+		BatchReadRep{OK: true, AbortDepth: NoDepth, AbortChk: NoChk,
+			Copies: []ObjectCopy{{ID: "hm/h2", Version: 3, Val: customWireValue{A: 1, B: "hm/n5"}}},
+			Prefetch: []ObjectCopy{
+				{ID: "hm/n5", Version: 1, Val: customWireValue{A: 5, B: "hm/n8"}},
+				{ID: "hm/n8", Version: 2, Val: customWireValue{A: 8}},
+			}},
 		PrepareReq{Txn: 12, Reads: []DataItem{{ID: "r", Version: 3, OwnerDepth: 0, OwnerChk: 1}},
 			Writes:   []ObjectCopy{{ID: "w", Version: 3, Val: Int64(-5)}},
 			AbsLocks: []string{"bucket/3", "bucket/4"}, Owner: 11,
@@ -257,7 +263,8 @@ func fuzzWireMessage(z *fzReader) any {
 	case 3:
 		return BatchReadRep{OK: z.byte()&1 == 1, Copies: copies(),
 			AbortDepth: int(int8(z.byte())), AbortChk: int(int8(z.byte())),
-			LockOnly: z.byte()&1 == 1, NeedFull: z.byte()&1 == 1}
+			LockOnly: z.byte()&1 == 1, NeedFull: z.byte()&1 == 1,
+			WrongShard: z.byte()&1 == 1, Prefetch: copies()}
 	case 4:
 		req := PrepareReq{Txn: TxnID(z.u64()), Reads: items(), Writes: copies(),
 			Owner: TxnID(z.u64()), TC: tc()}
@@ -329,7 +336,7 @@ func FuzzWireCodec(f *testing.F) {
 func wireFuzzSeedInputs() [][]byte {
 	var seeds [][]byte
 	for i, msg := range codecExamples() {
-		if i%3 != 0 { // a representative spread, not all 21
+		if i%3 != 0 { // a representative spread, not all 22
 			continue
 		}
 		b, _ := AppendWire(nil, msg)
@@ -341,7 +348,10 @@ func wireFuzzSeedInputs() [][]byte {
 		[]byte{},
 		[]byte{wireTagInvalid},
 		[]byte{wireTagBatchReadRep, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}, // hostile slice count
-		bytes.Repeat([]byte{0x80}, 24),                               // unterminated varint
+		// An OK reply with no copies, sentinel depth/epoch and clear flags,
+		// then a hostile Prefetch count.
+		[]byte{wireTagBatchReadRep, 1, 0, 1, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		bytes.Repeat([]byte{0x80}, 24), // unterminated varint
 		[]byte("qrdtm wire"),
 		appRep,
 		hostileAppValue(unknownWireTag, 0),

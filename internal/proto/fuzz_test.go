@@ -70,7 +70,8 @@ func fuzzBatchReadReq(z *fzReader) BatchReadReq {
 
 // fuzzBatchReadRep builds a BatchReadRep from fuzz bytes. Copies carry a mix
 // of nil, stock and registered application payloads, the shapes replicas
-// ship.
+// ship; Prefetch carries the linked application copies a batched read ships
+// along.
 func fuzzBatchReadRep(z *fzReader) BatchReadRep {
 	rep := BatchReadRep{
 		OK:         z.byte()&1 == 1,
@@ -94,6 +95,10 @@ func fuzzBatchReadRep(z *fzReader) BatchReadRep {
 		}
 		rep.Copies = append(rep.Copies, c)
 	}
+	for n := int(z.byte() % 4); n > 0; n-- {
+		rep.Prefetch = append(rep.Prefetch, ObjectCopy{ID: ObjectID(z.str()), Version: Version(z.u64()),
+			Val: customWireValue{A: int64(z.u64()), B: z.str()}})
+	}
 	return rep
 }
 
@@ -112,6 +117,9 @@ func normalizeBatchReq(r BatchReadReq) BatchReadReq {
 func normalizeBatchRep(r BatchReadRep) BatchReadRep {
 	if len(r.Copies) == 0 {
 		r.Copies = nil
+	}
+	if len(r.Prefetch) == 0 {
+		r.Prefetch = nil
 	}
 	return r
 }
@@ -171,6 +179,13 @@ func FuzzBatchReadWire(f *testing.F) {
 		if sz := WireSize(repIn); sz <= 0 {
 			t.Fatalf("WireSize(BatchReadRep) = %d", sz)
 		}
+		if len(repIn.Prefetch) > 0 {
+			bare := repIn
+			bare.Prefetch = nil
+			if WireSize(repIn) <= WireSize(bare) {
+				t.Fatalf("WireSize(BatchReadRep) does not count %d prefetched copies", len(repIn.Prefetch))
+			}
+		}
 	})
 }
 
@@ -201,6 +216,11 @@ func fuzzSeedInputs() [][]byte {
 				{ID: "x", Version: 4, Val: Int64(42)},
 				{ID: "fresh"}, // version-0, nil-value copy for an unknown id
 			},
+		}),
+		enc(BatchReadRep{
+			OK: true, AbortDepth: NoDepth, AbortChk: NoChk,
+			Copies:   []ObjectCopy{{ID: "hm/h3", Version: 2, Val: customWireValue{A: 1, B: "hm/n4"}}},
+			Prefetch: []ObjectCopy{{ID: "hm/n4", Version: 1, Val: customWireValue{A: 4, B: "hm/n9"}}},
 		}),
 		enc(BatchReadRep{NeedFull: true, AbortDepth: NoDepth, AbortChk: NoChk}),
 		enc(BatchReadRep{AbortDepth: 2, AbortChk: 1, LockOnly: true}),

@@ -154,6 +154,10 @@ type BatchReadRep struct {
 	// WrongShard: as in ReadRep — the replica no longer owns one of the
 	// requested objects (stale client map, or mid-migration fence).
 	WrongShard bool
+	// Prefetch holds copies of objects the returned copies link to (see
+	// Linker), followed breadth-first on an OK reply. Nothing has read them
+	// yet: the replica records no potential reader or writer for them.
+	Prefetch []ObjectCopy
 }
 
 // PrepareReq is phase one of the two-phase commit sent to the write quorum.
@@ -239,6 +243,16 @@ type BinaryValue interface {
 	AppendBinary(b []byte) ([]byte, error)
 }
 
+// Linker is an optional interface for values that point at other objects (a
+// list node's successor, a bucket head's first node). A replica answering a
+// batched read follows the links of the copies it returns and ships the
+// linked copies along, so a traversal costs one read round instead of one
+// per hop. AppendLinks appends the ids of the linked objects to dst and
+// returns the extended slice.
+type Linker interface {
+	AppendLinks(dst []ObjectID) []ObjectID
+}
+
 // ValueDecoder rebuilds a registered value from exactly the bytes its
 // AppendBinary wrote. It must copy whatever it keeps out of b (codec buffers
 // are reused) and return an error, never panic, for input it did not write.
@@ -249,6 +263,9 @@ type ValueDecoder func(b []byte) (Value, error)
 // codec writes the tag and then v's own AppendBinary encoding, and decodes
 // with decode. Tags are process-wide and must be unique. The in-memory
 // transport needs no registration.
+//
+// A registered value may also implement Linker, so that batched reads ship
+// the objects it points at.
 //
 // RegisterValue panics on a nil value or decoder, on a value that does not
 // implement BinaryValue, on one of the stock kinds of values.go (they have

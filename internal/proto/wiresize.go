@@ -25,6 +25,9 @@ func WireSize(msg any) int {
 		for _, c := range m.Copies {
 			n += objectCopySize(c)
 		}
+		for _, c := range m.Prefetch {
+			n += objectCopySize(c)
+		}
 		return n
 	case PrepareReq:
 		n := msgOverhead + wordSize*2 + dataItemsSize(m.Reads) + tcSize(m.TC)

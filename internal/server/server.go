@@ -6,6 +6,7 @@
 package server
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"qrdtm/internal/obs"
@@ -220,6 +221,9 @@ func (r *Replica) serveBatchRead(m proto.BatchReadReq) proto.BatchReadRep {
 		if len(rep.Copies) == 1 {
 			sp.SetVersion(rep.Copies[0].Version)
 		}
+		if len(rep.Prefetch) > 0 && sp.Active() {
+			sp.SetNote(fmt.Sprintf("prefetch=%d", len(rep.Prefetch)))
+		}
 	} else {
 		sp.SetDepth(rep.AbortDepth)
 		sp.SetChk(rep.AbortChk)
@@ -422,7 +426,9 @@ func (r *Replica) handleRead(m proto.ReadReq) proto.ReadRep {
 // reconciles the shipped suffix into its per-transaction session first),
 // then every requested object fetched under the same metrics and PR/PW
 // recording rules as a single read. NeedFull denials are a resync signal,
-// not a conflict, so they don't count as read aborts.
+// not a conflict, so they don't count as read aborts. An OK reply also
+// carries the objects the fetched copies link to (Store.Linked), which the
+// client may use in place of later read rounds.
 // Ownership rules mirror handleRead: every *requested* object must be homed
 // here (hard wrong-shard denial otherwise), while disowned items inside the
 // validation session are skipped by the store and surface as an advisory on
@@ -450,5 +456,6 @@ func (r *Replica) handleBatchRead(m proto.BatchReadReq) proto.BatchReadRep {
 	for i, id := range m.Objs {
 		copies[i] = r.st.Read(m.Txn, id, m.Write, m.Depth == 0)
 	}
-	return proto.BatchReadRep{OK: true, Copies: copies, WrongShard: advisory, AbortDepth: proto.NoDepth, AbortChk: proto.NoChk}
+	return proto.BatchReadRep{OK: true, Copies: copies, Prefetch: r.st.Linked(copies),
+		WrongShard: advisory, AbortDepth: proto.NoDepth, AbortChk: proto.NoChk}
 }

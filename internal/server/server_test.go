@@ -151,3 +151,35 @@ func TestPRRecordingDepthGate(t *testing.T) {
 		t.Fatalf("readers = %d, want 1 (only the root recorded)", ci.Readers)
 	}
 }
+
+// nextVal is a test value linking to one successor (proto.Linker).
+type nextVal struct{ next proto.ObjectID }
+
+func (v nextVal) CloneValue() proto.Value { return v }
+
+func (v nextVal) AppendLinks(dst []proto.ObjectID) []proto.ObjectID {
+	if v.next != "" {
+		dst = append(dst, v.next)
+	}
+	return dst
+}
+
+// TestBatchReadShipsLinkedOnlyWhenOK: an OK batched read carries the chain
+// its copy links to; a denied one carries nothing.
+func TestBatchReadShipsLinkedOnlyWhenOK(t *testing.T) {
+	r := New(0)
+	r.Handle(1, proto.LoadReq{Objects: []proto.ObjectCopy{
+		{ID: "h", Version: 1, Val: nextVal{"n1"}},
+		{ID: "n1", Version: 1, Val: nextVal{"n2"}},
+		{ID: "n2", Version: 3, Val: nextVal{}},
+	}})
+	rep := r.Handle(1, proto.BatchReadReq{Txn: 5, Objs: []proto.ObjectID{"h"}, Rqv: true}).(proto.BatchReadRep)
+	if !rep.OK || len(rep.Prefetch) != 2 || rep.Prefetch[0].ID != "n1" || rep.Prefetch[1].Version != 3 {
+		t.Fatalf("OK reply: %+v, want n1 and n2@3 prefetched", rep)
+	}
+	stale := []proto.DataItem{{ID: "n2", Version: 1, OwnerDepth: 0, OwnerChk: proto.NoChk}}
+	rep = r.Handle(1, proto.BatchReadReq{Txn: 6, Objs: []proto.ObjectID{"h"}, Rqv: true, Delta: stale}).(proto.BatchReadRep)
+	if rep.OK || rep.Prefetch != nil {
+		t.Fatalf("denied reply: %+v, want no prefetch", rep)
+	}
+}

@@ -6,6 +6,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"qrdtm/internal/proto"
@@ -347,6 +348,63 @@ func (s *Store) Read(txn proto.TxnID, id proto.ObjectID, write, recordTxn bool) 
 		(*target)[txn] = struct{}{}
 	}
 	return r.copyv.Clone()
+}
+
+// maxPrefetch bounds how many linked copies one batched read reply carries
+// (see Linked): enough for the longest hash-map chain the benchmarks build,
+// small enough that a reply stays one frame of a few kilobytes.
+const maxPrefetch = 64
+
+// Linked follows the links (proto.Linker) of the copies a batched read just
+// returned, breadth-first, and returns copies of up to maxPrefetch linked
+// objects. It skips ids among from, ids already visited, objects this
+// replica has never seen and objects it does not own. Unlike Read it records
+// no potential reader or writer: nothing has read these objects yet, and a
+// client that never uses a copy must leave no trace. The walk holds the
+// store lock once. When no copy in from has links it returns nil without
+// allocating.
+func (s *Store) Linked(from []proto.ObjectCopy) []proto.ObjectCopy {
+	var links []proto.ObjectID
+	for _, c := range from {
+		if l, ok := c.Val.(proto.Linker); ok {
+			links = l.AppendLinks(links)
+		}
+	}
+	if len(links) == 0 {
+		return nil
+	}
+	// found holds the records to ship, in visit order, and doubles as the
+	// visited set. links holds the ids to visit next: first those of from,
+	// then those of each found record in turn, which makes the walk
+	// breadth-first.
+	var found [maxPrefetch]*record
+	n, next := 0, 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(links) > 0 && n < maxPrefetch {
+		for _, id := range links {
+			r, ok := s.objs[id]
+			if !ok || !s.ownsLocked(id) || slices.Contains(found[:n], r) ||
+				slices.ContainsFunc(from, func(c proto.ObjectCopy) bool { return c.ID == id }) {
+				continue
+			}
+			found[n] = r
+			if n++; n == maxPrefetch {
+				break
+			}
+		}
+		links = links[:0]
+		for ; next < n && len(links) == 0; next++ {
+			if l, ok := found[next].copyv.Val.(proto.Linker); ok {
+				links = l.AppendLinks(links)
+			}
+		}
+	}
+	out := make([]proto.ObjectCopy, n)
+	for i, r := range found[:n] {
+		out[i] = r.copyv.Clone()
+	}
+	return out
 }
 
 // Prepare is a replica's phase-one vote: it validates the read-set and the

@@ -269,9 +269,13 @@ type (
 // encoding to b, and decode must rebuild the value from exactly those bytes
 // (copying what it keeps). A message carrying an unregistered type fails its
 // call with an error naming the type. The stock payloads (Int64, String, …)
-// need no registration; the in-memory cluster needs none at all. It panics
-// on a taken tag, an already registered type, a stock kind, a nil value or
-// decoder, and a missing AppendBinary. See proto.RegisterValue.
+// need no registration; the in-memory cluster needs none at all. A value may
+// also implement AppendLinks(dst []ObjectID) []ObjectID (proto.Linker),
+// naming the objects it points at: a replica answering a read then ships
+// those objects with the reply, so walking them costs no further read
+// round. It panics on a taken tag, an already registered type, a stock
+// kind, a nil value or decoder, and a missing AppendBinary. See
+// proto.RegisterValue.
 func RegisterValue(tag byte, v Value, decode func(b []byte) (Value, error)) {
 	proto.RegisterValue(tag, v, decode)
 }
