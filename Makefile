@@ -27,14 +27,18 @@ flake:
 race:
 	$(GO) test -race ./internal/core/ ./internal/store/ ./internal/cluster/ ./internal/obs/ ./internal/wal/ ./internal/server/ ./internal/bench/ .
 
-# Fast pre-commit gate: vet, gofmt, the race-detected transport, engine, load,
-# observability and WAL suites, short wire-message, binary-codec, shard/2PC
-# and WAL-record fuzz smokes (the codec, shard and WAL runs also seed from —
-# and so guard — their checked-in corpora), the race-detected subprocess
-# kill -9 crash-recovery test, the wire-protocol A/B benchmark, a two-step
-# open-loop ladder smoke, and the benchmark's own tests and quick run.
+# Fast pre-commit gate: vet (plus darwin and windows vets of internal/wal, so
+# its non-Linux fallback keeps building), gofmt, the race-detected transport,
+# engine, load, observability and WAL suites, short wire-message,
+# binary-codec, shard/2PC and WAL-record fuzz smokes (the codec, shard and WAL
+# runs also seed from — and so guard — their checked-in corpora), the
+# race-detected subprocess kill -9 crash-recovery test, the wire-protocol A/B
+# benchmark, a two-step open-loop ladder smoke, and the benchmark's own tests
+# and quick run.
 check:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/wal/
+	GOOS=windows $(GO) vet ./internal/wal/
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/load/... ./internal/wal/... ./internal/server/...
 	$(GO) test -run='^$$' -fuzz=FuzzBatchReadWire -fuzztime=5s ./internal/proto/

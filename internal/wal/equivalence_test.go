@@ -140,6 +140,19 @@ func sortedEntries(st *store.Store) []store.Entry {
 }
 
 func TestRecoveryEquivalenceEveryPrefix(t *testing.T) {
+	checkEveryPrefix(t, func(w *WAL) error { return w.Close() })
+}
+
+// TestRecoveryEquivalenceEveryPrefixAbandoned crashes instead of closing:
+// the active segment keeps its unwritten reservation, which replay must read
+// as a clean end of log.
+func TestRecoveryEquivalenceEveryPrefixAbandoned(t *testing.T) {
+	checkEveryPrefix(t, func(w *WAL) error { abandon(w); return nil })
+}
+
+// checkEveryPrefix logs every prefix of a seeded op sequence, ends the log
+// with finish, and requires the restored store to equal the live one.
+func checkEveryPrefix(t *testing.T, finish func(*WAL) error) {
 	const nOps = 60
 	const snapEvery = 7 // prefixes land before, on, and after snapshot points
 	ops := genOps(rand.New(rand.NewSource(42)), nOps)
@@ -179,8 +192,8 @@ func TestRecoveryEquivalenceEveryPrefix(t *testing.T) {
 		if len(res.Records) != 0 || res.Snapshot != nil {
 			t.Fatalf("prefix %d: fresh dir not empty", k)
 		}
-		// Crash: close without a final snapshot, then restore.
-		if err := w.Close(); err != nil {
+		// Crash: end the log without a final snapshot, then restore.
+		if err := finish(w); err != nil {
 			t.Fatalf("prefix %d: close: %v", k, err)
 		}
 		w2, res2, err := Open(Options{Dir: dir})
@@ -188,7 +201,7 @@ func TestRecoveryEquivalenceEveryPrefix(t *testing.T) {
 			t.Fatalf("prefix %d: reopen: %v", k, err)
 		}
 		if res2.Torn {
-			t.Fatalf("prefix %d: clean shutdown reported torn", k)
+			t.Fatalf("prefix %d: a log with no partial write reported torn", k)
 		}
 		restored := store.New()
 		if res2.Snapshot != nil {

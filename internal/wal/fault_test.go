@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"qrdtm/internal/proto"
@@ -193,37 +194,54 @@ func TestCorruptSealedSegmentFatal(t *testing.T) {
 // every call after that — the kernel-level behaviour of a crashed or
 // out-of-space disk.
 type faultFile struct {
-	f       *os.File
+	walFile
 	budget  *int // shared across flushes; nil entries pass through
-	syncErr bool
+	syncErr bool // fail both fsync and fdatasync
 }
 
 var errInjected = errors.New("injected I/O failure")
 
-func (ff *faultFile) Write(p []byte) (int, error) {
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	if ff.budget == nil {
-		return ff.f.Write(p)
+		return ff.walFile.WriteAt(p, off)
 	}
 	if *ff.budget <= 0 {
 		return 0, errInjected
 	}
 	if len(p) > *ff.budget {
-		n, _ := ff.f.Write(p[:*ff.budget])
+		n, _ := ff.walFile.WriteAt(p[:*ff.budget], off)
 		*ff.budget = 0
 		return n, fmt.Errorf("%w: short write", errInjected)
 	}
 	*ff.budget -= len(p)
-	return ff.f.Write(p)
+	return ff.walFile.WriteAt(p, off)
 }
 
 func (ff *faultFile) Sync() error {
 	if ff.syncErr {
 		return errInjected
 	}
-	return ff.f.Sync()
+	return ff.walFile.Sync()
 }
 
-func (ff *faultFile) Close() error { return ff.f.Close() }
+func (ff *faultFile) Datasync() error {
+	if ff.syncErr {
+		return errInjected
+	}
+	return ff.walFile.Datasync()
+}
+
+// requireReserved fails t unless w's next small flush lands inside the
+// active segment's reservation, and so syncs with fdatasync. Off Linux the
+// reservation is empty and every flush fsyncs; there is nothing to check.
+func requireReserved(t *testing.T, w *WAL) {
+	t.Helper()
+	w.ioMu.Lock()
+	defer w.ioMu.Unlock()
+	if runtime.GOOS == "linux" && w.segOff+64 > w.segEnd {
+		t.Fatalf("written end %d is not inside the reservation (end %d): the fdatasync path is not exercised", w.segOff, w.segEnd)
+	}
+}
 
 // TestShortWriteSticky: a flush that only lands part of its batch must fail
 // that append, poison the log (sticky error), and leave a reopenable file
@@ -234,9 +252,10 @@ func TestShortWriteSticky(t *testing.T) {
 	if err := w.Append(KindCursor, Cursor{Peer: 1, Index: 1}); err != nil {
 		t.Fatal(err)
 	}
+	requireReserved(t, w)
 	budget := 5   // the next flush gets 5 bytes onto disk, then fails
 	w.ioMu.Lock() // newFile is read under ioMu by flushLocked
-	w.newFile = func(f *os.File) walFile { return &faultFile{f: f, budget: &budget} }
+	w.newFile = func(f walFile) walFile { return &faultFile{walFile: f, budget: &budget} }
 	w.ioMu.Unlock()
 	if err := w.Append(KindCursor, Cursor{Peer: 2, Index: 2}); !errors.Is(err, errInjected) {
 		t.Fatalf("short-written append returned %v, want injected failure", err)
@@ -258,12 +277,14 @@ func TestShortWriteSticky(t *testing.T) {
 }
 
 // TestSyncErrorSticky: an fsync failure means the batch may not be durable —
-// the append must fail even though the write() succeeded.
+// the append must fail even though the write() succeeded. The flush lands
+// inside the reservation, so the sync that fails is its fdatasync.
 func TestSyncErrorSticky(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openT(t, dir, Options{})
+	requireReserved(t, w)
 	w.ioMu.Lock()
-	w.newFile = func(f *os.File) walFile { return &faultFile{f: f, syncErr: true} }
+	w.newFile = func(f walFile) walFile { return &faultFile{walFile: f, syncErr: true} }
 	w.ioMu.Unlock()
 	if err := w.Append(KindCursor, Cursor{Peer: 1, Index: 1}); !errors.Is(err, errInjected) {
 		t.Fatalf("append with failing fsync returned %v, want injected failure", err)

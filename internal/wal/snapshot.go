@@ -64,9 +64,8 @@ func writeSnapshot(dir, name string, state SnapshotState) (int64, error) {
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return 0, fmt.Errorf("wal: installing snapshot: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // make the rename itself durable
-		d.Close()
+	if err := syncDir(dir); err != nil { // make the rename itself durable
+		return 0, fmt.Errorf("wal: syncing %s: %w", dir, err)
 	}
 	return int64(len(buf)), nil
 }

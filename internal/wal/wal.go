@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -63,9 +64,13 @@ type WAL struct {
 	// serializes all file writes and tail reads. Lock order: ioMu before mu
 	// when both are held.
 	ioMu     sync.Mutex
-	seg      *os.File
+	seg      walFile
 	segStart uint64
-	sealed   []segment
+	// segOff is the active segment's written end: the next frame goes
+	// there. segEnd is the end of its reserved space, durable as of the
+	// last Sync; a flush that ends at or below it changes no file size.
+	segOff, segEnd int64
+	sealed         []segment
 	// floor is the snapshot applied index: records <= floor may be compacted
 	// away. Written under ioMu; atomic so a returning Append can check it
 	// without queueing behind the next batch's fsync.
@@ -83,18 +88,30 @@ type WAL struct {
 	fsyncs    atomic.Int64
 	appends   atomic.Int64
 
-	// newFile wraps freshly opened segment files; tests inject fault
-	// writers through it. Nil means identity.
-	newFile func(*os.File) walFile
+	// newFile wraps the active segment for every write, sync, reservation
+	// and truncation; tests inject faults through it. Read under ioMu. Nil
+	// means identity.
+	newFile func(walFile) walFile
 }
 
-// walFile is the write surface of one segment. *os.File satisfies it; the
-// torn-write test battery substitutes fault-injecting wrappers.
+// walFile is the write surface of the active segment. osFile is the real one;
+// the torn-write test battery substitutes fault-injecting wrappers.
 type walFile interface {
-	Write(p []byte) (int, error)
+	WriteAt(p []byte, off int64) (int, error)
+	// Sync flushes data and metadata (fsync): needed once the file's size
+	// or allocation changed.
 	Sync() error
+	// Datasync flushes data (fdatasync): enough for a write that lands
+	// inside space already reserved and synced.
+	Datasync() error
+	// Allocate reserves [off, off+n), growing the file to cover it.
+	Allocate(off, n int64) error
+	Truncate(size int64) error
 	Close() error
 }
+
+// osFile is a segment file on disk. Allocate and Datasync are per platform.
+type osFile struct{ *os.File }
 
 const (
 	segPrefix  = "wal-"
@@ -102,6 +119,10 @@ const (
 	snapName   = "state.snap"
 	segMagic   = "QWAL\x01"
 	logVersion = 1
+
+	// segReserve is the space the active segment reserves past its written
+	// end, and what a flush that would cross the reserved end adds to it.
+	segReserve = 4 << 20
 )
 
 func segName(first uint64) string {
@@ -119,15 +140,17 @@ func parseSegName(name string) (uint64, bool) {
 // Restore is what Open recovered from disk: the newest snapshot (nil when
 // none was ever taken) and every intact log record past its applied index,
 // in log order. Torn reports that the last segment ended in an incomplete or
-// corrupt record, which Open truncated away.
+// corrupt record, which Open truncated away; unwritten reservation past the
+// last record is no tear.
 type Restore struct {
 	Snapshot *SnapshotState
 	Records  []Record
 	Torn     bool
 }
 
-// Open opens (or creates) the log in opts.Dir, recovers its durable state and
-// truncates any torn tail.
+// Open opens (or creates) the log in opts.Dir and recovers its durable state.
+// It cuts the last segment at its last intact record, dropping a torn tail
+// and the old reservation, then reserves afresh.
 func Open(opts Options) (*WAL, *Restore, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("wal: Options.Dir is required")
@@ -153,24 +176,24 @@ func Open(opts Options) (*WAL, *Restore, error) {
 		return nil, nil, err
 	}
 	w.nextIndex = w.floor.Load() + 1
+	var goodSize int64 // of the last segment
 	for i, sg := range segs {
-		recs, goodSize, torn, err := replaySegment(sg.path)
+		sealed := i != len(segs)-1
+		recs, good, torn, err := replaySegment(sg.path, -1, sealed)
 		if err != nil {
 			return nil, nil, err
 		}
 		if torn {
-			if i != len(segs)-1 {
+			if sealed {
 				// A torn record below an intact later segment means the
 				// earlier file was damaged after it was sealed — that is
 				// corruption, not a crash artifact, and replay cannot
 				// silently skip records in the middle of the log.
 				return nil, nil, fmt.Errorf("wal: corrupt record in sealed segment %s", sg.path)
 			}
-			if err := os.Truncate(sg.path, goodSize); err != nil {
-				return nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", sg.path, err)
-			}
 			res.Torn = true
 		}
+		goodSize = good
 		for _, rec := range recs {
 			if rec.Index >= w.nextIndex {
 				if rec.Index != w.nextIndex {
@@ -180,22 +203,29 @@ func Open(opts Options) (*WAL, *Restore, error) {
 				w.nextIndex = rec.Index + 1
 			}
 		}
-		w.logBytes.Add(goodSize)
+		w.logBytes.Add(good)
 	}
 
-	// Reopen the last segment for appending; with none on disk, start a
-	// fresh one at the next index.
+	// Reopen the last segment for appending, cut at its last intact record:
+	// a torn tail, or stale bytes in the old reservation, must never be
+	// replayed behind a later append. With none on disk, start a fresh one
+	// at the next index.
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(last.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
-		w.seg = f
-		w.segStart = last.first
-		for _, sg := range segs[:len(segs)-1] {
-			w.sealed = append(w.sealed, sg)
+		seg := osFile{f}
+		if err := seg.Truncate(goodSize); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("wal: cutting %s at its last record: %w", last.path, err)
 		}
+		if err := w.startSegmentLocked(seg, last.first, goodSize); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		w.sealed = append(w.sealed, segs[:len(segs)-1]...)
 	} else if err := w.openSegmentLocked(w.nextIndex); err != nil {
 		return nil, nil, err
 	}
@@ -234,11 +264,17 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// replaySegment reads every intact record of one segment file. goodSize is
-// the byte offset just past the last intact record (the truncation point
-// when torn is true).
-func replaySegment(path string) (recs []Record, goodSize int64, torn bool, err error) {
-	b, err := os.ReadFile(path)
+// replaySegment reads every intact record of one segment file, or of its
+// first limit bytes when limit >= 0. goodSize is the byte offset just past
+// the last intact record (the cut point when torn is true).
+//
+// A real frame's bodyLen is at least bodyPrefixSize, so an all-zero frame
+// header can only be unwritten reservation: the frames end there, cleanly if
+// every byte after it is zero too, torn otherwise. With exact set the bytes
+// must end at the last frame (a sealed segment, or the written prefix Tail
+// reads), so any byte past the frames is a tear.
+func replaySegment(path string, limit int64, exact bool) (recs []Record, goodSize int64, torn bool, err error) {
+	b, err := readSegment(path, limit)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("wal: %w", err)
 	}
@@ -247,6 +283,9 @@ func replaySegment(path string) (recs []Record, goodSize int64, torn bool, err e
 	}
 	off := int64(len(segMagic))
 	for int64(len(b)) > off {
+		if zeroHeader(b[off:]) {
+			return recs, off, exact || !allZero(b[off:]), nil
+		}
 		rec, n, err := decodeFrame(b[off:])
 		if errors.Is(err, errUndecodable) {
 			return nil, 0, false, fmt.Errorf("%s at offset %d: %w", path, off, err)
@@ -263,26 +302,105 @@ func replaySegment(path string) (recs []Record, goodSize int64, torn bool, err e
 	return recs, off, false, nil
 }
 
+// readSegment reads a segment file, or its first limit bytes when limit >= 0.
+func readSegment(path string, limit int64) ([]byte, error) {
+	if limit < 0 {
+		return os.ReadFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	b := make([]byte, limit)
+	n, err := io.ReadFull(f, b)
+	if err == io.ErrUnexpectedEOF {
+		err = nil // shorter than limit: decoding reports what is missing
+	}
+	return b[:n], err
+}
+
+// zeroHeader reports whether b starts with an all-zero frame header.
+func zeroHeader(b []byte) bool {
+	return len(b) >= frameHeaderSize && allZero(b[:frameHeaderSize])
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// file returns the active segment as flushes see it: through the fault hook
+// when one is installed. Caller holds ioMu.
+func (w *WAL) file() walFile {
+	if w.newFile != nil {
+		return w.newFile(w.seg)
+	}
+	return w.seg
+}
+
 // openSegmentLocked creates a fresh active segment whose first record will
-// be index first. Caller holds ioMu (or is initializing).
+// be index first: create, write the magic, reserve, fsync, then fsync the
+// directory so the new entry is as durable as the appends it will ack.
+// Caller holds ioMu (or is initializing).
 func (w *WAL) openSegmentLocked(first uint64) error {
 	path := filepath.Join(w.opts.Dir, segName(first))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
+	seg := osFile{f}
+	if _, err := seg.WriteAt([]byte(segMagic), 0); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := w.startSegmentLocked(seg, first, int64(len(segMagic))); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
-	w.seg = f
-	w.segStart = first
+	if err := syncDir(w.opts.Dir); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: syncing %s: %w", w.opts.Dir, err)
+	}
 	w.logBytes.Add(int64(len(segMagic)))
 	return nil
+}
+
+// startSegmentLocked makes seg, whose frames end at off, the active segment:
+// it reserves segReserve bytes past off and fsyncs, so the segment's content
+// up to off, its size and the reservation are durable before a flush lands
+// in the reservation with only an fdatasync. When the reservation fails
+// (fallocate unsupported) it stays empty, and every flush crosses its end
+// and fsyncs. Caller holds ioMu (or is initializing).
+func (w *WAL) startSegmentLocked(seg walFile, first uint64, off int64) error {
+	w.seg, w.segStart, w.segOff, w.segEnd = seg, first, off, off
+	f := w.file()
+	if f.Allocate(off, segReserve) == nil {
+		w.segEnd = off + segReserve
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
+// closeSegmentLocked cuts the active segment to its written length, fsyncs
+// and closes it, so a sealed or cleanly closed segment carries no
+// reservation. Caller holds ioMu.
+func (w *WAL) closeSegmentLocked() error {
+	f := w.file()
+	err := f.Truncate(w.segOff)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Append durably logs one record: it stages the encoded frame, joins the
@@ -347,14 +465,7 @@ func (w *WAL) flushLocked() (uint64, error) {
 		return last, nil
 	}
 	start := time.Now()
-	var f walFile = w.seg
-	if w.newFile != nil {
-		f = w.newFile(w.seg)
-	}
-	_, err := f.Write(buf)
-	if err == nil {
-		err = f.Sync()
-	}
+	err := w.writeLocked(buf)
 	w.opts.Obs.ObserveSince(obs.SiteWALFsync, start)
 	w.fsyncs.Add(1)
 	if err != nil {
@@ -370,6 +481,30 @@ func (w *WAL) flushLocked() (uint64, error) {
 	b.err = err
 	close(b.done)
 	return last, err
+}
+
+// writeLocked writes buf at the active segment's written end and makes it
+// durable. Inside the reservation that is an fdatasync: the file's size and
+// block allocation are already durable, so the write changes neither and
+// the filesystem has no size change to journal. A write that would cross
+// the reserved end first extends the reservation and pays an fsync. Caller
+// holds ioMu.
+func (w *WAL) writeLocked(buf []byte) error {
+	f := w.file()
+	end := w.segOff + int64(len(buf))
+	grow := end > w.segEnd
+	if grow && f.Allocate(w.segOff, int64(len(buf))+segReserve) == nil {
+		w.segEnd = end + segReserve
+	}
+	n, err := f.WriteAt(buf, w.segOff)
+	w.segOff += int64(n) // a short write's bytes are on disk too; Close keeps them
+	if err != nil {
+		return err
+	}
+	if grow {
+		return f.Sync()
+	}
+	return f.Datasync()
 }
 
 // maybeSnapshot kicks off a background snapshot when the log has grown
@@ -454,10 +589,7 @@ func (w *WAL) snapshot(src func() (SnapshotState, error)) error {
 		w.ioMu.Unlock()
 		return err
 	}
-	if err = w.seg.Sync(); err == nil {
-		err = w.seg.Close()
-	}
-	if err != nil {
+	if err := w.closeSegmentLocked(); err != nil {
 		w.ioMu.Unlock()
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
@@ -507,11 +639,16 @@ func (w *WAL) Tail(after uint64, max int) (recs []Record, more bool, compacted b
 		return nil, false, true, nil
 	}
 	// Flushes run under ioMu, so the files read below end on a frame
-	// boundary — no partial write can be in flight here.
+	// boundary — no partial write can be in flight here. The active segment
+	// is read only up to its written end, never into the reservation.
 	files := append([]segment(nil), w.sealed...)
 	files = append(files, segment{path: filepath.Join(w.opts.Dir, segName(w.segStart)), first: w.segStart})
-	for _, sg := range files {
-		all, _, torn, rerr := replaySegment(sg.path)
+	for i, sg := range files {
+		limit := int64(-1)
+		if i == len(files)-1 {
+			limit = w.segOff
+		}
+		all, _, torn, rerr := replaySegment(sg.path, limit, true)
 		if rerr != nil {
 			return nil, false, false, rerr
 		}
@@ -552,8 +689,9 @@ func (w *WAL) LogBytes() int64 { return w.logBytes.Load() }
 // SnapshotBytes returns the byte size of the newest snapshot file.
 func (w *WAL) SnapshotBytes() int64 { return w.snapBytes.Load() }
 
-// Close waits for a running snapshot, flushes staged appends and closes the
-// active segment. Appends and snapshots after Close fail with ErrClosed.
+// Close waits for a running snapshot, flushes staged appends, and cuts the
+// active segment to its written length, fsyncs and closes it. Appends and
+// snapshots after Close fail with ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -566,5 +704,5 @@ func (w *WAL) Close() error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	w.flushLocked() // a failure is already reported to the batch's appends
-	return w.seg.Close()
+	return w.closeSegmentLocked()
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -143,17 +142,17 @@ func TestGroupCommit(t *testing.T) {
 	}
 }
 
-// gatedFile parks a flush inside Write until release is closed, holding
+// gatedFile parks a flush inside WriteAt until release is closed, holding
 // ioMu the way a slow write+fsync would.
 type gatedFile struct {
-	*os.File
+	walFile
 	entered, release chan struct{}
 }
 
-func (g gatedFile) Write(p []byte) (int, error) {
+func (g gatedFile) WriteAt(p []byte, off int64) (int, error) {
 	close(g.entered)
 	<-g.release
-	return g.File.Write(p)
+	return g.walFile.WriteAt(p, off)
 }
 
 // TestNaturalBatching pins leader-run group commit without a clock: the
@@ -166,7 +165,7 @@ func TestNaturalBatching(t *testing.T) {
 		entered, release := make(chan struct{}), make(chan struct{})
 		gated := false // touched only under ioMu, by flushLocked
 		w.ioMu.Lock()
-		w.newFile = func(f *os.File) walFile {
+		w.newFile = func(f walFile) walFile {
 			if gated {
 				return f
 			}
@@ -179,7 +178,7 @@ func TestNaturalBatching(t *testing.T) {
 		errs := make(chan error, n)
 		appendOne := func(i int) { errs <- w.Append(KindCursor, Cursor{Peer: 1, Index: uint64(i)}) }
 		go appendOne(0)
-		<-entered // A leads batch 1 and is parked in Write, holding ioMu
+		<-entered // A leads batch 1 and is parked in WriteAt, holding ioMu
 		for i := 1; i < n; i++ {
 			go appendOne(i)
 		}

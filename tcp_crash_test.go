@@ -7,6 +7,7 @@
 package qrdtm_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -291,6 +293,24 @@ func TestSubprocessCrashRecovery(t *testing.T) {
 	waitCommits(killedAt + 20) // the cluster keeps committing around the hole
 	close(stop)
 	<-stormDone
+
+	// The kill left the victim's active segment with its unwritten
+	// reservation past the last frame, so the restart below replays through
+	// a zero tail.
+	if runtime.GOOS == "linux" {
+		segs, err := filepath.Glob(filepath.Join(nodes[victim].dataDir, "wal-*.log"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("victim segments: %v (err %v)", segs, err)
+		}
+		b, err := os.ReadFile(segs[len(segs)-1]) // the names sort by first index
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := len(bytes.TrimRight(b, "\x00"))
+		if len(b)-written < 64<<10 { // far more zeros than any frame ends in
+			t.Fatalf("victim's active segment is %d bytes with %d written: no reservation past the frames", len(b), written)
+		}
+	}
 
 	// Restart from the same data directory; -peers makes it catch up from
 	// the survivors' log tails before it starts serving (healthz up ⇒
