@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test flake race bench-compare bench bench-quick bench-obs bench-trace bench-wire bench-shard bench-load bench-load-quick exp exp-quick fmt cover clean check
+.PHONY: all build vet test flake race bench-compare bench bench-quick bench-obs bench-trace bench-shard bench-load bench-load-quick exp exp-quick fmt cover clean check
 
 all: build vet test
 
@@ -32,9 +32,8 @@ race:
 # engine, load, observability and WAL suites, short wire-message,
 # binary-codec, shard/2PC and WAL-record fuzz smokes (the codec, shard and WAL
 # runs also seed from — and so guard — their checked-in corpora), the
-# race-detected subprocess kill -9 crash-recovery test, the wire-protocol A/B
-# benchmark, a two-step open-loop ladder smoke, and the benchmark's own tests
-# and quick run.
+# race-detected subprocess kill -9 crash-recovery test, a two-step open-loop
+# ladder smoke, and the benchmark's own tests and quick run.
 check:
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/wal/
@@ -46,7 +45,6 @@ check:
 	$(GO) test -run=TestShardFuzzCorpusPresent -fuzz=FuzzShardWire -fuzztime=5s ./internal/proto/
 	$(GO) test -run=TestWALFuzzCorpusPresent -fuzz=FuzzWALRecord -fuzztime=5s ./internal/wal/
 	$(GO) test -race -run=TestSubprocessCrashRecovery .
-	$(MAKE) bench-wire
 	$(MAKE) bench-load-quick
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh -quick
@@ -75,10 +73,6 @@ bench-obs:
 # Traced run per protocol, invariant-checked → BENCH_trace.json (Perfetto).
 bench-trace:
 	$(GO) run ./cmd/qr-bench -exp trace -quick
-
-# Binary wire protocol vs legacy gob loop over real TCP → BENCH_wire.json.
-bench-wire:
-	$(GO) run ./cmd/qr-bench -exp wire -quick
 
 # Sharded quorum trees vs the single 13-node tree over real TCP, plus a
 # traced live add-shard migration → BENCH_shard.json. Runs at full scale:

@@ -33,8 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override RNG seed")
 	obsOut := flag.String("obs-out", harness.BenchObsPath, "output path for the obs experiment's JSON (empty disables)")
 	traceOut := flag.String("trace-out", harness.TracePath, "output path for the trace experiment's Chrome trace-event JSON (empty disables)")
-	batchOut := flag.String("batch-out", harness.BenchBatchPath, "output path for the batch experiment's JSON (empty disables)")
-	wireOut := flag.String("wire-out", harness.BenchWirePath, "output path for the wire experiment's JSON (empty disables)")
 	shardOut := flag.String("shard-out", harness.BenchShardPath, "output path for the shard experiment's JSON (empty disables)")
 	loadOut := flag.String("load-out", harness.BenchLoadPath, "output path for the load experiment's JSON (empty disables)")
 	cpuProf := flag.String("cpuprofile", "", "per-step CPU profile prefix for the load experiment (measured window only)")
@@ -44,8 +42,6 @@ func main() {
 	flag.Parse()
 	harness.BenchObsPath = *obsOut
 	harness.TracePath = *traceOut
-	harness.BenchBatchPath = *batchOut
-	harness.BenchWirePath = *wireOut
 	harness.BenchShardPath = *shardOut
 	harness.BenchLoadPath = *loadOut
 	harness.CPUProfilePrefix = *cpuProf

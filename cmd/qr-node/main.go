@@ -60,7 +60,6 @@ func main() {
 	trace := flag.Bool("trace", false, "record causal spans into a ring buffer (served at /trace and to TraceDump requests)")
 	audit := flag.Bool("audit", true, "run the streaming trace auditor over the span ring (effective with -trace / -trace-out; violations surface in /healthz)")
 	traceOut := flag.String("trace-out", "", "client mode: collect spans from every replica after the run and write Chrome trace-event JSON here (implies tracing)")
-	legacyWire := flag.Bool("legacy-wire", false, "client mode: speak the legacy one-call-per-connection gob protocol instead of pipelined binary frames (servers accept both)")
 	shards := flag.Int("shards", 0, "client mode: partition the object space into this many quorum groups (0/1 = one tree over all replicas)")
 	goMetrics := flag.Bool("go-metrics", false, "export Go runtime gauges (goroutines, heap, GC pause p99) on /metrics; off by default so untouched scrapes stay byte-identical")
 	dataDir := flag.String("data-dir", "", "server mode: durable data directory (write-ahead log + snapshots); empty runs in-memory")
@@ -68,7 +67,7 @@ func main() {
 	flag.Parse()
 
 	if *client {
-		if err := runClient(*peers, *mode, *txns, *retries, *callTimeout, *admin, *traceOut, *legacyWire, *shards, *trace, *audit, *goMetrics); err != nil {
+		if err := runClient(*peers, *mode, *txns, *retries, *callTimeout, *admin, *traceOut, *shards, *trace, *audit, *goMetrics); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -190,7 +189,7 @@ func parseMode(s string) (core.Mode, error) {
 // traceRingSize holds roughly a thousand demo transactions' worth of spans.
 const traceRingSize = 1 << 16
 
-func runClient(peerList, modeName string, txns, retries int, callTimeout time.Duration, admin, traceOut string, legacyWire bool, shards int, trace, audit, goMetrics bool) error {
+func runClient(peerList, modeName string, txns, retries int, callTimeout time.Duration, admin, traceOut string, shards int, trace, audit, goMetrics bool) error {
 	if peerList == "" {
 		return fmt.Errorf("client mode needs -peers")
 	}
@@ -211,13 +210,9 @@ func runClient(peerList, modeName string, txns, retries int, callTimeout time.Du
 	if goMetrics {
 		obs.RegisterRuntimeGauges(reg)
 	}
-	tcpOpts := []cluster.TCPOption{cluster.WithObs(reg)}
-	if legacyWire {
-		tcpOpts = append(tcpOpts, cluster.WithLegacyWire())
-	}
-	tcp := cluster.NewTCPTransport(peers, tcpOpts...)
+	tcp := cluster.NewTCPTransport(peers, cluster.WithObs(reg))
 	defer tcp.Close()
-	// Mask transient connection faults (a replica restarting, a reset pooled
+	// Mask transient connection faults (a replica restarting, a reset
 	// connection) with bounded retry so they don't surface as node crashes.
 	trans := cluster.NewRetryTransport(tcp, cluster.RetryPolicy{
 		MaxAttempts: retries,

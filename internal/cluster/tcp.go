@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,21 +22,15 @@ import (
 // simulator; cmd/qr-node and the integration tests run a genuine
 // multi-listener cluster over it.
 //
-// Two wire protocols share one server (see wire.go for the frame layout):
-//
-//   - The default is the pipelined binary protocol: one multiplexed
-//     connection per peer carries many concurrent calls, request-id-tagged
-//     frames let a demux goroutine route replies to waiting callers, and the
-//     hot proto messages use the hand-rolled binary codec with pooled
-//     buffers (gob-blob frames cover everything else). A quorum round runs
-//     on its caller's goroutine (roundTrip) and the server hands requests to
-//     parked per-connection workers (serveWire): steady traffic creates no
-//     goroutine on either side.
-//   - WithLegacyWire selects the original one-call-at-a-time gob protocol
-//     over a small per-peer connection pool, kept for A/B measurement.
-//
-// The server sniffs the first byte of each accepted connection to pick the
-// protocol, so mixed clients coexist on one listener.
+// There is one wire protocol, pipelined binary frames (see wire.go for the
+// frame layout): one multiplexed connection per peer carries many concurrent
+// calls, request-id-tagged frames let a demux goroutine route replies to
+// waiting callers, and the hot proto messages use the hand-rolled binary
+// codec with pooled buffers (gob-blob frames cover everything else). A
+// quorum round runs on its caller's goroutine (roundTrip) and the server
+// hands requests to parked per-connection workers (serveWire): steady
+// traffic creates no goroutine on either side. The server closes any
+// connection that does not open with wireMagic.
 //
 // Failure model: a TCP-level fault (dial refused, connection reset, decode
 // EOF) does not by itself prove the destination crashed — the node may be
@@ -48,28 +41,12 @@ import (
 // exhausted. Context cancellation and deadlines are surfaced as the context
 // errors themselves, never as ErrNodeDown.
 //
-// A connection that was healthy when a call borrowed it but dies before the
+// A connection that was healthy when a call used it but dies before the
 // reply arrives is the signature of a peer restart, not a request failure:
 // the call (each leg of a round, independently) transparently redials once
 // on a fresh connection before giving up. Handlers tolerate the resulting
 // at-least-once delivery (prepares re-vote, commits are version-guarded — the
 // same contract FaultTransport's duplicate injection already relies on).
-
-type tcpEnvelope struct {
-	From proto.NodeID
-	Req  any
-}
-
-// tcpResult is the legacy gob reply frame. Flags carries error identity
-// across the gob round-trip as the wire.go bitmask, so sentinel errors —
-// including errors.Join-ed combinations like ErrNodeDown+ErrTransient —
-// survive with errors.Is intact; Err carries the message text. Zero flags
-// with an empty Err means success.
-type tcpResult struct {
-	Resp  any
-	Flags uint64
-	Err   string
-}
 
 // TCPServer serves one node's handler on a TCP listener.
 type TCPServer struct {
@@ -144,27 +121,7 @@ func (s *TCPServer) acceptLoop() {
 			return
 		}
 		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// serveConn sniffs the protocol and dispatches: the binary protocol's magic
-// starts with 0x80, which can never open a gob stream (gob's first byte is a
-// type id or byte count in [0x00,0x7F] ∪ [0xF8,0xFF]), so one peeked byte
-// decides.
-func (s *TCPServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer s.untrack(conn)
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == wireMagic[0] {
-		s.serveWire(conn, br)
-	} else {
-		s.serveGob(conn, br)
+		go s.serveWire(conn)
 	}
 }
 
@@ -185,33 +142,12 @@ func (s *TCPServer) handle(from proto.NodeID, req any) (resp any, err error) {
 	return out, nil
 }
 
-// serveGob speaks the legacy protocol: strictly alternating gob-encoded
-// request/reply pairs, one call at a time.
-func (s *TCPServer) serveGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var env tcpEnvelope
-		if err := dec.Decode(&env); err != nil {
-			return
-		}
-		var res tcpResult
-		out, herr := s.handle(env.From, env.Req)
-		if herr != nil {
-			res.Flags, res.Err = encodeWireError(herr)
-		} else {
-			res.Resp = out
-		}
-		if err := enc.Encode(&res); err != nil {
-			return
-		}
-	}
-}
-
-// serveWire speaks the pipelined binary protocol. The reader decodes each
-// request frame inline and hands it to a worker goroutine, so many calls
-// proceed concurrently on one connection and replies are written back
-// (tagged with the request id) in whatever order the handlers finish.
+// serveWire speaks the pipelined binary protocol on one accepted connection,
+// closing it without running the handler when its first four bytes are not
+// wireMagic. The reader decodes each request frame inline and hands it to a
+// worker goroutine, so many calls proceed concurrently on one connection and
+// replies are written back (tagged with the request id) in whatever order
+// the handlers finish.
 //
 // The handler never runs on the reader: durable handlers block in
 // wal.Append, and the connection must keep pipelining behind them. Workers
@@ -222,7 +158,11 @@ func (s *TCPServer) serveGob(conn net.Conn, br *bufio.Reader) {
 // bounded and the reader never waits, so requests cannot queue behind
 // blocked handlers or blocked reply writes — and retires when the connection
 // closes or when maxParkedWorkers others are already idle.
-func (s *TCPServer) serveWire(conn net.Conn, br *bufio.Reader) {
+func (s *TCPServer) serveWire(conn net.Conn) {
+	defer s.wg.Done()
+	defer s.untrack(conn)
+	defer conn.Close()
+	br := bufio.NewReader(conn)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != wireMagic {
 		return
@@ -345,29 +285,20 @@ func (c *wireConn) worker(rq wireReq) {
 	}
 }
 
-// maxIdleConnsPerPeer caps the legacy per-peer connection pool; connections
-// returned to a full pool are closed instead of retained. The default
-// binary protocol holds exactly one multiplexed connection per peer and
-// does not use the pool.
-const maxIdleConnsPerPeer = 4
-
-// TCPTransport implements Transport over TCP. By default it speaks the
-// pipelined binary protocol over one multiplexed connection per peer;
-// WithLegacyWire selects the original gob protocol over a small per-peer
-// pool. Destination addresses are fixed at construction.
+// TCPTransport implements Transport over TCP, speaking the pipelined binary
+// protocol over one multiplexed connection per peer. Destination addresses
+// are fixed at construction.
 type TCPTransport struct {
 	peers  map[proto.NodeID]string
-	legacy bool
 	obsReg *obs.Registry
 
 	mu      sync.Mutex
-	idle    map[proto.NodeID][]*tcpConn  // legacy pool
-	conns   map[proto.NodeID]*muxConn    // binary protocol: one per peer
-	dialing map[proto.NodeID]*dialFlight // binary protocol: dials in progress, one per peer
+	conns   map[proto.NodeID]*muxConn    // one per peer
+	dialing map[proto.NodeID]*dialFlight // dials in progress, one per peer
 	closed  bool
 
-	// dialCtx bounds the binary protocol's dial goroutines (counted by
-	// dials): Close cancels it and waits for them.
+	// dialCtx bounds the dial goroutines (counted by dials): Close cancels
+	// it and waits for them.
 	dialCtx     context.Context
 	cancelDials context.CancelFunc
 	dials       sync.WaitGroup
@@ -389,21 +320,8 @@ type TCPTransport struct {
 	peerState map[proto.NodeID]*atomic.Int32
 }
 
-type tcpConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
 // TCPOption configures a TCPTransport.
 type TCPOption func(*TCPTransport)
-
-// WithLegacyWire selects the original one-call-per-round-trip gob protocol
-// instead of the pipelined binary protocol (A/B comparison; mirrors
-// Config.LegacyReads for the read protocol).
-func WithLegacyWire() TCPOption {
-	return func(t *TCPTransport) { t.legacy = true }
-}
 
 // WithDialTimeout sets the per-dial timeout (default 2s). The caller's
 // context can always cut a dial shorter.
@@ -431,7 +349,6 @@ func NewTCPTransport(peers map[proto.NodeID]string, opts ...TCPOption) *TCPTrans
 	}
 	t := &TCPTransport{
 		peers:       p,
-		idle:        make(map[proto.NodeID][]*tcpConn),
 		conns:       make(map[proto.NodeID]*muxConn),
 		dialing:     make(map[proto.NodeID]*dialFlight),
 		dialTimeout: 2 * time.Second,
@@ -491,9 +408,6 @@ func (t *TCPTransport) inflightPeer(to proto.NodeID) int64 {
 	}
 	return int64(mc.pendingCount())
 }
-
-// Legacy reports whether the transport speaks the legacy gob protocol.
-func (t *TCPTransport) Legacy() bool { return t.legacy }
 
 // Peer last-call states.
 const (
@@ -590,9 +504,6 @@ func classifyCallErr(ctx context.Context, err error) error {
 
 // Call implements Transport: the one-leg case of a quorum round.
 func (t *TCPTransport) Call(ctx context.Context, from, to proto.NodeID, req any) (any, error) {
-	if t.legacy {
-		return t.legacyCall(ctx, from, to, req)
-	}
 	nodes := [1]proto.NodeID{to}
 	legs := t.roundTrip(ctx, from, nodes[:], req)
 	return legs[0].Resp, legs[0].Err
@@ -602,9 +513,6 @@ func (t *TCPTransport) Call(ctx context.Context, from, to proto.NodeID, req any)
 // the frames fan out to every node, so a k-member quorum multicast pays one
 // encode instead of k — and runs on the calling goroutine alone.
 func (t *TCPTransport) CallMany(ctx context.Context, from proto.NodeID, nodes []proto.NodeID, req any) []Reply {
-	if t.legacy {
-		return MulticastEach(ctx, t, from, nodes, func(proto.NodeID) any { return req })
-	}
 	replies := make([]Reply, len(nodes))
 	legs := t.roundTrip(ctx, from, nodes, req)
 	for i := range legs {
@@ -1084,148 +992,21 @@ func (mc *muxConn) writeLoop() {
 	}
 }
 
-// --- legacy gob client path ---
-
-// get hands out a pooled legacy connection or dials a fresh one; pooled
-// reports which, so the caller knows whether a mid-call death may be a
-// stale connection (retryable) rather than a peer fault.
-func (t *TCPTransport) get(ctx context.Context, to proto.NodeID) (c *tcpConn, pooled bool, err error) {
-	t.mu.Lock()
-	if free := t.idle[to]; len(free) > 0 {
-		c := free[len(free)-1]
-		t.idle[to] = free[:len(free)-1]
-		t.mu.Unlock()
-		return c, true, nil
-	}
-	t.mu.Unlock()
-	conn, err := t.dial(ctx, to)
-	if err != nil {
-		return nil, false, err
-	}
-	cc := &countingConn{Conn: conn, bytes: &t.bytes}
-	return &tcpConn{conn: conn, enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}, false, nil
-}
-
-// put returns a connection to the pool, closing it instead when the pool is
-// full or the transport has been closed.
-func (t *TCPTransport) put(to proto.NodeID, c *tcpConn) {
-	t.mu.Lock()
-	if t.closed || len(t.idle[to]) >= maxIdleConnsPerPeer {
-		t.mu.Unlock()
-		c.conn.Close()
-		return
-	}
-	t.idle[to] = append(t.idle[to], c)
-	t.mu.Unlock()
-}
-
-// legacyCall is the original one-call-per-round-trip gob exchange, with the
-// same stale-pooled-connection masking as the binary path: an exchange that
-// fails on a pooled connection before a reply was decoded redials once on a
-// fresh connection before the fault stands.
-func (t *TCPTransport) legacyCall(ctx context.Context, from, to proto.NodeID, req any) (any, error) {
-	t.calls.Add(1)
-	if err := ctx.Err(); err != nil {
-		t.failed.Add(1)
-		return nil, err
-	}
-	retried := false
-	for {
-		c, pooled, err := t.get(ctx, to)
-		if err != nil {
-			t.failed.Add(1)
-			if errors.Is(err, ErrNodeDown) {
-				t.notePeer(to, false)
-			}
-			return nil, err
-		}
-		resp, appErr, connErr := t.legacyExchange(ctx, from, to, c, req)
-		if connErr != nil {
-			if pooled && !retried && ctx.Err() == nil {
-				retried = true
-				continue
-			}
-			t.failed.Add(1)
-			cerr := classifyCallErr(ctx, connErr)
-			if errors.Is(cerr, ErrNodeDown) {
-				t.notePeer(to, false)
-			}
-			return nil, cerr
-		}
-		return resp, appErr
-	}
-}
-
-// legacyExchange runs one request/reply round trip on c. It watches ctx for
-// the whole exchange: a cancellation (with or without a deadline) forces the
-// connection deadline into the past, unblocking an in-flight Encode/Decode.
-// connErr reports transport-level failure; appErr is the remote handler's
-// error decoded from the reply.
-func (t *TCPTransport) legacyExchange(ctx context.Context, from, to proto.NodeID, c *tcpConn, req any) (resp any, appErr, connErr error) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(dl)
-	}
-	// The watcher unblocks the in-flight read on cancellation even when ctx
-	// has no deadline; watchDone retires it once the exchange completes.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = c.conn.SetDeadline(time.Now())
-		case <-watchDone:
-		}
-	}()
-
-	t.messages.Add(1) // request leg
-	if err := c.enc.Encode(&tcpEnvelope{From: from, Req: req}); err != nil {
-		close(watchDone)
-		c.conn.Close()
-		return nil, nil, err
-	}
-	var res tcpResult
-	if err := c.dec.Decode(&res); err != nil {
-		close(watchDone)
-		c.conn.Close()
-		return nil, nil, err
-	}
-	close(watchDone)
-	t.messages.Add(1) // reply leg
-	t.notePeer(to, true)
-	if ctx.Err() != nil {
-		// The watcher may have poisoned the deadline concurrently with the
-		// successful decode; don't pool a connection in that state.
-		c.conn.Close()
-	} else {
-		// Clear the per-call deadline so the next caller doesn't inherit it.
-		_ = c.conn.SetDeadline(time.Time{})
-		t.put(to, c)
-	}
-	return res.Resp, decodeWireError(res.Flags, res.Err), nil
-}
-
 // CloseIdle severs current connections (fault injection and tests): every
-// pooled legacy connection is dropped, and every multiplexed connection is
-// killed — in-flight pipelined calls observe the death and, when the
-// connection pre-existed them, transparently redial once. The transport
-// remains usable.
+// multiplexed connection is killed — in-flight pipelined calls observe the
+// death and, when the connection pre-existed them, transparently redial
+// once. The transport remains usable.
 func (t *TCPTransport) CloseIdle() {
 	t.mu.Lock()
-	idle := t.idle
-	t.idle = make(map[proto.NodeID][]*tcpConn)
 	conns := t.conns
 	t.conns = make(map[proto.NodeID]*muxConn)
 	t.mu.Unlock()
-	for _, free := range idle {
-		for _, c := range free {
-			c.conn.Close()
-		}
-	}
 	for _, mc := range conns {
 		mc.kill(errors.New("cluster: connection killed"))
 	}
 }
 
-// Close drops all connections, stops pooling and dialing new ones, and
+// Close drops all connections, stops dialing new ones, and
 // waits for dials in progress to end.
 func (t *TCPTransport) Close() {
 	t.mu.Lock()

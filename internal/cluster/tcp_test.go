@@ -114,7 +114,7 @@ func TestTCPUnknownPeer(t *testing.T) {
 func TestTCPDeadPeerIsNodeDown(t *testing.T) {
 	srv, tr := startTCPPair(t)
 	_ = srv.Close()
-	// Existing pooled connections die, fresh dials are refused; either way
+	// The existing connection dies, fresh dials are refused; either way
 	// the caller sees ErrNodeDown semantics.
 	_, err := tr.Call(context.Background(), 0, 1, tcpPing{})
 	if err == nil {
@@ -138,11 +138,11 @@ func TestTCPHandlerPanicIsReportedNotFatal(t *testing.T) {
 }
 
 // Regression: Close must return even while a client transport holds an idle
-// pooled connection — the server now closes tracked live connections so the
-// serve goroutines (blocked in Decode) unblock and wg.Wait returns.
+// connection — the server closes tracked live connections so the serve
+// goroutines (blocked reading a frame) unblock and wg.Wait returns.
 func TestTCPServerCloseWithIdleClientConn(t *testing.T) {
 	srv, tr := startTCPPair(t)
-	// Establish a pooled idle connection and leave it open.
+	// Establish an idle connection and leave it open.
 	if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestTCPServerCloseWithIdleClientConn(t *testing.T) {
 }
 
 // Regression: a per-call deadline must not leak into the next call made on
-// the same pooled connection.
+// the same connection.
 func TestTCPDeadlineClearedBeforePooling(t *testing.T) {
 	srv, err := ListenTCP(4, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
 		if p, ok := req.(tcpPing); ok && p.N == 2 {
@@ -176,7 +176,7 @@ func TestTCPDeadlineClearedBeforePooling(t *testing.T) {
 		t.Fatalf("first call: %v", err)
 	}
 	cancel()
-	// The second call reuses the pooled connection, has no deadline of its
+	// The second call reuses the connection, has no deadline of its
 	// own, and outlives the first call's (already expired) deadline.
 	if _, err := tr.Call(context.Background(), 0, 4, tcpPing{N: 2}); err != nil {
 		t.Fatalf("second call inherited a stale deadline: %v", err)
@@ -266,8 +266,8 @@ func TestTCPHandlerPanicIsTyped(t *testing.T) {
 	}
 }
 
-// Handlers may return error values; sentinel identity must survive the gob
-// round-trip via the tcpResult error-code field.
+// Handlers may return error values; sentinel identity must survive the wire
+// via the reply frame's error flags.
 func TestTCPWireErrorIdentity(t *testing.T) {
 	srv, err := ListenTCP(8, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
 		switch req.(tcpPing).N {
@@ -318,30 +318,6 @@ func TestWireErrorCodec(t *testing.T) {
 		if got == nil || !errors.Is(got, want) && got.Error() != want.Error() {
 			t.Fatalf("round-trip of %v gave %v", want, got)
 		}
-	}
-}
-
-// The legacy per-peer pool must stay bounded no matter how many concurrent
-// calls complete and try to return their connections. (The default binary
-// protocol multiplexes one connection per peer and never pools.)
-func TestTCPPoolIsCapped(t *testing.T) {
-	_, tr := startTCPPairMode(t, WithLegacyWire())
-	var wg sync.WaitGroup
-	for i := 0; i < 4*maxIdleConnsPerPeer; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: i}); err != nil {
-				t.Errorf("call: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	tr.mu.Lock()
-	n := len(tr.idle[1])
-	tr.mu.Unlock()
-	if n > maxIdleConnsPerPeer {
-		t.Fatalf("idle pool holds %d conns, cap is %d", n, maxIdleConnsPerPeer)
 	}
 }
 

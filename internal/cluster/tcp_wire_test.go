@@ -1,174 +1,118 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qrdtm/internal/proto"
 )
 
-// startTCPPairMode is startTCPPair with a transport option (legacy vs
-// binary wire).
-func startTCPPairMode(t *testing.T, opts ...TCPOption) (*TCPServer, *TCPTransport) {
-	t.Helper()
-	srv, err := ListenTCP(1, "127.0.0.1:0", func(from proto.NodeID, req any) any {
-		switch m := req.(type) {
-		case tcpPing:
-			return tcpPong{N: m.N + 1}
-		case proto.ReadReq:
-			return proto.ReadRep{OK: true, Copy: proto.ObjectCopy{ID: m.Obj, Version: 3, Val: proto.Int64(7)}}
-		default:
-			panic(fmt.Sprintf("unexpected %T", req))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()}, opts...)
-	t.Cleanup(tr.Close)
-	return srv, tr
-}
-
-// Both protocols must interoperate with the same dual-mode server.
-func TestTCPLegacyClientAgainstDualModeServer(t *testing.T) {
-	_, tr := startTCPPairMode(t, WithLegacyWire())
-	for i := 0; i < 5; i++ {
-		resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.(tcpPong).N != i+1 {
-			t.Fatalf("resp = %+v", resp)
-		}
-	}
-	resp, err := tr.Call(context.Background(), 0, 1, proto.ReadReq{Txn: 5, Obj: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := resp.(proto.ReadRep); !rep.OK || rep.Copy.Version != 3 {
-		t.Fatalf("rep = %+v", rep)
-	}
-}
-
 // Regression (dial-ignores-context): a pre-cancelled context must return
 // immediately — the dial path previously used net.DialTimeout, which could
 // block a cancelled caller for the full 2s dial timeout.
 func TestTCPDialHonoursCancelledContext(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []TCPOption
-	}{
-		{"wire", nil},
-		{"legacy", []TCPOption{WithLegacyWire()}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			// 192.0.2.1 (TEST-NET-1) never answers; without context plumbing
-			// the dial blocks until its timeout.
-			tr := NewTCPTransport(map[proto.NodeID]string{9: "192.0.2.1:9"},
-				append(mode.opts, WithDialTimeout(5*time.Second))...)
-			defer tr.Close()
+	t.Run("wire", func(t *testing.T) {
+		// 192.0.2.1 (TEST-NET-1) never answers; without context plumbing
+		// the dial blocks until its timeout.
+		tr := NewTCPTransport(map[proto.NodeID]string{9: "192.0.2.1:9"}, WithDialTimeout(5*time.Second))
+		defer tr.Close()
 
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			start := time.Now()
-			_, err := tr.Call(ctx, 0, 9, tcpPing{})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if el := time.Since(start); el > time.Second {
-				t.Fatalf("pre-cancelled call took %v", el)
-			}
-			if errors.Is(err, ErrNodeDown) {
-				t.Fatalf("cancellation misclassified as ErrNodeDown: %v", err)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		start := time.Now()
+		_, err := tr.Call(ctx, 0, 9, tcpPing{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("pre-cancelled call took %v", el)
+		}
+		if errors.Is(err, ErrNodeDown) {
+			t.Fatalf("cancellation misclassified as ErrNodeDown: %v", err)
+		}
 
-			// The dial itself (below Call's ctx pre-check) must also honour
-			// cancellation.
-			start = time.Now()
-			if _, err := tr.dial(ctx, 9); !errors.Is(err, context.Canceled) {
-				t.Fatalf("dial err = %v, want context.Canceled", err)
-			}
-			if el := time.Since(start); el > time.Second {
-				t.Fatalf("pre-cancelled dial took %v", el)
-			}
+		// The dial itself (below Call's ctx pre-check) must also honour
+		// cancellation.
+		start = time.Now()
+		if _, err := tr.dial(ctx, 9); !errors.Is(err, context.Canceled) {
+			t.Fatalf("dial err = %v, want context.Canceled", err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("pre-cancelled dial took %v", el)
+		}
 
-			// A cancellation racing the dial must cut it short of the dial
-			// timeout (trivially satisfied where the route is unreachable and
-			// the dial fails fast; load-bearing where the address blackholes).
-			ctx2, cancel2 := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(50 * time.Millisecond)
-				cancel2()
-			}()
-			start = time.Now()
-			_, _ = tr.Call(ctx2, 0, 9, tcpPing{})
-			if el := time.Since(start); el > 3*time.Second {
-				t.Fatalf("cancelled mid-dial call took %v (dial timeout not cut short)", el)
-			}
-		})
-	}
+		// A cancellation racing the dial must cut it short of the dial
+		// timeout (trivially satisfied where the route is unreachable and
+		// the dial fails fast; load-bearing where the address blackholes).
+		ctx2, cancel2 := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			cancel2()
+		}()
+		start = time.Now()
+		_, _ = tr.Call(ctx2, 0, 9, tcpPing{})
+		if el := time.Since(start); el > 3*time.Second {
+			t.Fatalf("cancelled mid-dial call took %v (dial timeout not cut short)", el)
+		}
+	})
 }
 
 // Regression (stale-connection spurious failure): a connection that was
-// healthy when borrowed but whose server has since restarted must not fail
+// healthy when last used but whose server has since restarted must not fail
 // the call — the transport transparently redials once, and Stats.Failed
 // stays zero across restart cycles.
 func TestTCPStaleConnRedialOnce(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []TCPOption
-	}{
-		{"wire", nil},
-		{"legacy", []TCPOption{WithLegacyWire()}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			handler := func(from proto.NodeID, req any) any {
-				return tcpPong{N: req.(tcpPing).N + 1}
-			}
-			srv, err := ListenTCP(1, "127.0.0.1:0", handler)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := srv.Addr()
-			tr := NewTCPTransport(map[proto.NodeID]string{1: addr}, mode.opts...)
-			defer tr.Close()
+	t.Run("wire", func(t *testing.T) {
+		handler := func(from proto.NodeID, req any) any {
+			return tcpPong{N: req.(tcpPing).N + 1}
+		}
+		srv, err := ListenTCP(1, "127.0.0.1:0", handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := srv.Addr()
+		tr := NewTCPTransport(map[proto.NodeID]string{1: addr})
+		defer tr.Close()
 
-			const cycles = 4
-			for cy := 0; cy < cycles; cy++ {
-				// A call establishes (and, legacy, pools) a live connection.
-				if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: cy}); err != nil {
-					t.Fatalf("cycle %d pre-restart call: %v", cy, err)
-				}
-				// Restart the server on the same address: the client's
-				// connection is now stale.
-				if err := srv.Close(); err != nil {
-					t.Fatalf("cycle %d close: %v", cy, err)
-				}
-				srv, err = ListenTCP(1, addr, handler)
-				if err != nil {
-					t.Fatalf("cycle %d relisten: %v", cy, err)
-				}
-				// The next call hits the stale connection and must succeed by
-				// redialing, not burn a failure.
-				resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 100 + cy})
-				if err != nil {
-					t.Fatalf("cycle %d post-restart call: %v", cy, err)
-				}
-				if resp.(tcpPong).N != 101+cy {
-					t.Fatalf("cycle %d resp = %+v", cy, resp)
-				}
+		const cycles = 4
+		for cy := 0; cy < cycles; cy++ {
+			// A call establishes a live multiplexed connection.
+			if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: cy}); err != nil {
+				t.Fatalf("cycle %d pre-restart call: %v", cy, err)
 			}
-			_ = srv.Close()
-			if st := tr.Stats(); st.Failed != 0 {
-				t.Fatalf("Stats.Failed = %d across %d restart cycles, want 0", st.Failed, cycles)
+			// Restart the server on the same address: the client's
+			// connection is now stale.
+			if err := srv.Close(); err != nil {
+				t.Fatalf("cycle %d close: %v", cy, err)
 			}
-		})
-	}
+			srv, err = ListenTCP(1, addr, handler)
+			if err != nil {
+				t.Fatalf("cycle %d relisten: %v", cy, err)
+			}
+			// The next call hits the stale connection and must succeed by
+			// redialing, not burn a failure.
+			resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 100 + cy})
+			if err != nil {
+				t.Fatalf("cycle %d post-restart call: %v", cy, err)
+			}
+			if resp.(tcpPong).N != 101+cy {
+				t.Fatalf("cycle %d resp = %+v", cy, resp)
+			}
+		}
+		_ = srv.Close()
+		if st := tr.Stats(); st.Failed != 0 {
+			t.Fatalf("Stats.Failed = %d across %d restart cycles, want 0", st.Failed, cycles)
+		}
+	})
 }
 
 // Regression (multi-sentinel collapse): errors carrying several sentinel
@@ -237,34 +181,26 @@ func TestWireErrorMultiSentinel(t *testing.T) {
 }
 
 // The same property end-to-end: a handler returning a joined multi-sentinel
-// error keeps both identities on the caller's side, on both protocols.
+// error keeps both identities on the caller's side.
 func TestTCPMultiSentinelOverWire(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []TCPOption
-	}{
-		{"wire", nil},
-		{"legacy", []TCPOption{WithLegacyWire()}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, _ any) any {
-				return errors.Join(ErrNodeDown, ErrTransient, errors.New("replica: quorum member unreachable"))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()}, mode.opts...)
-			defer tr.Close()
-			_, err = tr.Call(context.Background(), 0, 1, tcpPing{})
-			if !errors.Is(err, ErrNodeDown) {
-				t.Fatalf("ErrNodeDown identity lost: %v", err)
-			}
-			if !errors.Is(err, ErrTransient) {
-				t.Fatalf("ErrTransient identity collapsed away: %v", err)
-			}
+	t.Run("wire", func(t *testing.T) {
+		srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, _ any) any {
+			return errors.Join(ErrNodeDown, ErrTransient, errors.New("replica: quorum member unreachable"))
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
+		defer tr.Close()
+		_, err = tr.Call(context.Background(), 0, 1, tcpPing{})
+		if !errors.Is(err, ErrNodeDown) {
+			t.Fatalf("ErrNodeDown identity lost: %v", err)
+		}
+		if !errors.Is(err, ErrTransient) {
+			t.Fatalf("ErrTransient identity collapsed away: %v", err)
+		}
+	})
 }
 
 // Pipelining proof: slow calls issued concurrently to one peer must overlap
@@ -422,5 +358,79 @@ func TestTCPPipelinedFaultStress(t *testing.T) {
 	}
 	if f := ft.Faults(); f.Dropped == 0 && f.Duplicated == 0 {
 		t.Fatalf("fault injection never fired: %+v", f)
+	}
+}
+
+// A connection that does not open with wireMagic — a gob stream, another
+// protocol, a wrong version, or a lone first byte — is closed without
+// running the handler, while a binary client on the same listener keeps
+// working and the server's goroutines return to their baseline.
+func TestTCPServerClosesConnWithoutMagic(t *testing.T) {
+	var handled atomic.Int64
+	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
+		handled.Add(1)
+		return tcpPong{N: req.(tcpPing).N + 1}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
+	defer tr.Close()
+	if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	var envelope bytes.Buffer
+	if err := gob.NewEncoder(&envelope).Encode(&struct {
+		From proto.NodeID
+		Req  any
+	}{From: 0, Req: tcpPing{N: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	prefixes := map[string][]byte{
+		"gob-envelope":  envelope.Bytes(),
+		"http":          []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"),
+		"wrong-version": {wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3] + 1, 0, 0, 0, 0},
+		"first-byte":    wireMagic[:1],
+	}
+	for name, prefix := range prefixes {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("%s: dial: %v", name, err)
+		}
+		if _, err := conn.Write(prefix); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		if len(prefix) < len(wireMagic) {
+			// The server waits for the whole magic; end the stream short of it.
+			_ = conn.(*net.TCPConn).CloseWrite()
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var buf [1]byte
+		n, err := conn.Read(buf[:])
+		if n != 0 || err == nil {
+			t.Fatalf("%s: server replied (%d bytes) instead of closing", name, n)
+		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: server kept the connection open", name)
+		}
+		_ = conn.Close()
+	}
+
+	if got := handled.Load(); got != 1 {
+		t.Fatalf("handler ran %d times, want 1 (the binary call only)", got)
+	}
+	resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 41})
+	if err != nil || resp.(tcpPong).N != 42 {
+		t.Fatalf("binary client after bad prefixes: resp %+v, err %v", resp, err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, baseline %d: a serve goroutine outlived its connection", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

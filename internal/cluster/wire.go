@@ -15,14 +15,12 @@ import (
 	"qrdtm/internal/proto"
 )
 
-// This file defines the pipelined binary framing protocol the TCP transport
-// speaks by default, replacing the one-call-at-a-time gob loop.
+// This file defines the pipelined binary framing protocol, the one wire
+// protocol the TCP transport speaks.
 //
-// A connection opens with a 4-byte magic so a single TCPServer can serve both
-// protocols: binary clients send {0x80,'Q','W',version}, and 0x80 can never
-// open a gob stream (a gob stream's first byte is a type id or byte count in
-// [0x00,0x7F] ∪ [0xF8,0xFF]), so the server sniffs one byte and picks the
-// codec. Legacy gob clients keep working unchanged.
+// A client opens every connection with the 4-byte magic
+// {0x80,'Q','W',version}; the server closes a connection whose first four
+// bytes differ, without running its handler.
 //
 // After the magic, both directions carry frames:
 //
@@ -48,7 +46,7 @@ import (
 // by id, and ids with no waiter (the caller gave up on its context) are
 // dropped on the floor, leaving the connection healthy.
 
-// wireMagic opens every binary-protocol connection.
+// wireMagic opens every connection.
 var wireMagic = [4]byte{0x80, 'Q', 'W', 0x01}
 
 // Frame kinds.

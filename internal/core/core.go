@@ -193,12 +193,6 @@ type Config struct {
 	// wait before the denial escalates into an abort. 0 (the default, the
 	// paper's policy) aborts immediately.
 	LockWaitRetries int
-	// LegacyReads disables batched reads and delta-Rqv: every read is its
-	// own single-object quorum round carrying the full accumulated
-	// footprint, the original per-read wire behavior. Kept for A/B
-	// measurement (the harness's batch experiment) — semantics are
-	// identical either way.
-	LegacyReads bool
 }
 
 // Runtime executes transactions for one node of the cluster. A Runtime is
@@ -217,7 +211,6 @@ type Runtime struct {
 	chkEvery    int
 	chkCost     time.Duration
 	lockWaits   int
-	legacyReads bool
 	backoffBase time.Duration
 	backoffMax  time.Duration
 	maxRetries  int
@@ -254,7 +247,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		chkEvery:    cfg.CheckpointEvery,
 		chkCost:     cfg.CheckpointCost,
 		lockWaits:   cfg.LockWaitRetries,
-		legacyReads: cfg.LegacyReads,
 		backoffBase: cfg.BackoffBase,
 		backoffMax:  cfg.BackoffMax,
 		maxRetries:  cfg.MaxRetries,

@@ -456,16 +456,11 @@ func (tx *Txn) acquire(id proto.ObjectID, write bool) (*entry, error) {
 }
 
 // acquireOne fetches a single unheld object: from the link-prefetch cache
-// when the last round shipped it, else over the batched/delta path by
-// default (a one-object batch — same single quorum round, but the footprint
-// ships incrementally), or over the classic full-footprint ReadReq when the
-// runtime is configured with LegacyReads.
+// when the last round shipped it, else as a one-object batch (a single quorum
+// round whose footprint ships incrementally).
 func (tx *Txn) acquireOne(id proto.ObjectID, write bool) (*entry, error) {
 	if e, ok := tx.usePrefetched(id, write); ok {
 		return e, nil
-	}
-	if tx.rt.legacyReads {
-		return tx.acquireRemote(id, write)
 	}
 	if err := tx.acquireBatch([]proto.ObjectID{id}, write); err != nil {
 		return nil, err
@@ -501,190 +496,7 @@ func (tx *Txn) ReadAll(ids ...proto.ObjectID) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	if tx.rt.legacyReads {
-		for _, id := range missing {
-			if _, err := tx.acquireRemote(id, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	return tx.acquireBatch(missing, false)
-}
-
-// acquireRemote performs the remote read of Algorithm 2: multicast to the
-// read quorum (with the Rqv data set in every mode but Flat), abort-route on
-// validation failure, and keep the highest-versioned copy.
-func (tx *Txn) acquireRemote(id proto.ObjectID, write bool) (*entry, error) {
-	var dataSet []proto.DataItem
-	if tx.rt.mode.Rqv() {
-		dataSet = tx.dataSet()
-		if dataSet == nil {
-			dataSet = []proto.DataItem{} // non-nil: request validation even with an empty footprint
-		}
-	}
-	req := proto.ReadReq{
-		Txn:     tx.id,
-		Obj:     id,
-		Write:   write,
-		Depth:   tx.depth,
-		DataSet: dataSet,
-	}
-
-	const quorumRetries = 3
-	lockWaits := 0
-	wrongShards := 0
-	for attempt := 0; ; attempt++ {
-		if err := tx.ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Re-resolve the shard each attempt: a wrong-shard retry refreshed
-		// the map, which may have re-homed the object.
-		shard := tx.rt.shardFor(id)
-		readQ, _ := tx.rt.shardQuorums(shard)
-		if len(readQ) == 0 {
-			return nil, ErrUnavailable
-		}
-		tx.dropPrefetch()
-		tx.rt.metrics.ReadRequests.Add(1)
-		// One read span per quorum round; its context rides in the request so
-		// every replica's serve-read span links back to it.
-		sp := tx.rt.obs.StartSpan(proto.SpanRead, tx.rt.node, tx.tc)
-		sp.SetTxn(tx.id)
-		sp.SetObj(id)
-		sp.SetDepth(tx.depth)
-		sp.SetChk(tx.ownerChkNow())
-		if tx.rt.Sharded() {
-			sp.SetShard(shard)
-		}
-		req.TC = sp.Context()
-		t0 := tx.rt.obs.Start()
-		replies := cluster.Multicast(tx.ctx, tx.rt.trans, tx.rt.node, readQ, req)
-		tx.rt.obs.ObserveSince(obs.SiteReadRTT, t0)
-
-		best := proto.ObjectCopy{ID: id}
-		abortDepth, abortChk := proto.NoDepth, proto.NoChk
-		denied := false
-		wrongShard := false
-		lockOnly := true
-		var callErr error
-		for _, rep := range replies {
-			if rep.Err != nil {
-				if isCtxErr(rep.Err) && tx.ctx.Err() != nil {
-					// The transaction's own context ended mid-multicast; a
-					// cancelled leg says nothing about the peer's health, so
-					// it must not trigger a quorum refresh.
-					sp.End()
-					return nil, tx.ctx.Err()
-				}
-				callErr = rep.Err
-				continue
-			}
-			rr, ok := rep.Resp.(proto.ReadRep)
-			if !ok {
-				sp.End()
-				return nil, fmt.Errorf("core: unexpected read reply %T from %v", rep.Resp, rep.Node)
-			}
-			if rr.WrongShard {
-				if !rr.OK {
-					wrongShard = true
-					continue
-				}
-				// Advisory: a footprint item migrated away and this member
-				// skipped validating it — the round no longer certifies the
-				// whole footprint (see Txn.shardDirty).
-				tx.root().shardDirty = true
-			}
-			if !rr.OK {
-				denied = true
-				if !rr.LockOnly {
-					lockOnly = false
-				}
-				if abortDepth == proto.NoDepth || (rr.AbortDepth != proto.NoDepth && rr.AbortDepth < abortDepth) {
-					abortDepth = rr.AbortDepth
-				}
-				if rr.AbortChk != proto.NoChk && (abortChk == proto.NoChk || rr.AbortChk < abortChk) {
-					abortChk = rr.AbortChk
-				}
-				continue
-			}
-			if rr.Copy.Version >= best.Version {
-				best = rr.Copy
-			}
-		}
-
-		if denied {
-			// Contention-manager policy: a denial caused purely by a
-			// commit in flight (locks, no newer versions) can be waited
-			// out — the lock clears within one commit round either way.
-			if lockOnly && lockWaits < tx.rt.lockWaits {
-				lockWaits++
-				tx.rt.metrics.LockWaits.Add(1)
-				sp.SetNote("lock-wait")
-				sp.End()
-				// One network quantum per wait: commit windows last about
-				// two rounds, so a couple of waits ride one out. This is
-				// policy pacing, independent of abort backoff.
-				lw0 := tx.rt.obs.Start()
-				if err := sleepCtx(tx.ctx, time.Duration(lockWaits)*time.Millisecond); err != nil {
-					return nil, err
-				}
-				tx.rt.obs.ObserveSince(obs.SiteLockWait, lw0)
-				continue
-			}
-			// Validation failed somewhere in the footprint: partially or
-			// fully abort, per mode. A denial caused purely by locks (wait
-			// budget exhausted) is attributed to the lock holder, a stale
-			// footprint to read validation.
-			cause := obs.CauseReadValidation
-			if lockOnly {
-				cause = obs.CauseLockDenied
-			}
-			sp.End()
-			tx.routeAbort(abortDepth, abortChk, cause, id, req.TC)
-		}
-		if wrongShard {
-			// The object is not homed on this quorum's shard — stale map or
-			// a migration fence. Refresh and retry; during a drain both ends
-			// reject, so keep polling until the handover epoch lands.
-			sp.SetNote("wrong-shard")
-			sp.End()
-			if wrongShards++; wrongShards > wrongShardRetries {
-				return nil, fmt.Errorf("%w: read of %v kept landing on the wrong shard", ErrUnavailable, id)
-			}
-			tx.rt.metrics.QuorumRefreshes.Add(1)
-			if err := tx.rt.RefreshQuorums(); err != nil {
-				return nil, err
-			}
-			if err := sleepCtx(tx.ctx, wrongShardPause(wrongShards)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if callErr != nil {
-			// A quorum member is unreachable: reconfigure and retry the
-			// read against the new quorum.
-			sp.SetNote("node-down")
-			sp.End()
-			tx.rt.metrics.QuorumRefreshes.Add(1)
-			if err := tx.rt.RefreshQuorums(); err != nil {
-				return nil, err
-			}
-			if attempt+1 >= quorumRetries {
-				return nil, fmt.Errorf("%w: read of %v kept failing: %v", ErrUnavailable, id, callErr)
-			}
-			continue
-		}
-
-		sp.SetVersion(best.Version)
-		sp.SetOK(true)
-		sp.End()
-		tx.rt.obs.HeatRead(id)
-		if tx.rt.Sharded() {
-			tx.noteShard(shard)
-		}
-		return tx.admit(best, write), nil
-	}
 }
 
 // acquireBatch fetches a set of unheld objects, grouping them by shard: each
@@ -732,11 +544,12 @@ func (tx *Txn) acquireBatch(ids []proto.ObjectID, write bool) error {
 // acquireBatchShard performs one read-quorum round for a set of unheld
 // objects homed on one shard, with incremental Rqv: each quorum member
 // receives only the footprint log suffix past its own watermark, validates
-// its whole reconciled session, and returns all requested copies. The highest
-// version across the quorum wins per object, as in acquireRemote. Denials
-// route aborts exactly like the single-object path; NeedFull replies (the
-// replica lost its session) reset that member's watermark and retry the round
-// with the full footprint. Wrong-shard rejections return errWrongShard for
+// its whole reconciled session, and returns all requested copies. This is
+// Algorithm 2's remote read with the footprint shipped incrementally: the
+// highest version across the quorum wins per object, and denials route
+// aborts per mode (routeAbort). NeedFull replies (the replica lost its
+// session) reset that member's watermark and retry the round with the full
+// footprint. Wrong-shard rejections return errWrongShard for
 // acquireBatch to re-route.
 //
 // The footprint log and watermarks stay global (keyed by NodeID): members of
@@ -957,14 +770,14 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 //  1. Lifetime. The cache belongs to the root and is filled only from the
 //     replies of the round that just succeeded (keepPrefetch). It is dropped
 //     at the start of every later message the root sends (dropPrefetch):
-//     each acquireBatchShard attempt, acquireRemote, the shardStale probe,
-//     and Txn.Open — an open child commits on its own, and a parent that
-//     kept a pre-commit copy of an object its child just wrote would fail
-//     validation the same way on every retry. A root retry is a new Txn
-//     with an empty cache. Since no message separates the round from the
-//     use, a cached copy is exactly what naming the object in that round's
-//     ReadAll would have returned, so the read-only local commit stays sound
-//     for the same reason it is sound for ReadAll.
+//     each acquireBatchShard attempt, the shardStale probe, and Txn.Open —
+//     an open child commits on its own, and a parent that kept a pre-commit
+//     copy of an object its child just wrote would fail validation the same
+//     way on every retry. A root retry is a new Txn with an empty cache.
+//     Since no message separates the round from the use, a cached copy is
+//     exactly what naming the object in that round's ReadAll would have
+//     returned, so the read-only local commit stays sound for the same
+//     reason it is sound for ReadAll.
 //  2. Quorum. An id is kept only if every member of the round shipped it,
 //     at the highest version among them — the rule for requested objects. A
 //     member that lacks the object, or whose walk reached a different chain

@@ -545,13 +545,11 @@ var Experiments = map[string]Experiment{
 	"faults":  TransientFaults,
 	"obs":     Obs,
 	"trace":   Trace,
-	"batch":   Batch,
-	"wire":    Wire,
 	"shard":   Shard,
 	"load":    Load,
 }
 
 // ExperimentOrder lists experiment ids in presentation order.
 var ExperimentOrder = []string{
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "chkovh", "ablrqv", "ablchk", "ablcm", "ablopen", "ntfa", "quorums", "faults", "obs", "trace", "batch", "wire", "shard", "load",
+	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "chkovh", "ablrqv", "ablchk", "ablcm", "ablopen", "ntfa", "quorums", "faults", "obs", "trace", "shard", "load",
 }

@@ -51,11 +51,6 @@ type Config struct {
 	// LockWaitRetries is the read-denial contention-manager policy
 	// (default 0: abort immediately, as in the paper).
 	LockWaitRetries int
-	// LegacyReads reverts the cell to per-object read rounds carrying the
-	// full accumulated footprint (the pre-batching wire behavior). The
-	// batch experiment runs each workload both ways to price the batched
-	// delta-Rqv path.
-	LegacyReads bool
 	// SpreadReads gives each client node a failure-adaptive spread read
 	// quorum (quorum.ReadQuorumSpread) instead of the canonical one.
 	SpreadReads bool
@@ -255,7 +250,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		CheckpointEvery: cfg.CheckpointEvery,
 		CheckpointCost:  cfg.CheckpointCost,
 		LockWaitRetries: cfg.LockWaitRetries,
-		LegacyReads:     cfg.LegacyReads,
 		MaxRetries:      1_000_000,
 		// Full-abort retries back off at commit-window scale, mirroring
 		// the paper's testbed where a retry inherently costs a ~30 ms

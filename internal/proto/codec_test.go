@@ -13,10 +13,10 @@ import (
 	"testing"
 )
 
-// gobRoundTrip pushes msg through gob the way the legacy TCP path does
-// (encode as interface, decode as interface), yielding the normalization gob
-// applies — zero-length slices come back nil. The binary codec must be
-// observationally equivalent to this.
+// gobIfaceRoundTrip pushes msg through gob the way a gob-blob wire frame
+// does (encode as interface, decode as interface), yielding the
+// normalization gob applies — zero-length slices come back nil. The binary
+// codec must be observationally equivalent to this.
 func gobIfaceRoundTrip(t testing.TB, msg any) any {
 	t.Helper()
 	var buf bytes.Buffer
@@ -289,9 +289,9 @@ func fuzzWireMessage(z *fzReader) any {
 // FuzzWireCodec is the binary codec's gob-equivalence fuzz target: raw bytes
 // must never panic the frame decoder, and every structured message derived
 // from those bytes must decode — through the binary codec — to exactly what
-// the gob path would deliver. This is the property the mixed-mode transport
-// depends on: a replica answering a LegacyWire client and a binary client
-// must be indistinguishable to the engine.
+// the gob path would deliver. Gob is the equivalence oracle: a message must
+// reach the engine the same whether it crosses as a binary-codec frame or as
+// a gob blob.
 func FuzzWireCodec(f *testing.F) {
 	for _, seed := range wireFuzzSeedInputs() {
 		f.Add(seed)

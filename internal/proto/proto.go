@@ -85,7 +85,8 @@ type DataItem struct {
 // affects which potential-conflict list (PR vs PW) the root is recorded in.
 // An empty Obj requests validation only (no fetch): flat transactions use
 // it to tell a genuine application error apart from a crash caused by an
-// inconsistent (zombie) snapshot.
+// inconsistent (zombie) snapshot. The engine reads through BatchReadReq and
+// sends ReadReq only as that validation probe.
 type ReadReq struct {
 	Txn     TxnID
 	Obj     ObjectID

@@ -282,11 +282,8 @@ func RegisterValue(tag byte, v Value, decode func(b []byte) (Value, error)) {
 
 // Real-TCP deployment re-exports (see internal/cluster and DESIGN.md §11):
 // ListenTCP serves a replica, NewTCPTransport connects a client to the
-// cluster. By default the transport speaks the pipelined binary wire
-// protocol (many concurrent calls multiplexed over one connection per
-// peer); WithLegacyWire reverts it to the original one-call-at-a-time gob
-// loop for A/B comparison. Servers answer both protocols, sniffing each
-// connection's first byte.
+// cluster. There is one wire protocol, pipelined binary frames: many
+// concurrent calls multiplexed over one connection per peer.
 type (
 	// TCPTransport is the client side of a real TCP deployment.
 	TCPTransport = cluster.TCPTransport
@@ -296,14 +293,11 @@ type (
 	TCPOption = cluster.TCPOption
 )
 
-// NewTCPTransport connects to the peers (node id → address); opts tune the
-// wire protocol (WithLegacyWire) and dialing (WithDialTimeout).
+// NewTCPTransport connects to the peers (node id → address); opts tune
+// dialing (WithDialTimeout).
 func NewTCPTransport(peers map[NodeID]string, opts ...TCPOption) *TCPTransport {
 	return cluster.NewTCPTransport(peers, opts...)
 }
-
-// WithLegacyWire makes the transport speak the pre-pipelining gob protocol.
-func WithLegacyWire() TCPOption { return cluster.WithLegacyWire() }
 
 // WithDialTimeout bounds connection establishment (the caller's context
 // still applies; the shorter of the two wins).
@@ -364,10 +358,6 @@ type ClusterConfig struct {
 	// LockWaitRetries is the contention-manager policy for lock-only read
 	// denials (see core.Config.LockWaitRetries; default 0 = paper policy).
 	LockWaitRetries int
-	// LegacyReads reverts runtimes to per-object read rounds carrying the
-	// full footprint (see core.Config.LegacyReads; default off = batched
-	// reads with delta-Rqv).
-	LegacyReads bool
 	// BackoffBase/BackoffMax tune full-abort backoff (see core.Config).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
@@ -540,7 +530,6 @@ func (c *Cluster) Runtime(node NodeID) *Runtime {
 		BackoffMax:      c.cfg.BackoffMax,
 		MaxRetries:      c.cfg.MaxRetries,
 		LockWaitRetries: c.cfg.LockWaitRetries,
-		LegacyReads:     c.cfg.LegacyReads,
 		Obs:             c.cfg.Obs,
 	}
 	if c.Sharded() {
