@@ -24,27 +24,26 @@ flake:
 		$(GO) test -count=1 ./... || { echo "flake: run $$i of $(N) failed" >&2; exit 1; }; \
 	done; echo "flake: $(N)/$(N) green"
 
+# The one race-detected package list: check and CI both run this target.
 race:
-	$(GO) test -race ./internal/core/ ./internal/store/ ./internal/cluster/ ./internal/obs/ ./internal/wal/ ./internal/server/ ./internal/bench/ .
+	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/load/... ./internal/wal/... ./internal/server/... ./internal/store/... ./internal/bench/... ./internal/harness/... .
 
 # Fast pre-commit gate: vet (plus darwin and windows vets of internal/wal, so
-# its non-Linux fallback keeps building), gofmt, the race-detected transport,
-# engine, load, observability and WAL suites, short wire-message,
+# its non-Linux fallback keeps building), gofmt, the race target (which also
+# runs the subprocess kill -9 crash-recovery test), short wire-message,
 # binary-codec, shard/2PC and WAL-record fuzz smokes (the codec, shard and WAL
-# runs also seed from — and so guard — their checked-in corpora), the
-# race-detected subprocess kill -9 crash-recovery test, a two-step open-loop
-# ladder smoke, and the benchmark's own tests and quick run.
+# runs also seed from — and so guard — their checked-in corpora), a two-step
+# open-loop ladder smoke, and the benchmark's own tests and quick run.
 check:
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/wal/
 	GOOS=windows $(GO) vet ./internal/wal/
 	test -z "$$(gofmt -l .)"
-	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/load/... ./internal/wal/... ./internal/server/...
+	$(MAKE) race
 	$(GO) test -run='^$$' -fuzz=FuzzBatchReadWire -fuzztime=5s ./internal/proto/
 	$(GO) test -run=TestWireFuzzCorpusPresent -fuzz=FuzzWireCodec -fuzztime=5s ./internal/proto/
 	$(GO) test -run=TestShardFuzzCorpusPresent -fuzz=FuzzShardWire -fuzztime=5s ./internal/proto/
 	$(GO) test -run=TestWALFuzzCorpusPresent -fuzz=FuzzWALRecord -fuzztime=5s ./internal/wal/
-	$(GO) test -race -run=TestSubprocessCrashRecovery .
 	$(MAKE) bench-load-quick
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh -quick

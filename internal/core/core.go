@@ -27,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -147,14 +147,15 @@ type Config struct {
 	// Transport reaches the replicas.
 	Transport cluster.Transport
 	// Quorums provides (and re-provides, after failures) this node's
-	// designated quorums. Required unless Shards is set.
+	// designated quorums: the one group of an unsharded cluster, which the
+	// runtime routes as the single shard of the zero map. Required unless
+	// Shards is set.
 	Quorums QuorumProvider
-	// Shards, when non-nil, routes each object to its quorum group through a
-	// versioned shard map instead of the single cluster-wide quorum pair:
-	// reads go to the owning shard's read quorum, commits run two-phase
-	// commit over the union of the touched shards' write quorums, and
-	// WrongShard denials trigger a map refresh + retry. When set, Quorums is
-	// ignored.
+	// Shards, when non-nil, supplies a versioned shard map and per-shard
+	// quorums instead: reads go to the owning shard's read quorum, commits
+	// run two-phase commit over the union of the touched shards' write
+	// quorums, and WrongShard denials trigger a map refresh + retry. When
+	// set, Quorums is ignored.
 	Shards ShardProvider
 	// Mode selects the protocol (default Flat).
 	Mode Mode
@@ -202,7 +203,7 @@ type Runtime struct {
 	node    proto.NodeID
 	trans   cluster.Transport
 	qp      QuorumProvider
-	sp      ShardProvider // nil: unsharded, qp routes everything
+	sp      ShardProvider // nil: qp resolves the zero map's single route
 	mode    Mode
 	ids     *IDGen
 	metrics *Metrics
@@ -217,14 +218,26 @@ type Runtime struct {
 
 	viewEpoch atomic.Uint64 // bumped on every quorum (re)resolution
 
-	mu     sync.RWMutex
-	readQ  []proto.NodeID
-	writeQ []proto.NodeID
-	// Sharded routing state (empty when sp == nil). readQ/writeQ then cache
-	// shard 0's quorums so size reporting keeps working.
+	// routes is replaced wholesale by RefreshQuorums and never mutated, so
+	// readers route against one consistent snapshot without locking.
+	routes atomic.Pointer[routeTable]
+}
+
+// routeTable is a runtime's routing state: the shard map and each shard's
+// cached quorums, indexed by shard id. An unsharded runtime holds the zero
+// map, which routes every object to shard 0, and one route: the
+// cluster-wide quorums.
+type routeTable struct {
 	smap   proto.ShardMap
-	shardR map[proto.ShardID][]proto.NodeID
-	shardW map[proto.ShardID][]proto.NodeID
+	shards []route
+}
+
+// route is one shard's cached quorums plus the id its observations carry:
+// the shard itself under a partitioning map, proto.NoShard under the zero
+// map (spans stay untagged and the registry grows no per-shard series).
+type route struct {
+	read, write []proto.NodeID
+	tag         proto.ShardID
 }
 
 // NewRuntime builds a Runtime and resolves its initial quorums.
@@ -284,91 +297,59 @@ func (rt *Runtime) Metrics() *Metrics { return rt.metrics }
 // Obs returns the runtime's observability registry (nil when disabled).
 func (rt *Runtime) Obs() *obs.Registry { return rt.obs }
 
-// RefreshQuorums re-queries the provider, replacing the cached quorums. It
-// is called automatically when a quorum member stops responding and — in
-// sharded mode, where it also refetches the shard map — when a replica
-// answers WrongShard. Bumping viewEpoch invalidates every outstanding
+// RefreshQuorums re-queries the provider, replacing the routing state. It
+// is called automatically when a quorum member stops responding and when a
+// replica answers WrongShard. Bumping viewEpoch invalidates every outstanding
 // delta-Rqv watermark, which is exactly right: after either kind of
 // reconfiguration the old validation sessions may be split across different
 // member sets.
+//
+// This is the only place that knows which provider was configured:
+// Config.Quorums resolves the single route of the zero map, Config.Shards
+// fetches the map and resolves every shard's route.
 func (rt *Runtime) RefreshQuorums() error {
-	if rt.sp != nil {
-		return rt.refreshShards()
-	}
-	r, w, err := rt.qp.Quorums(rt.node)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	rt.mu.Lock()
-	rt.readQ = append([]proto.NodeID(nil), r...)
-	rt.writeQ = append([]proto.NodeID(nil), w...)
-	rt.mu.Unlock()
-	rt.viewEpoch.Add(1)
-	return nil
-}
-
-// refreshShards refetches the shard map and re-resolves every shard's
-// quorums.
-func (rt *Runtime) refreshShards() error {
-	m, err := rt.sp.ShardMap()
-	if err != nil {
-		return fmt.Errorf("%w: shard map: %v", ErrUnavailable, err)
-	}
-	if !m.Sharded() {
-		return fmt.Errorf("%w: shard provider returned an unsharded map", ErrUnavailable)
-	}
-	shardR := make(map[proto.ShardID][]proto.NodeID, len(m.Shards))
-	shardW := make(map[proto.ShardID][]proto.NodeID, len(m.Shards))
-	for _, spec := range m.Shards {
-		r, w, err := rt.sp.ShardQuorums(rt.node, spec)
+	var m proto.ShardMap
+	var routes []route
+	if rt.sp == nil {
+		r, w, err := rt.qp.Quorums(rt.node)
 		if err != nil {
-			return fmt.Errorf("%w: shard %d: %v", ErrUnavailable, spec.ID, err)
+			return fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
-		shardR[spec.ID] = append([]proto.NodeID(nil), r...)
-		shardW[spec.ID] = append([]proto.NodeID(nil), w...)
+		routes = []route{{read: slices.Clone(r), write: slices.Clone(w), tag: proto.NoShard}}
+	} else {
+		var err error
+		if m, err = rt.sp.ShardMap(); err != nil {
+			return fmt.Errorf("%w: shard map: %v", ErrUnavailable, err)
+		}
+		if !m.Sharded() {
+			return fmt.Errorf("%w: shard provider returned an unsharded map", ErrUnavailable)
+		}
+		// Shard ids are their index in m.Shards (see ShardMap.Shard).
+		routes = make([]route, len(m.Shards))
+		for i, spec := range m.Shards {
+			r, w, err := rt.sp.ShardQuorums(rt.node, spec)
+			if err != nil {
+				return fmt.Errorf("%w: shard %d: %v", ErrUnavailable, spec.ID, err)
+			}
+			routes[i] = route{read: slices.Clone(r), write: slices.Clone(w), tag: spec.ID}
+		}
 	}
-	rt.mu.Lock()
-	rt.smap = m
-	rt.shardR = shardR
-	rt.shardW = shardW
-	rt.readQ = shardR[m.Shards[0].ID]
-	rt.writeQ = shardW[m.Shards[0].ID]
-	rt.mu.Unlock()
+	rt.routes.Store(&routeTable{smap: m, shards: routes})
 	rt.viewEpoch.Add(1)
 	return nil
 }
 
-// Sharded reports whether this runtime routes through a shard map.
-func (rt *Runtime) Sharded() bool { return rt.sp != nil }
-
-// ShardMap returns a copy of the runtime's current placement map (zero when
+// ShardMap returns the runtime's current placement map (zero when
 // unsharded).
-func (rt *Runtime) ShardMap() proto.ShardMap {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.smap
-}
+func (rt *Runtime) ShardMap() proto.ShardMap { return rt.routes.Load().smap }
 
-// shardFor routes an object to its shard under the cached map (always 0 when
-// unsharded).
-func (rt *Runtime) shardFor(obj proto.ObjectID) proto.ShardID {
-	if rt.sp == nil {
-		return 0
+// route returns shard s's cached route (empty quorums for an unknown shard).
+func (rt *Runtime) route(s proto.ShardID) route {
+	shards := rt.routes.Load().shards
+	if s < 0 || int(s) >= len(shards) {
+		return route{tag: proto.NoShard}
 	}
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.smap.ShardFor(obj)
-}
-
-// shardQuorums returns the cached quorums for one shard. In unsharded mode
-// every shard id maps to the single cluster-wide pair.
-func (rt *Runtime) shardQuorums(s proto.ShardID) (read, write []proto.NodeID) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if rt.sp == nil {
-		return rt.readQ, rt.writeQ
-	}
-	return rt.shardR[s], rt.shardW[s]
+	return shards[s]
 }
 
 // ViewEpoch counts how many times this runtime has (re)resolved its quorums:
@@ -377,26 +358,12 @@ func (rt *Runtime) shardQuorums(s proto.ShardID) (read, write []proto.NodeID) {
 // stale view (exposed via /healthz).
 func (rt *Runtime) ViewEpoch() uint64 { return rt.viewEpoch.Load() }
 
-// quorums returns the cached quorums.
-func (rt *Runtime) quorums() (read, write []proto.NodeID) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.readQ, rt.writeQ
-}
+// ReadQuorumSize reports the first shard's read quorum size (experiment
+// output).
+func (rt *Runtime) ReadQuorumSize() int { return len(rt.route(0).read) }
 
-// ReadQuorumSize reports the current read quorum size (experiment output).
-func (rt *Runtime) ReadQuorumSize() int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return len(rt.readQ)
-}
-
-// WriteQuorumSize reports the current write quorum size.
-func (rt *Runtime) WriteQuorumSize() int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return len(rt.writeQ)
-}
+// WriteQuorumSize reports the first shard's write quorum size.
+func (rt *Runtime) WriteQuorumSize() int { return len(rt.route(0).write) }
 
 // backoff sleeps a randomized exponential delay after a full abort.
 func (rt *Runtime) backoff(attempt int) {

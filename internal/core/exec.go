@@ -130,24 +130,17 @@ func (rt *Runtime) runBody(tx *Txn, body func(*Txn) error) (err error) {
 
 var errZombie = errors.New("core: zombie transaction (inconsistent snapshot)")
 
-// snapshotStale asks the read quorum to validate the transaction's
+// snapshotStale asks the read quorums to validate the transaction's
 // footprint without fetching anything. It reports true — abort and retry —
-// when the footprint is stale or the quorum is unreachable. On a sharded
-// runtime every touched shard validates its own slice of the footprint
-// against its own read quorum; a probe that lands on the wrong shard (stale
-// map or migration fence) counts as stale after refreshing the map, so the
-// retry re-routes.
+// when the footprint is stale or a quorum is unreachable. Every touched
+// shard validates its own slice of the footprint against its own read
+// quorum; a probe that lands on the wrong shard (stale map or migration
+// fence) counts as stale after refreshing the map, so the retry re-routes.
 func (tx *Txn) snapshotStale() bool {
-	items := tx.dataSet()
-	if !tx.rt.Sharded() {
-		return tx.shardStale(0, items)
-	}
-	if len(items) == 0 {
-		return false // nothing read, nothing to be stale about
-	}
+	m := tx.rt.ShardMap()
 	groups := make(map[proto.ShardID][]proto.DataItem)
-	for _, it := range items {
-		s := tx.rt.shardFor(it.ID)
+	for _, it := range tx.dataSet() {
+		s := m.ShardFor(it.ID)
 		groups[s] = append(groups[s], it)
 	}
 	for s, its := range groups {
@@ -159,28 +152,23 @@ func (tx *Txn) snapshotStale() bool {
 }
 
 // shardStale is one validation-only probe of items against shard's read
-// quorum (shard 0 doubles as "the" quorum on unsharded runtimes).
+// quorum.
 func (tx *Txn) shardStale(shard proto.ShardID, items []proto.DataItem) bool {
-	readQ, _ := tx.rt.shardQuorums(shard)
-	if len(readQ) == 0 {
+	rte := tx.rt.route(shard)
+	if len(rte.read) == 0 {
 		return true
 	}
 	tx.dropPrefetch()
 	req := proto.ReadReq{Txn: tx.id, Depth: tx.depth, DataSet: items}
-	if req.DataSet == nil {
-		req.DataSet = []proto.DataItem{}
-	}
 	sp := tx.rt.obs.StartSpan(proto.SpanRead, tx.rt.node, tx.tc)
 	sp.SetTxn(tx.id)
 	sp.SetNote("revalidate")
-	if tx.rt.Sharded() {
-		sp.SetShard(shard)
-	}
+	sp.SetShard(rte.tag)
 	req.TC = sp.Context()
 	defer sp.End()
 	tx.rt.metrics.ReadRequests.Add(1)
 	t0 := tx.rt.obs.Start()
-	replies := cluster.Multicast(tx.ctx, tx.rt.trans, tx.rt.node, readQ, req)
+	replies := cluster.Multicast(tx.ctx, tx.rt.trans, tx.rt.node, rte.read, req)
 	tx.rt.obs.ObserveSince(obs.SiteReadRTT, t0)
 	for _, rep := range replies {
 		if rep.Err != nil {
@@ -330,6 +318,7 @@ func (tx *Txn) commitRoot() error {
 // Unsharded commits are a single part over shard 0 — the classic protocol.
 type commitPart struct {
 	shard    proto.ShardID
+	tag      proto.ShardID // route.tag: what the part's observations carry
 	reads    []proto.DataItem
 	writes   []proto.ObjectCopy
 	absLocks []string
@@ -343,41 +332,47 @@ func (p *commitPart) locked() bool { return len(p.writes) > 0 || len(p.absLocks)
 // commitParts splits the commit footprint by shard and resolves each
 // participant's write quorum. Abstract locks route by their name's slot,
 // like objects, so the same lock always serializes on the same shard.
-func (tx *Txn) commitParts(reads []proto.DataItem, writes []proto.ObjectCopy, absLocks []string) ([]*commitPart, error) {
+func (tx *Txn) commitParts(absLocks []string) ([]*commitPart, error) {
+	m := tx.rt.ShardMap()
 	var parts []*commitPart
-	index := make(map[proto.ShardID]*commitPart, 2)
-	part := func(s proto.ShardID) *commitPart {
-		p := index[s]
-		if p == nil {
-			p = &commitPart{shard: s}
-			index[s] = p
-			parts = append(parts, p)
+	part := func(id proto.ObjectID) *commitPart {
+		s := m.ShardFor(id)
+		for _, p := range parts {
+			if p.shard == s {
+				return p
+			}
 		}
+		// Sized for the whole footprint, which is exact for the common
+		// single-shard commit.
+		p := &commitPart{
+			shard:  s,
+			reads:  make([]proto.DataItem, 0, len(tx.readset)),
+			writes: make([]proto.ObjectCopy, 0, len(tx.writeset)),
+		}
+		parts = append(parts, p)
 		return p
 	}
-	if !tx.rt.Sharded() {
-		p := part(0)
-		p.reads, p.writes, p.absLocks = reads, writes, absLocks
-	} else {
-		for _, r := range reads {
-			p := part(tx.rt.shardFor(r.ID))
-			p.reads = append(p.reads, r)
-		}
-		for _, w := range writes {
-			p := part(tx.rt.shardFor(w.ID))
-			p.writes = append(p.writes, w)
-		}
-		for _, l := range absLocks {
-			p := part(tx.rt.shardFor(proto.ObjectID(l)))
-			p.absLocks = append(p.absLocks, l)
-		}
+	for _, e := range tx.readset {
+		p := part(e.copyv.ID)
+		p.reads = append(p.reads, proto.DataItem{
+			ID: e.copyv.ID, Version: e.copyv.Version,
+			OwnerDepth: e.ownerDepth, OwnerChk: e.ownerChk,
+		})
+	}
+	for _, e := range tx.writeset {
+		p := part(e.copyv.ID)
+		p.writes = append(p.writes, e.copyv.Clone())
+	}
+	for _, l := range absLocks {
+		p := part(proto.ObjectID(l))
+		p.absLocks = append(p.absLocks, l)
 	}
 	for _, p := range parts {
-		_, wq := tx.rt.shardQuorums(p.shard)
-		if len(wq) == 0 {
+		rte := tx.rt.route(p.shard)
+		if len(rte.write) == 0 {
 			return nil, fmt.Errorf("%w: empty write quorum for shard %d", ErrUnavailable, p.shard)
 		}
-		p.writeQ = wq
+		p.writeQ, p.tag = rte.write, rte.tag
 	}
 	return parts, nil
 }
@@ -409,19 +404,7 @@ func (tx *Txn) commit(absLocks []string, owner proto.TxnID) error {
 		return nil
 	}
 
-	reads := make([]proto.DataItem, 0, len(tx.readset))
-	for _, e := range tx.readset {
-		reads = append(reads, proto.DataItem{
-			ID: e.copyv.ID, Version: e.copyv.Version,
-			OwnerDepth: e.ownerDepth, OwnerChk: e.ownerChk,
-		})
-	}
-	writes := make([]proto.ObjectCopy, 0, len(tx.writeset))
-	for _, e := range tx.writeset {
-		writes = append(writes, e.copyv.Clone())
-	}
-
-	parts, err := tx.commitParts(reads, writes, absLocks)
+	parts, err := tx.commitParts(absLocks)
 	if err != nil {
 		return err
 	}
@@ -432,12 +415,11 @@ func (tx *Txn) commit(absLocks []string, owner proto.TxnID) error {
 	// shard tag and demands one outcome.
 	csp := tx.rt.obs.StartSpan(proto.SpanCommit, tx.rt.node, tx.tc)
 	csp.SetTxn(tx.id)
-	if tx.rt.Sharded() {
-		if len(parts) == 1 {
-			csp.SetShard(parts[0].shard)
-		} else {
-			csp.SetNote(fmt.Sprintf("shards=%d", len(parts)))
-		}
+	switch {
+	case len(parts) == 1:
+		csp.SetShard(parts[0].tag)
+	case len(parts) > 1:
+		csp.SetNote(fmt.Sprintf("shards=%d", len(parts)))
 	}
 	defer csp.End()
 	t0 := tx.rt.obs.Start()
@@ -451,9 +433,7 @@ func (tx *Txn) commit(absLocks []string, owner proto.TxnID) error {
 		prep := proto.PrepareReq{Txn: tx.id, Reads: p.reads, Writes: p.writes, AbsLocks: p.absLocks, Owner: owner, TC: csp.Context()}
 		pt0 := tx.rt.obs.Start()
 		results[i] = cluster.Multicast(tx.ctx, tx.rt.trans, tx.rt.node, p.writeQ, prep)
-		if tx.rt.Sharded() {
-			tx.rt.obs.ShardObserveSince(p.shard, obs.SiteCommitRTT, pt0)
-		}
+		tx.rt.obs.ShardObserveSince(p.tag, obs.SiteCommitRTT, pt0)
 	})
 	tx.rt.obs.ObserveSince(obs.SitePhasePrepare, phaseT0)
 
@@ -514,10 +494,8 @@ func (tx *Txn) commit(absLocks []string, owner proto.TxnID) error {
 			// reconfiguring around a node that may be perfectly healthy.
 			return cancelErr
 		}
-		if tx.rt.Sharded() {
-			for _, p := range parts {
-				tx.rt.obs.ShardAbort(p.shard)
-			}
+		for _, p := range parts {
+			tx.rt.obs.ShardAbort(p.tag)
 		}
 		cause := obs.CauseCommitConflict
 		switch {
@@ -576,16 +554,14 @@ func (tx *Txn) commit(absLocks []string, owner proto.TxnID) error {
 		// Store.Commit is version-guarded and releases only this txn's
 		// locks, so members that never prepared apply it safely.
 		targets := p.writeQ
-		if _, cur := tx.rt.shardQuorums(p.shard); len(cur) > 0 {
+		if cur := tx.rt.route(p.shard).write; len(cur) > 0 {
 			targets = unionNodes(p.writeQ, cur)
 		}
 		cluster.Multicast(tx.ctx, tx.rt.trans, tx.rt.node, targets, dec)
 	})
 	tx.rt.obs.ObserveSince(obs.SitePhaseDecide, phaseT0)
-	if tx.rt.Sharded() {
-		for _, p := range parts {
-			tx.rt.obs.ShardCommit(p.shard)
-		}
+	for _, p := range parts {
+		tx.rt.obs.ShardCommit(p.tag)
 	}
 	csp.SetOK(true)
 	return nil

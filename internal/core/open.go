@@ -18,9 +18,11 @@ import (
 // running programmer-supplied compensations.
 //
 // Abstract locks are granted during the subtransaction's prepare at the
-// write quorum; pairwise-intersecting write quorums make the grant mutually
-// exclusive. The root releases its locks with a ReleaseReq multicast when
-// it commits, or after compensating when it gives up an attempt.
+// write quorum of the shard each lock name routes to, exactly like an
+// object; pairwise-intersecting write quorums make the grant mutually
+// exclusive. The root records the names it holds and releases them with a
+// ReleaseReq multicast to those shards' write quorums when it commits, or
+// after compensating when it gives up an attempt.
 
 // ErrOpenInCheckpointed rejects Txn.Open inside checkpointed step programs:
 // a partial rollback would re-execute the step and double-apply the open
@@ -86,9 +88,7 @@ func (tx *Txn) Open(locks []string, body func(*Txn) error, compensate func(*Txn)
 		}
 		if !aborted {
 			root.openCommits = append(root.openCommits, openRecord{compensate: compensate})
-			if len(locks) > 0 {
-				root.holdsAbsLocks = true
-			}
+			root.absLocks = append(root.absLocks, locks...)
 			rt.metrics.OpenCommits.Add(1)
 			return nil
 		}
@@ -117,7 +117,7 @@ func (rt *Runtime) attemptOpen(ot *Txn, body func(*Txn) error, locks []string, o
 // compensations are returned — a failed compensation leaves the abstraction
 // inconsistent and must surface rather than retry silently.
 func (rt *Runtime) finishOpen(tx *Txn, rootAborted bool) error {
-	if len(tx.openCommits) == 0 && !tx.holdsAbsLocks {
+	if len(tx.openCommits) == 0 && len(tx.absLocks) == 0 {
 		return nil
 	}
 	var firstErr error
@@ -133,12 +133,17 @@ func (rt *Runtime) finishOpen(tx *Txn, rootAborted bool) error {
 			}
 		}
 	}
-	if tx.holdsAbsLocks {
-		_, writeQ := rt.quorums()
-		cluster.Multicast(tx.ctx, rt.trans, rt.node, writeQ, proto.ReleaseReq{Owner: tx.id, TC: tx.tc})
+	if len(tx.absLocks) > 0 {
+		// Each lock was granted by its own shard's write quorum (commitParts).
+		m := rt.ShardMap()
+		var targets []proto.NodeID
+		for _, l := range tx.absLocks {
+			targets = unionNodes(targets, rt.route(m.ShardFor(proto.ObjectID(l))).write)
+		}
+		cluster.Multicast(tx.ctx, rt.trans, rt.node, targets, proto.ReleaseReq{Owner: tx.id, TC: tx.tc})
 	}
 	tx.openCommits = nil
-	tx.holdsAbsLocks = false
+	tx.absLocks = nil
 	return firstErr
 }
 

@@ -54,19 +54,27 @@ func wrongShardPause(n int) time.Duration {
 	return d
 }
 
-// groupByShard partitions ids by their current shard, preserving first-seen
-// shard order so retries stay deterministic.
-func groupByShard(rt *Runtime, ids []proto.ObjectID) (map[proto.ShardID][]proto.ObjectID, []proto.ShardID) {
-	groups := make(map[proto.ShardID][]proto.ObjectID)
-	var order []proto.ShardID
-	for _, id := range ids {
-		s := rt.shardFor(id)
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
-		}
-		groups[s] = append(groups[s], id)
+// nextGroup splits off the ids that m routes to the same shard as ids[0],
+// preserving order so retries stay deterministic. When they all share it —
+// always, under the zero map — group is ids itself and nothing is copied.
+func nextGroup(m proto.ShardMap, ids []proto.ObjectID) (s proto.ShardID, group, rest []proto.ObjectID) {
+	s = m.ShardFor(ids[0])
+	i := 1
+	for i < len(ids) && m.ShardFor(ids[i]) == s {
+		i++
 	}
-	return groups, order
+	if i == len(ids) {
+		return s, ids, nil
+	}
+	group = ids[:i:i]
+	for _, id := range ids[i:] {
+		if m.ShardFor(id) == s {
+			group = append(group, id)
+		} else {
+			rest = append(rest, id)
+		}
+	}
+	return s, group, rest
 }
 
 // entry is one element of a transaction's read- or write-set: the acquired
@@ -154,17 +162,19 @@ type Txn struct {
 	fpMark int
 
 	// Open-nesting support (root transactions only).
-	openCommits   []openRecord // committed open subtransactions of this attempt
-	holdsAbsLocks bool         // abstract locks held on this root's behalf
+	openCommits []openRecord // committed open subtransactions of this attempt
+	absLocks    []string     // abstract lock names held on this root's behalf
 
-	// Sharding support (root transactions; only populated on sharded
-	// runtimes). shards is the set of shards the footprint touches;
-	// shardDirty records a replica's advisory that some footprint item
-	// migrated away mid-transaction, so the replica skipped (not validated)
-	// it. Either condition — more than one shard, or dirty — forfeits the
-	// read-only local commit: the last Rqv round then certified only part of
-	// the footprint, and commit must validate per shard.
-	shards     map[proto.ShardID]struct{}
+	// Sharding support (root transactions). shard is the first shard the
+	// footprint touched (proto.NoShard before any), multiShard that a later
+	// acquisition touched another; shardDirty records a replica's advisory
+	// that some footprint item migrated away mid-transaction, so the replica
+	// skipped (not validated) it. Either condition — more than one shard, or
+	// dirty — forfeits the read-only local commit: the last Rqv round then
+	// certified only part of the footprint, and commit must validate per
+	// shard.
+	shard      proto.ShardID
+	multiShard bool
 	shardDirty bool
 
 	// Link prefetch (root transactions; see usePrefetched). pf holds the
@@ -181,13 +191,16 @@ type pfCopy struct {
 	n int
 }
 
-// noteShard records that the footprint touches shard s (sharded runtimes).
+// noteShard records that the footprint touches shard s.
 func (tx *Txn) noteShard(s proto.ShardID) {
 	r := tx.root()
-	if r.shards == nil {
-		r.shards = make(map[proto.ShardID]struct{}, 2)
+	switch r.shard {
+	case proto.NoShard:
+		r.shard = s
+	case s:
+	default:
+		r.multiShard = true
 	}
-	r.shards[s] = struct{}{}
 }
 
 // crossShard reports whether the read-only local commit is forfeit: the
@@ -195,7 +208,7 @@ func (tx *Txn) noteShard(s proto.ShardID) {
 // validation round.
 func (tx *Txn) crossShard() bool {
 	r := tx.root()
-	return r.shardDirty || len(r.shards) > 1
+	return r.shardDirty || r.multiShard
 }
 
 func newRootTxn(rt *Runtime, ctx context.Context) *Txn {
@@ -207,6 +220,7 @@ func newRootTxn(rt *Runtime, ctx context.Context) *Txn {
 		writeset: make(map[proto.ObjectID]*entry),
 		wm:       make(map[proto.NodeID]int),
 		wmEpoch:  rt.ViewEpoch(),
+		shard:    proto.NoShard,
 	}
 }
 
@@ -500,26 +514,22 @@ func (tx *Txn) ReadAll(ids ...proto.ObjectID) error {
 }
 
 // acquireBatch fetches a set of unheld objects, grouping them by shard: each
-// group runs one batched read round against its own shard's read quorum. On
-// an unsharded runtime there is exactly one group (shard 0) and the call is
-// the single round it always was. Wrong-shard rejections — a stale map or a
-// migration fence — refresh the map, regroup the survivors by the fresh
-// placement, and retry under a budget sized to outlast a slot drain.
+// group runs one batched read round against its own shard's read quorum (an
+// unsharded runtime always has exactly one group, shard 0). Wrong-shard
+// rejections — a stale map or a migration fence — refresh the map, regroup
+// the survivors by the fresh placement, and retry under a budget sized to
+// outlast a slot drain.
 func (tx *Txn) acquireBatch(ids []proto.ObjectID, write bool) error {
-	if !tx.rt.Sharded() {
-		return tx.acquireBatchShard(0, ids, write)
-	}
-	remaining := ids
 	for wrongShards := 0; ; wrongShards++ {
-		if err := tx.ctx.Err(); err != nil {
-			return err
-		}
-		groups, order := groupByShard(tx.rt, remaining)
+		m := tx.rt.ShardMap()
 		var retry []proto.ObjectID
-		for _, s := range order {
-			switch err := tx.acquireBatchShard(s, groups[s], write); {
+		for rest := ids; len(rest) > 0; {
+			var s proto.ShardID
+			var group []proto.ObjectID
+			s, group, rest = nextGroup(m, rest)
+			switch err := tx.acquireBatchShard(s, group, write); {
 			case errors.Is(err, errWrongShard):
-				retry = append(retry, groups[s]...)
+				retry = append(retry, group...)
 			case err != nil:
 				return err
 			}
@@ -537,7 +547,7 @@ func (tx *Txn) acquireBatch(ids []proto.ObjectID, write bool) error {
 		if err := sleepCtx(tx.ctx, wrongShardPause(wrongShards)); err != nil {
 			return err
 		}
-		remaining = retry
+		ids = retry
 	}
 }
 
@@ -566,8 +576,8 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 		if err := tx.ctx.Err(); err != nil {
 			return err
 		}
-		readQ, _ := tx.rt.shardQuorums(shard)
-		if len(readQ) == 0 {
+		rte := tx.rt.route(shard)
+		if len(rte.read) == 0 {
 			return ErrUnavailable
 		}
 		// Watermarks describe sessions on the members of one quorum view; a
@@ -589,9 +599,7 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 		}
 		sp.SetDepth(tx.depth)
 		sp.SetChk(tx.ownerChkNow())
-		if tx.rt.Sharded() {
-			sp.SetShard(shard)
-		}
+		sp.SetShard(rte.tag)
 		logLen := len(root.fpLog)
 		base := proto.BatchReadReq{
 			Txn:   tx.id,
@@ -603,7 +611,7 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 		}
 		deltaMax := 0
 		t0 := tx.rt.obs.Start()
-		replies := cluster.MulticastEach(tx.ctx, tx.rt.trans, tx.rt.node, readQ, func(n proto.NodeID) any {
+		replies := cluster.MulticastEach(tx.ctx, tx.rt.trans, tx.rt.node, rte.read, func(n proto.NodeID) any {
 			req := base
 			if rqv {
 				from := root.wm[n]
@@ -741,10 +749,8 @@ func (tx *Txn) acquireBatchShard(shard proto.ShardID, ids []proto.ObjectID, writ
 		if sp.Active() {
 			sp.SetNote(fmt.Sprintf("batch=%d delta=%d prefetch=%d", len(ids), deltaMax, shipped))
 		}
-		if tx.rt.Sharded() {
-			tx.noteShard(shard)
-			tx.rt.obs.ShardObserveSince(shard, obs.SiteReadRTT, t0)
-		}
+		tx.noteShard(shard)
+		tx.rt.obs.ShardObserveSince(rte.tag, obs.SiteReadRTT, t0)
 		for _, id := range ids {
 			c := best[id]
 			c.ID = id // unknown objects come back zero-valued; keep the ID
@@ -800,12 +806,10 @@ func (tx *Txn) usePrefetched(id proto.ObjectID, write bool) (*entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	if tx.rt.Sharded() {
-		if tx.rt.shardFor(id) != r.pfShard {
-			return nil, false
-		}
-		tx.noteShard(r.pfShard)
+	if tx.rt.ShardMap().ShardFor(id) != r.pfShard {
+		return nil, false
 	}
+	tx.noteShard(r.pfShard)
 	delete(r.pf, id)
 	tx.rt.obs.HeatRead(id)
 	tx.rt.metrics.PrefetchHits.Add(1)

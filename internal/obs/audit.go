@@ -73,8 +73,9 @@ type Auditor struct {
 	settle     time.Duration
 	maxPending int
 
-	// Poll state, owned by the audit goroutine (or the caller of Poll when
-	// the auditor was never started — tests drive Poll directly).
+	// Poll state, guarded by pollMu: the audit goroutine and callers of
+	// Poll (tests, and runs that audit on demand) may poll concurrently.
+	pollMu  sync.Mutex
 	cursor  uint64
 	pending map[uint64]*pendingTrace
 
@@ -167,12 +168,15 @@ func (a *Auditor) Stop() {
 
 // Poll runs one audit increment: drain new spans, then audit every quiesced
 // trace (all pending traces when flush is set). Exposed so tests and
-// non-goroutine deployments can drive the auditor deterministically; callers
-// must not race Poll with a started auditor's own goroutine.
+// non-goroutine deployments can drive the auditor deterministically, and so
+// a caller can bring a started auditor's counters up to date on demand; it
+// is safe concurrently with the auditor's own goroutine.
 func (a *Auditor) Poll(flush bool) {
 	if a == nil {
 		return
 	}
+	a.pollMu.Lock()
+	defer a.pollMu.Unlock()
 	spans, next, dropped := a.reg.Spans().SpansSince(a.cursor)
 	a.cursor = next
 	if dropped > 0 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -128,6 +129,31 @@ func TestAuditorStopFlushes(t *testing.T) {
 		t.Fatalf("Stop did not flush pending traces: %+v", s)
 	}
 	a.Stop() // idempotent
+}
+
+// TestAuditorPollConcurrentWithGoroutine drives Poll from several callers
+// while the started auditor's own goroutine polls too (a caller bringing the
+// counters up to date on demand): under -race this must report nothing, and
+// every trace must be audited exactly once.
+func TestAuditorPollConcurrentWithGoroutine(t *testing.T) {
+	_, a := auditFixture(t, 4096, validTimeline())
+	a.interval, a.settle = time.Millisecond, time.Millisecond
+	a.Start()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				a.Poll(i%10 == 9)
+			}
+		}()
+	}
+	wg.Wait()
+	a.Stop()
+	if s := a.Stats(); s.Traces != 2 || s.Violations != 0 || s.Spans != uint64(len(validTimeline())) {
+		t.Fatalf("stats = %+v, want 2 traces, no violations, %d spans", s, len(validTimeline()))
+	}
 }
 
 func TestSpansSince(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -550,33 +551,45 @@ func (c *Cluster) Runtime(node NodeID) *Runtime {
 // Metrics returns the cluster-wide client metrics.
 func (c *Cluster) Metrics() *Metrics { return c.metrics }
 
-// Load installs objects for bootstrap/population: on every replica when
-// unsharded, and only on the owning shard's members when sharded (a copy on
-// a non-owner would sit frozen and trip the disowned-copy advisory on every
-// footprint that mentions it). It bypasses concurrency control and must not
+// Load installs objects for bootstrap/population on the members of each
+// object's shard, which is every replica when unsharded: a copy on a
+// non-owner would sit frozen and trip the disowned-copy advisory on every
+// footprint that mentions it. It bypasses concurrency control and must not
 // race with running transactions.
 func (c *Cluster) Load(copies []ObjectCopy) {
 	m := c.ShardMap()
-	if !m.Sharded() {
-		for _, r := range c.Replicas {
-			r.Store().Load(copies)
-		}
-		return
-	}
+	groups := c.groups(m)
 	byShard := make(map[ShardID][]ObjectCopy)
 	for _, cp := range copies {
 		s := m.ShardFor(cp.ID)
 		byShard[s] = append(byShard[s], cp)
 	}
 	for s, part := range byShard {
-		spec, ok := m.Shard(s)
-		if !ok {
+		if int(s) >= len(groups) {
 			continue
 		}
-		for _, n := range spec.Members {
+		for _, n := range groups[s].Members {
 			c.Replicas[n].Store().Load(part)
 		}
 	}
+}
+
+// groups lists the quorum groups of placement m, indexed by shard id: the
+// zero map's single group, shard 0, is every node.
+func (c *Cluster) groups(m ShardMap) []ShardSpec {
+	if m.Sharded() {
+		return m.Shards
+	}
+	return []ShardSpec{{ID: 0, Members: c.nodes()}}
+}
+
+// nodes lists every node id of the cluster.
+func (c *Cluster) nodes() []NodeID {
+	all := make([]NodeID, len(c.Replicas))
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	return all
 }
 
 // LoadKV is Load for a simple id→value map, installed at version 1.
@@ -609,9 +622,8 @@ func (c *Cluster) Fail(node NodeID) error {
 // it, repeating until a pass installs nothing and no sync-quorum member
 // holds an in-flight prepare — at which point every commit that could have
 // bypassed the node has landed and been copied over.
-// In a sharded cluster the sync draws from the node's own shard: its members
-// are the only replicas that (should) hold the node's objects, so the
-// explicit member set replaces the whole-cluster tree quorum.
+// The sync draws from the node's own shard: its members are the only
+// replicas that (should) hold the node's objects.
 func (c *Cluster) Recover(ctx context.Context, node NodeID) error {
 	alive := func(n NodeID) bool { return !c.Transport.Down(n) && n != node }
 	if err := ctx.Err(); err != nil {
@@ -688,20 +700,14 @@ func (c *Cluster) syncFromQuorum(node NodeID, alive func(NodeID) bool) (int, err
 	return c.Replicas[node].Store().InstallNewer(copies), nil
 }
 
-// syncQuorum picks the member set a recovering node syncs from: the whole
-// cluster's tree quorum when unsharded, the node's own shard's group quorum
-// when sharded (explicit members — other shards neither hold nor need its
-// objects). A sharded node belonging to no shard syncs from nobody.
+// syncQuorum picks the member set a recovering node syncs from: a read
+// quorum of the node's own shard (other shards neither hold nor need its
+// objects; unsharded, the shard is the whole cluster). A node belonging to
+// no shard syncs from nobody.
 func (c *Cluster) syncQuorum(node NodeID, alive func(NodeID) bool) ([]NodeID, error) {
-	m := c.ShardMap()
-	if !m.Sharded() {
-		return c.Tree.ReadQuorum(alive)
-	}
-	for _, spec := range m.Shards {
-		for _, n := range spec.Members {
-			if n == node {
-				return quorum.NewGroup(spec.Members).ReadQuorum(alive)
-			}
+	for _, g := range c.groups(c.ShardMap()) {
+		if slices.Contains(g.Members, node) {
+			return quorum.NewGroup(g.Members).ReadQuorum(alive)
 		}
 	}
 	return nil, nil
@@ -719,25 +725,18 @@ func (c *Cluster) refreshAll() error {
 }
 
 // ReadCommitted returns the globally latest committed copy of id, resolved
-// through a read quorum (tooling, tests and examples; not transactional). In
-// a sharded cluster the quorum is the owning shard's — its explicit member
-// set, not the whole-cluster tree.
+// through a read quorum of its owning shard (tooling, tests and examples;
+// not transactional).
 func (c *Cluster) ReadCommitted(ctx context.Context, id ObjectID) (ObjectCopy, error) {
 	if err := ctx.Err(); err != nil {
 		return ObjectCopy{}, err
 	}
-	alive := func(n NodeID) bool { return !c.Transport.Down(n) }
-	var rq []NodeID
-	var err error
-	if m := c.ShardMap(); m.Sharded() {
-		spec, ok := m.Shard(m.ShardFor(id))
-		if !ok {
-			return ObjectCopy{}, fmt.Errorf("qrdtm: object %s maps to an unknown shard", id)
-		}
-		rq, err = quorum.NewGroup(spec.Members).ReadQuorum(alive)
-	} else {
-		rq, err = c.Tree.ReadQuorum(alive)
+	m := c.ShardMap()
+	groups, s := c.groups(m), m.ShardFor(id)
+	if int(s) >= len(groups) {
+		return ObjectCopy{}, fmt.Errorf("qrdtm: object %s maps to an unknown shard", id)
 	}
+	rq, err := quorum.NewGroup(groups[s].Members).ReadQuorum(func(n NodeID) bool { return !c.Transport.Down(n) })
 	if err != nil {
 		return ObjectCopy{}, err
 	}
@@ -764,14 +763,10 @@ func (c *Cluster) AddShard(ctx context.Context, id ShardID, members []NodeID, sl
 	if !cur.Sharded() {
 		return fmt.Errorf("qrdtm: AddShard requires a sharded cluster (ClusterConfig.Shards > 1)")
 	}
-	all := make([]NodeID, len(c.Replicas))
-	for i := range c.Replicas {
-		all[i] = NodeID(i)
-	}
 	spec := ShardSpec{ID: id, Members: members}
 	// The sim transport only uses `from` for latency/tx-time attribution;
 	// node 0 stands in for the (external) reconfiguration controller.
-	final, err := core.Reshard(ctx, c.Transport, 0, all, cur, spec, slots)
+	final, err := core.Reshard(ctx, c.Transport, 0, c.nodes(), cur, spec, slots)
 	if err != nil {
 		return err
 	}

@@ -160,6 +160,53 @@ func TestShardedReadOnlyCrossShard(t *testing.T) {
 	}
 }
 
+// TestShardedOpenReleasesLocksOffShardZero checks that an open-nested root
+// releases an abstract lock on the write quorum of the shard the lock name
+// routes to, not on shard 0's: the prepare granted it there, so a release
+// sent elsewhere leaks the lock and every later root needing it spins until
+// its retry budget runs out.
+func TestShardedOpenReleasesLocksOffShardZero(t *testing.T) {
+	c, err := qrdtm.NewCluster(qrdtm.ClusterConfig{Nodes: 13, Shards: 2, Mode: qrdtm.Closed, MaxRetries: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.ShardMap()
+	onShard1 := func(prefix string) string {
+		for i := 0; ; i++ {
+			if name := fmt.Sprintf("%s/%d", prefix, i); m.ShardFor(qrdtm.ObjectID(name)) == 1 {
+				return name
+			}
+		}
+	}
+	lock, obj := onShard1("lock"), qrdtm.ObjectID(onShard1("obj"))
+	c.LoadKV(map[qrdtm.ObjectID]qrdtm.Value{obj: qrdtm.Int64(0)})
+	incr := func(tx *qrdtm.Txn) error {
+		return tx.Open([]string{lock}, func(ot *qrdtm.Txn) error {
+			v, err := ot.Read(obj)
+			if err != nil {
+				return err
+			}
+			return ot.Write(obj, v.(qrdtm.Int64)+1)
+		}, nil)
+	}
+	ctx := context.Background()
+	if err := c.Runtime(0).Atomic(ctx, incr); err != nil {
+		t.Fatal(err)
+	}
+	for n, r := range c.Replicas {
+		if h := r.Store().AbstractLockHolder(lock); h != 0 {
+			t.Errorf("replica %d still records %v as the holder of %q", n, h, lock)
+		}
+	}
+	// A second root needing the same lock must get it.
+	if err := c.Runtime(3).Atomic(ctx, incr); err != nil {
+		t.Fatalf("second root: %v", err)
+	}
+	if cp, err := c.ReadCommitted(ctx, obj); err != nil || cp.Val != qrdtm.Int64(2) {
+		t.Fatalf("%s = %v (err %v), want 2", obj, cp.Val, err)
+	}
+}
+
 // TestAddShardMigration reconfigures a live cluster — carving a new shard
 // out of existing members' slots while transfer traffic flows — and checks
 // that no money is lost, the map advanced two epochs, and (traced) the
