@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test flake race bench-compare bench bench-quick bench-obs bench-trace bench-shard bench-load bench-load-quick exp exp-quick fmt cover clean check
+.PHONY: all build vet test flake race bench-compare bench bench-quick bench-shard bench-load bench-load-quick exp exp-quick fmt cover clean check
 
 all: build vet test
 
@@ -26,7 +26,7 @@ flake:
 
 # The one race-detected package list: check and CI both run this target.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/load/... ./internal/wal/... ./internal/server/... ./internal/store/... ./internal/bench/... ./internal/harness/... .
+	$(GO) test -race ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/load/... ./internal/wal/... ./internal/server/... ./internal/store/... ./internal/bench/... ./internal/harness/... ./internal/testcluster/... .
 
 # Fast pre-commit gate: vet (plus darwin and windows vets of internal/wal, so
 # its non-Linux fallback keeps building), gofmt, the race target (which also
@@ -61,17 +61,6 @@ bench:
 
 bench-quick:
 	$(GO) test -bench='LocalTxn|StoreValidate|QuorumConstruction' -benchmem .
-
-# Per-protocol latency percentiles, abort-cause breakdown, commit-phase
-# decomposition and per-slot heat → BENCH_obs.json. The grep guards the
-# phase table: a run that silently lost its span stream has no "phases".
-bench-obs:
-	$(GO) run ./cmd/qr-bench -exp obs -quick
-	@grep -q '"phases"' BENCH_obs.json || { echo "bench-obs: BENCH_obs.json missing phase decomposition" >&2; exit 1; }
-
-# Traced run per protocol, invariant-checked → BENCH_trace.json (Perfetto).
-bench-trace:
-	$(GO) run ./cmd/qr-bench -exp trace -quick
 
 # Sharded quorum trees vs the single 13-node tree over real TCP, plus a
 # traced live add-shard migration → BENCH_shard.json. Runs at full scale:

@@ -31,8 +31,6 @@ func main() {
 	txns := flag.Int("txns", 0, "override transactions per client")
 	nodes := flag.Int("nodes", 0, "override replica count")
 	seed := flag.Uint64("seed", 0, "override RNG seed")
-	obsOut := flag.String("obs-out", harness.BenchObsPath, "output path for the obs experiment's JSON (empty disables)")
-	traceOut := flag.String("trace-out", harness.TracePath, "output path for the trace experiment's Chrome trace-event JSON (empty disables)")
 	shardOut := flag.String("shard-out", harness.BenchShardPath, "output path for the shard experiment's JSON (empty disables)")
 	loadOut := flag.String("load-out", harness.BenchLoadPath, "output path for the load experiment's JSON (empty disables)")
 	cpuProf := flag.String("cpuprofile", "", "per-step CPU profile prefix for the load experiment (measured window only)")
@@ -40,8 +38,6 @@ func main() {
 	admin := flag.String("admin", "", "serve the load experiment's obs registry on this address (e.g. 127.0.0.1:7500) for qr-top")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
-	harness.BenchObsPath = *obsOut
-	harness.TracePath = *traceOut
 	harness.BenchShardPath = *shardOut
 	harness.BenchLoadPath = *loadOut
 	harness.CPUProfilePrefix = *cpuProf

@@ -10,61 +10,28 @@ package qrdtm_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"qrdtm"
-	"qrdtm/internal/cluster"
 	"qrdtm/internal/core"
 	"qrdtm/internal/proto"
-	"qrdtm/internal/quorum"
 	"qrdtm/internal/server"
-	"qrdtm/internal/wal"
+	"qrdtm/internal/testcluster"
 )
-
-// durableNode is one WAL-backed replica plus its listener and data dir.
-type durableNode struct {
-	dir string
-	rep *server.Replica
-	srv *cluster.TCPServer
-}
-
-func startDurableNode(t *testing.T, id proto.NodeID, dir string) *durableNode {
-	t.Helper()
-	w, res, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("node %d: open wal: %v", id, err)
-	}
-	rep := server.New(id).WithWAL(w)
-	rep.Restore(res)
-	srv, err := cluster.ListenTCP(id, "127.0.0.1:0", rep.Handle)
-	if err != nil {
-		t.Fatalf("node %d: listen: %v", id, err)
-	}
-	return &durableNode{dir: dir, rep: rep, srv: srv}
-}
-
-func (n *durableNode) crash(t *testing.T) {
-	t.Helper()
-	_ = n.srv.Close()
-	if err := n.rep.WAL().Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 const durableAccounts = 8
 
-func loadBank(t *testing.T, rep *server.Replica) {
-	t.Helper()
+// bankAccounts is the initial bank: durableAccounts accounts of 100 each.
+func bankAccounts() []proto.ObjectCopy {
 	var objs []proto.ObjectCopy
 	for i := 0; i < durableAccounts; i++ {
 		objs = append(objs, proto.ObjectCopy{
 			ID: proto.ObjectID(fmt.Sprintf("acct-%d", i)), Version: 1, Val: proto.Int64(100),
 		})
 	}
-	rep.Handle(-1, proto.LoadReq{Objects: objs}) // via Handle so the load is logged
+	return objs
 }
 
 // transferStorm runs n committed transfers between rotating account pairs.
@@ -114,35 +81,16 @@ func assertBankConserved(t *testing.T, rep *server.Replica, label string) {
 // returns — forcing the full-resync path instead of the tail.
 func runDurableRecovery(t *testing.T, compact bool) (*server.Replica, qrdtm.CatchUpStats) {
 	t.Helper()
-	const n = 4
 	const victim = proto.NodeID(3)
-	base := t.TempDir()
-	tree := quorum.NewTree(n)
+	tc := startTCP(t, testcluster.Options{Nodes: 4, Dir: t.TempDir()})
+	tc.Load(bankAccounts()) // logged, so every replica restores it
 	var victimDown atomic.Bool
-
-	nodes := make([]*durableNode, n)
-	peers := make(map[proto.NodeID]string, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = startDurableNode(t, proto.NodeID(i), filepath.Join(base, fmt.Sprintf("node-%d", i)))
-		peers[proto.NodeID(i)] = nodes[i].srv.Addr()
-		loadBank(t, nodes[i].rep)
-	}
-	trans := cluster.NewTCPTransport(peers)
-	t.Cleanup(func() {
-		trans.Close()
-		for _, nd := range nodes {
-			_ = nd.srv.Close()
-			if w := nd.rep.WAL(); w != nil {
-				_ = w.Close()
-			}
-		}
-	})
 
 	rt, err := core.NewRuntime(core.Config{
 		Node:      proto.NodeID(0),
-		Transport: trans,
+		Transport: tc.Transport,
 		Quorums: core.TreeQuorums{
-			Tree:  tree,
+			Tree:  tc.Tree,
 			Alive: func(id proto.NodeID) bool { return id != victim || !victimDown.Load() },
 		},
 		Mode:    core.Closed,
@@ -154,52 +102,53 @@ func runDurableRecovery(t *testing.T, compact bool) (*server.Replica, qrdtm.Catc
 	}
 
 	transferStorm(t, rt, 10, 0)
-	nodes[victim].crash(t)
+	if err := tc.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
 	victimDown.Store(true)
 	transferStorm(t, rt, 20, 1) // committed while the victim is down
 
 	if compact {
-		for i := 0; i < n-1; i++ {
-			if err := nodes[i].rep.WAL().Snapshot(); err != nil {
-				t.Fatalf("compact node %d: %v", i, err)
+		for _, id := range tc.Nodes()[:victim] {
+			if err := tc.Replicas[id].WAL().Snapshot(); err != nil {
+				t.Fatalf("compact node %d: %v", id, err)
 			}
 		}
 	}
 
-	// Restart from the same data dir and catch up before serving.
-	restarted := startDurableNode(t, victim, nodes[victim].dir)
-	t.Cleanup(func() {
-		_ = restarted.srv.Close()
-		_ = restarted.rep.WAL().Close()
-	})
+	// Restart from the same data dir on the same address, then catch up.
+	// victimDown keeps the victim out of every quorum until it has.
+	if err := tc.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	restarted := tc.Replicas[victim]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ids := make([]proto.NodeID, n)
-	for i := range ids {
-		ids[i] = proto.NodeID(i)
-	}
-	stats, err := qrdtm.CatchUp(ctx, trans, victim, ids, restarted.rep)
+	stats, err := qrdtm.CatchUp(ctx, tc.Transport, victim, tc.Nodes(), restarted)
 	if err != nil {
 		t.Fatalf("CatchUp: %v", err)
 	}
 	victimDown.Store(false)
 
-	// The restarted replica must hold the full committed state: node 0 is
-	// the quorum-tree root, present in every write quorum, so its store is
-	// the reference.
-	assertBankConserved(t, restarted.rep, "restarted victim")
+	// The restarted replica must hold the full committed state and serve it
+	// to the client transport: node 0 is the quorum-tree root, present in
+	// every write quorum, so its store is the reference.
+	assertBankConserved(t, restarted, "restarted victim")
 	for i := 0; i < durableAccounts; i++ {
 		id := proto.ObjectID(fmt.Sprintf("acct-%d", i))
-		want, _ := nodes[0].rep.Store().Get(id)
-		got, ok := restarted.rep.Store().Get(id)
-		if !ok || got.Version != want.Version || got.Val != want.Val {
-			t.Fatalf("%s: restarted has %+v, root has %+v", id, got, want)
+		want, _ := tc.Replicas[0].Store().Get(id)
+		resp, err := tc.Transport.Call(ctx, 0, victim, proto.DumpReq{Obj: id})
+		if err != nil {
+			t.Fatalf("%s: restarted victim unreachable: %v", id, err)
+		}
+		if got := resp.(proto.DumpRep); !got.OK || got.Copy.Version != want.Version || got.Copy.Val != want.Val {
+			t.Fatalf("%s: restarted serves %+v, root has %+v", id, got, want)
 		}
 	}
 	// And the cluster still works end-to-end with the victim back.
 	transferStorm(t, rt, 5, 2)
-	assertBankConserved(t, nodes[0].rep, "root after recovery")
-	return restarted.rep, stats
+	assertBankConserved(t, tc.Replicas[0], "root after recovery")
+	return restarted, stats
 }
 
 func TestDurableCatchUpFromLogTail(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"qrdtm/internal/bench"
 	"qrdtm/internal/cluster"
 	"qrdtm/internal/core"
+	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
 	"qrdtm/internal/quorum"
 )
@@ -523,6 +524,61 @@ func TransientFaults(ctx context.Context, s Scale) ([]Table, error) {
 	return []Table{t, audit}, nil
 }
 
+// traceBufferSize sizes a traced cell's span ring. Quick-scale cells emit a
+// few thousand spans; 1<<16 keeps even full-scale contended cells from
+// wrapping (a wrapped ring only loses old traces — the checker counts them
+// Incomplete and skips them — but full retention gives it full coverage).
+const traceBufferSize = 1 << 16
+
+// faultTraceIters is the iteration count for the faults invariant audit at
+// full scale; quick scale divides it down (see TransientFaults).
+const faultTraceIters = 100
+
+// faultTraceAudit repeatedly runs a small drop-injected cell with tracing on
+// and invariant-checks every iteration's trace. Duplicate and dropped
+// deliveries exercise the checker's tolerance for redelivery while still
+// requiring version monotonicity and correct abort routing end to end.
+func faultTraceAudit(ctx context.Context, s Scale, iters int) (Table, error) {
+	t := Table{
+		ID:     "faultchk",
+		Title:  fmt.Sprintf("trace invariant audit under drops (%d iterations)", iters),
+		Header: []string{"mode", "iterations", "traces", "spans", "incomplete", "violations"},
+	}
+	for _, mode := range []core.Mode{core.Closed, core.Checkpoint} {
+		var traces, spans, incomplete, violations int
+		var first *obs.Violation
+		for i := 0; i < iters; i++ {
+			reg := obs.NewRegistry().WithSpans(obs.NewSpanBuffer(traceBufferSize))
+			cfg := s.config("hashmap", benchDefaults["hashmap"], mode)
+			cfg.Clients, cfg.TxnsPerClient = 2, 3
+			cfg.Seed = s.Seed + uint64(i)
+			cfg.DropRate = 0.05
+			cfg.RetryAttempts = 8
+			cfg.Obs = reg
+			if _, err := Run(ctx, cfg); err != nil {
+				return t, fmt.Errorf("faultchk %v iter %d: %w", mode, i, err)
+			}
+			check := obs.CheckTrace(reg.Spans().Spans())
+			traces += check.Traces
+			spans += check.Spans
+			incomplete += check.Incomplete
+			violations += len(check.Violations)
+			if first == nil && len(check.Violations) > 0 {
+				v := check.Violations[0]
+				first = &v
+			}
+		}
+		t.Rows = append(t.Rows, []string{
+			mode.String(), fmt.Sprint(iters), fmt.Sprint(traces), fmt.Sprint(spans),
+			fmt.Sprint(incomplete), fmt.Sprint(violations),
+		})
+		if first != nil {
+			return t, fmt.Errorf("faultchk %v: %d invariant violations, first: %s", mode, violations, first.String())
+		}
+	}
+	return t, nil
+}
+
 // Experiment is a named experiment generator.
 type Experiment func(context.Context, Scale) ([]Table, error)
 
@@ -543,13 +599,11 @@ var Experiments = map[string]Experiment{
 	"ntfa":    NestingGain,
 	"quorums": QuorumShape,
 	"faults":  TransientFaults,
-	"obs":     Obs,
-	"trace":   Trace,
 	"shard":   Shard,
 	"load":    Load,
 }
 
 // ExperimentOrder lists experiment ids in presentation order.
 var ExperimentOrder = []string{
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "chkovh", "ablrqv", "ablchk", "ablcm", "ablopen", "ntfa", "quorums", "faults", "obs", "trace", "shard", "load",
+	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "chkovh", "ablrqv", "ablchk", "ablcm", "ablopen", "ntfa", "quorums", "faults", "shard", "load",
 }

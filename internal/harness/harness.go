@@ -74,10 +74,6 @@ type Config struct {
 	// nil default records nothing (zero hot-path cost), keeping the figure
 	// experiments' measurement windows identical to pre-observability runs.
 	Obs *obs.Registry
-	// SampleEvery, when > 0, samples the cluster-wide commit/abort counters
-	// at that period during the run; Result.Timeline carries the resulting
-	// per-interval throughput and abort-rate series.
-	SampleEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -123,62 +119,9 @@ type Result struct {
 	// Obs is the observability snapshot of the cell (zero when Config.Obs
 	// was nil; Sites/Aborts maps are always fully keyed).
 	Obs obs.Snapshot
-	// Timeline is the per-interval progress series (nil unless
-	// Config.SampleEvery was set). The final point always covers the run end,
-	// so even sub-interval runs produce one point.
-	Timeline []TimelinePoint
 
 	ReadQuorumSize  int
 	WriteQuorumSize int
-}
-
-// TimelinePoint is one sampling interval of a run: the commit/abort deltas
-// over the interval ending Sec seconds into the measurement window.
-type TimelinePoint struct {
-	Sec        float64 `json:"sec"`
-	Commits    uint64  `json:"commits"`
-	Aborts     uint64  `json:"aborts"`
-	Throughput float64 `json:"txn_per_sec"`
-	AbortRate  float64 `json:"aborts_per_commit"`
-}
-
-// sampleTimeline polls the cluster metrics every period until stop closes,
-// then records the final partial interval. Deltas are taken against the
-// previous sample so each point is the rate *within* its interval.
-func sampleTimeline(m *core.Metrics, base core.MetricsSnapshot, start time.Time, period time.Duration, stop <-chan struct{}) []TimelinePoint {
-	var points []TimelinePoint
-	prev := base
-	prevT := start
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	sample := func(now time.Time) {
-		cur := m.Snapshot()
-		d := cur.Sub(prev)
-		dt := now.Sub(prevT).Seconds()
-		if dt <= 0 {
-			return
-		}
-		p := TimelinePoint{
-			Sec:        now.Sub(start).Seconds(),
-			Commits:    d.Commits,
-			Aborts:     d.TotalAborts(),
-			Throughput: float64(d.Commits) / dt,
-		}
-		if d.Commits > 0 {
-			p.AbortRate = float64(d.TotalAborts()) / float64(d.Commits)
-		}
-		points = append(points, p)
-		prev, prevT = cur, now
-	}
-	for {
-		select {
-		case t := <-tick.C:
-			sample(t)
-		case <-stop:
-			sample(time.Now())
-			return points
-		}
-	}
 }
 
 // AbortRate is total aborts (full + partial) per committed transaction.
@@ -291,17 +234,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	start := time.Now()
-	var sampler chan struct{}
-	var timeline []TimelinePoint
-	var samplerDone sync.WaitGroup
-	if cfg.SampleEvery > 0 {
-		sampler = make(chan struct{})
-		samplerDone.Add(1)
-		go func() {
-			defer samplerDone.Done()
-			timeline = sampleTimeline(c.Metrics(), before, start, cfg.SampleEvery, sampler)
-		}()
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, cfg.Clients)
 	for cl := 0; cl < cfg.Clients; cl++ {
@@ -321,10 +253,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if sampler != nil {
-		close(sampler)
-		samplerDone.Wait()
-	}
 	for _, err := range errs {
 		if err != nil {
 			return Result{}, err
@@ -344,7 +272,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		ReadQuorumSize:  runtimes[0].ReadQuorumSize(),
 		WriteQuorumSize: runtimes[0].WriteQuorumSize(),
 		Obs:             cfg.Obs.Snapshot(),
-		Timeline:        timeline,
 	}
 	if retryT != nil {
 		rs := retryT.Stats()

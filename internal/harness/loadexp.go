@@ -15,6 +15,7 @@ import (
 	"qrdtm/internal/load"
 	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
+	"qrdtm/internal/testcluster"
 )
 
 // BenchLoadPath is where the Load experiment writes its machine-readable
@@ -175,14 +176,18 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 	defer auditor.Stop()
 
 	m := proto.PartitionMap(nodesList(nodes), shards)
-	c, err := newShardTCPCluster(nodes, m, reg)
+	c, err := testcluster.Start(testcluster.Options{
+		Nodes: nodes,
+		Obs:   func(proto.NodeID) *obs.Registry { return reg },
+		Map:   m,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
+	defer c.Close()
 	const initBalance = 100
 	buckets := refAccountBuckets(8)
-	loadAccounts(c, m, buckets, initBalance)
+	c.Load(accountCopies(buckets, initBalance))
 
 	if LoadAdminAddr != "" {
 		admin := obs.NewAdmin().WithRegistry(reg).WithAuditor(auditor).
@@ -204,7 +209,7 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 	rts := make([]*core.Runtime, workers)
 	rngs := make([]*rand.Rand, workers)
 	for w := 0; w < workers; w++ {
-		rt, err := shardRuntime(proto.NodeID(w%nodes), c.trans, nodes, mapFn, ids, metrics, reg)
+		rt, err := shardRuntime(c, proto.NodeID(w%nodes), mapFn, ids, metrics, reg)
 		if err != nil {
 			return nil, fmt.Errorf("load: worker %d runtime: %w", w, err)
 		}

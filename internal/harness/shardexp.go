@@ -10,12 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qrdtm/internal/cluster"
 	"qrdtm/internal/core"
 	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
-	"qrdtm/internal/quorum"
-	"qrdtm/internal/server"
+	"qrdtm/internal/testcluster"
 )
 
 // BenchShardPath is where the Shard experiment writes its machine-readable
@@ -131,50 +129,6 @@ func Shard(ctx context.Context, s Scale) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// shardTCPCluster is a localhost TCP deployment with an installed shard map.
-type shardTCPCluster struct {
-	replicas []*server.Replica
-	servers  []*cluster.TCPServer
-	trans    *cluster.TCPTransport
-	all      []proto.NodeID
-}
-
-func (c *shardTCPCluster) close() {
-	if c.trans != nil {
-		c.trans.Close()
-	}
-	for _, srv := range c.servers {
-		if srv != nil {
-			_ = srv.Close()
-		}
-	}
-}
-
-// newShardTCPCluster boots nodes localhost replicas (sharing reg for traced
-// cells), installs m on every replica when sharded, and connects a client
-// transport.
-func newShardTCPCluster(nodes int, m proto.ShardMap, reg *obs.Registry) (*shardTCPCluster, error) {
-	c := &shardTCPCluster{}
-	peers := make(map[proto.NodeID]string, nodes)
-	for i := 0; i < nodes; i++ {
-		r := server.New(proto.NodeID(i)).WithObs(reg)
-		if m.Sharded() {
-			r.SetShardMap(m)
-		}
-		srv, err := cluster.ListenTCP(proto.NodeID(i), "127.0.0.1:0", r.Handle)
-		if err != nil {
-			c.close()
-			return nil, fmt.Errorf("listen node %d: %w", i, err)
-		}
-		c.replicas = append(c.replicas, r)
-		c.servers = append(c.servers, srv)
-		c.all = append(c.all, proto.NodeID(i))
-		peers[proto.NodeID(i)] = srv.Addr()
-	}
-	c.trans = cluster.NewTCPTransport(peers)
-	return c, nil
-}
-
 // refShards is the finest scaling cell. Accounts are bucketed by the
 // *reference* 4-way partition in every cell, so the conflict graph (which
 // account pairs contend) is identical across cells and only the quorum
@@ -204,23 +158,15 @@ func refAccountBuckets(per int) [][]proto.ObjectID {
 	return buckets
 }
 
-// loadAccounts installs the account copies: everywhere when unsharded, only
-// on the owning shard's members otherwise (a disowned frozen copy would trip
-// the WrongShard advisory).
-func loadAccounts(c *shardTCPCluster, m proto.ShardMap, buckets [][]proto.ObjectID, balance int64) {
+// accountCopies lists every account at version 1 holding balance.
+func accountCopies(buckets [][]proto.ObjectID, balance int64) []proto.ObjectCopy {
+	var copies []proto.ObjectCopy
 	for _, ids := range buckets {
 		for _, id := range ids {
-			cp := []proto.ObjectCopy{{ID: id, Version: 1, Val: proto.Int64(balance)}}
-			members := c.all
-			if m.Sharded() {
-				spec, _ := m.Shard(m.ShardFor(id))
-				members = spec.Members
-			}
-			for _, n := range members {
-				c.replicas[n].Store().Load(cp)
-			}
+			copies = append(copies, proto.ObjectCopy{ID: id, Version: 1, Val: proto.Int64(balance)})
 		}
 	}
+	return copies
 }
 
 // pickTransfer draws a transfer respecting shard locality: usually two
@@ -245,12 +191,12 @@ func pickTransfer(rng *rand.Rand, buckets [][]proto.ObjectID) (from, to proto.Ob
 
 // checkShardConservation resolves every account through the highest version
 // any replica holds and compares the sum against the loaded total.
-func checkShardConservation(c *shardTCPCluster, buckets [][]proto.ObjectID, balance int64) (bool, error) {
+func checkShardConservation(c *testcluster.Cluster, buckets [][]proto.ObjectID, balance int64) (bool, error) {
 	total, count := int64(0), 0
 	for _, b := range buckets {
 		for _, id := range b {
 			var best proto.ObjectCopy
-			for _, r := range c.replicas {
+			for _, r := range c.Replicas {
 				if cp, ok := r.Store().Get(id); ok && cp.Version >= best.Version {
 					best = cp
 				}
@@ -270,11 +216,11 @@ func checkShardConservation(c *shardTCPCluster, buckets [][]proto.ObjectID, bala
 
 // shardRuntime builds a client runtime for the cell: classic tree quorums
 // when unsharded, per-shard groups over mapFn otherwise.
-func shardRuntime(node proto.NodeID, trans cluster.Transport, nodes int, mapFn func() (proto.ShardMap, error),
+func shardRuntime(c *testcluster.Cluster, node proto.NodeID, mapFn func() (proto.ShardMap, error),
 	ids *core.IDGen, metrics *core.Metrics, reg *obs.Registry) (*core.Runtime, error) {
 	cfg := core.Config{
 		Node:      node,
-		Transport: trans,
+		Transport: c.Transport,
 		Mode:      core.Closed,
 		IDs:       ids,
 		Metrics:   metrics,
@@ -283,7 +229,7 @@ func shardRuntime(node proto.NodeID, trans cluster.Transport, nodes int, mapFn f
 	if mapFn != nil {
 		cfg.Shards = core.TreeShardQuorums{Map: mapFn}
 	} else {
-		cfg.Quorums = core.TreeQuorums{Tree: quorum.NewTree(nodes)}
+		cfg.Quorums = core.TreeQuorums{Tree: c.Tree}
 	}
 	return core.NewRuntime(cfg)
 }
@@ -301,17 +247,17 @@ func runShardCell(ctx context.Context, s Scale, shards int) (shardRecord, error)
 	if shards > 1 {
 		m = proto.PartitionMap(nodesList(nodes), shards)
 	}
-	c, err := newShardTCPCluster(nodes, m, nil)
+	c, err := testcluster.Start(testcluster.Options{Nodes: nodes, Map: m})
 	if err != nil {
 		return shardRecord{}, err
 	}
-	defer c.close()
+	defer c.Close()
 	// Four accounts per reference bucket: a hot-enough workload that prepare
 	// hold time matters — the single tree holds its prepare locks across a
 	// 7-node round trip, a shard across 3, and the shorter critical section
 	// is (with the smaller fan-out) exactly what sharding buys.
 	buckets := refAccountBuckets(4)
-	loadAccounts(c, m, buckets, initBalance)
+	c.Load(accountCopies(buckets, initBalance))
 
 	var mapFn func() (proto.ShardMap, error)
 	if m.Sharded() {
@@ -327,7 +273,7 @@ func runShardCell(ctx context.Context, s Scale, shards int) (shardRecord, error)
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			rt, err := shardRuntime(proto.NodeID(cl%nodes), c.trans, nodes, mapFn, ids, metrics, reg)
+			rt, err := shardRuntime(c, proto.NodeID(cl%nodes), mapFn, ids, metrics, reg)
 			if err != nil {
 				errs[cl] = err
 				return
@@ -405,13 +351,17 @@ func runShardMigrationCell(ctx context.Context, s Scale) (migrationRecord, error
 	reg := obs.NewRegistry().WithSpans(obs.NewSpanBuffer(1 << 16))
 
 	before := proto.PartitionMap(nodesList(nodes), 2)
-	c, err := newShardTCPCluster(nodes, before, reg)
+	c, err := testcluster.Start(testcluster.Options{
+		Nodes: nodes,
+		Obs:   func(proto.NodeID) *obs.Registry { return reg },
+		Map:   before,
+	})
 	if err != nil {
 		return migrationRecord{}, err
 	}
-	defer c.close()
+	defer c.Close()
 	buckets := refAccountBuckets(max(4, s.Clients))
-	loadAccounts(c, before, buckets, initBalance)
+	c.Load(accountCopies(buckets, initBalance))
 
 	runCtx, cancel := context.WithTimeout(ctx, 120*time.Second)
 	defer cancel()
@@ -427,9 +377,9 @@ func runShardMigrationCell(ctx context.Context, s Scale) (migrationRecord, error
 			defer wg.Done()
 			node := proto.NodeID(cl % nodes)
 			mapFn := func() (proto.ShardMap, error) {
-				return core.FetchShardMap(runCtx, c.trans, node, c.all)
+				return core.FetchShardMap(runCtx, c.Transport, node, c.Nodes())
 			}
-			rt, err := shardRuntime(node, c.trans, nodes, mapFn, ids, metrics, reg)
+			rt, err := shardRuntime(c, node, mapFn, ids, metrics, reg)
 			if err != nil {
 				errs[cl] = err
 				return
@@ -461,8 +411,8 @@ func runShardMigrationCell(ctx context.Context, s Scale) (migrationRecord, error
 		}
 	}
 	newID := proto.ShardID(len(before.Shards))
-	members := c.all[nodes-3:]
-	final, err := core.Reshard(runCtx, c.trans, 0, c.all, before, proto.ShardSpec{ID: newID, Members: members}, slots)
+	members := c.Nodes()[nodes-3:]
+	final, err := core.Reshard(runCtx, c.Transport, 0, c.Nodes(), before, proto.ShardSpec{ID: newID, Members: members}, slots)
 	if err != nil {
 		close(stop)
 		wg.Wait()

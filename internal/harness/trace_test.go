@@ -2,57 +2,12 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
 
-	"qrdtm/internal/core"
 	"qrdtm/internal/obs"
 )
-
-func TestTraceExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test")
-	}
-	old := TracePath
-	TracePath = filepath.Join(t.TempDir(), "trace.json")
-	defer func() { TracePath = old }()
-
-	s := QuickScale()
-	s.Clients, s.Txns = 3, 6
-	tables, err := Trace(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 3 {
-		t.Fatalf("tables = %+v", tables)
-	}
-	for _, row := range tables[0].Rows {
-		if row[5] != "0" {
-			t.Fatalf("invariant violations under %s: %v", row[0], row)
-		}
-		if row[2] == "0" || row[3] == "0" {
-			t.Fatalf("no spans/traces collected under %s: %v", row[0], row)
-		}
-	}
-	// The exported file must be valid Chrome trace-event JSON with events.
-	b, err := os.ReadFile(TracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace file has no events")
-	}
-}
 
 func TestFaultTraceAudit(t *testing.T) {
 	if testing.Short() {
@@ -87,49 +42,39 @@ func TestFaultTraceAudit(t *testing.T) {
 	}
 }
 
-func TestRunTimeline(t *testing.T) {
-	cfg := quickCfg("bank", core.Closed)
-	cfg.SampleEvery = 20 * time.Millisecond
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline points sampled")
-	}
-	var commits uint64
-	last := -1.0
-	for _, p := range res.Timeline {
-		if p.Sec <= last {
-			t.Fatalf("timeline not monotone: %+v", res.Timeline)
-		}
-		last = p.Sec
-		commits += p.Commits
-	}
-	// Every commit of the run lands in exactly one interval.
-	if commits != res.Commits {
-		t.Fatalf("timeline commits = %d, run commits = %d", commits, res.Commits)
-	}
-}
-
-// TestTraceRunVerified runs one traced cell with workload verification on:
-// tracing must not perturb the engine (same commit count, invariants hold).
+// TestTraceRunVerified runs one traced hashmap cell per protocol with
+// workload verification on. Tracing must not perturb the engine (same commit
+// count), the spans must pass the protocol checker, every commit must
+// decompose into critical-path phases, and the heat counters must fill.
 func TestTraceRunVerified(t *testing.T) {
-	reg := obs.NewRegistry().WithSpans(obs.NewSpanBuffer(traceBufferSize))
-	cfg := quickCfg("hashmap", core.Checkpoint)
-	cfg.Obs = reg
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits != 30 {
-		t.Fatalf("commits = %d, want 30", res.Commits)
-	}
-	check := obs.CheckTrace(reg.Spans().Spans())
-	if err := check.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if check.Traces == 0 || check.Spans == 0 {
-		t.Fatalf("nothing traced: %+v", check)
+	for _, mode := range figureModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			reg := obs.NewRegistry().WithSpans(obs.NewSpanBuffer(traceBufferSize))
+			cfg := quickCfg("hashmap", mode)
+			cfg.Obs = reg
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Commits != 30 {
+				t.Fatalf("commits = %d, want 30", res.Commits)
+			}
+			spans := reg.Spans().Spans()
+			check := obs.CheckTrace(spans)
+			if err := check.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if check.Traces == 0 || check.Spans == 0 {
+				t.Fatalf("nothing traced: %+v", check)
+			}
+			dec := obs.DecomposePhases(spans)
+			if len(dec.Commits) == 0 || dec.Skipped != 0 {
+				t.Fatalf("phase decomposition: %d commits, %d skipped", len(dec.Commits), dec.Skipped)
+			}
+			if len(reg.HeatSnapshot().TopSlots(1)) == 0 {
+				t.Fatal("no heat recorded")
+			}
+		})
 	}
 }

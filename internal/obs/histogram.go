@@ -255,7 +255,7 @@ func (s HistSnapshot) Mean() float64 {
 }
 
 // Stats condenses a snapshot into the serializable summary the /metrics
-// endpoint and BENCH_obs.json report. Durations are reported in
+// endpoint reports. Durations are reported in
 // milliseconds; dimensionless sites (e.g. rollback depth) read the same
 // fields as raw values via Raw* helpers on the consumer side.
 type Stats struct {

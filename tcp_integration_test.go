@@ -18,75 +18,42 @@ import (
 	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
 	"qrdtm/internal/quorum"
-	"qrdtm/internal/server"
+	"qrdtm/internal/testcluster"
 )
 
-// tcpCluster is a real-TCP test deployment.
-type tcpCluster struct {
-	replicas []*server.Replica
-	servers  []*cluster.TCPServer
-	trans    *cluster.TCPTransport
-	tree     *quorum.Tree
-}
-
-func startTCPCluster(t *testing.T, n int) *tcpCluster {
+// startTCP boots a loopback cluster that the test's cleanup tears down.
+func startTCP(t *testing.T, o testcluster.Options) *testcluster.Cluster {
 	t.Helper()
-	tc := &tcpCluster{tree: quorum.NewTree(n)}
-	peers := make(map[proto.NodeID]string, n)
-	for i := 0; i < n; i++ {
-		rep := server.New(proto.NodeID(i))
-		srv, err := cluster.ListenTCP(proto.NodeID(i), "127.0.0.1:0", rep.Handle)
-		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
-		}
-		tc.replicas = append(tc.replicas, rep)
-		tc.servers = append(tc.servers, srv)
-		peers[proto.NodeID(i)] = srv.Addr()
-	}
-	tc.trans = cluster.NewTCPTransport(peers)
-	t.Cleanup(func() {
-		tc.trans.Close()
-		for _, s := range tc.servers {
-			_ = s.Close()
-		}
-	})
-	return tc
-}
-
-func (tc *tcpCluster) runtime(t *testing.T, node proto.NodeID, mode core.Mode, ids *core.IDGen, m *core.Metrics) *core.Runtime {
-	t.Helper()
-	rt, err := core.NewRuntime(core.Config{
-		Node:      node,
-		Transport: tc.trans,
-		Quorums:   core.TreeQuorums{Tree: tc.tree},
-		Mode:      mode,
-		IDs:       ids,
-		Metrics:   m,
-	})
+	c, err := testcluster.Start(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt
-}
-
-func (tc *tcpCluster) load(copies []proto.ObjectCopy) {
-	for _, r := range tc.replicas {
-		r.Store().Load(copies)
-	}
+	t.Cleanup(c.Close)
+	return c
 }
 
 func TestTCPClusterEndToEnd(t *testing.T) {
-	tc := startTCPCluster(t, 4)
-	tc.load([]proto.ObjectCopy{
+	tc := startTCP(t, testcluster.Options{Nodes: 4})
+	tc.Load([]proto.ObjectCopy{
 		{ID: "x", Version: 1, Val: proto.Int64(1)},
 		{ID: "y", Version: 1, Val: proto.Int64(2)},
 	})
 	ids := core.NewIDGen()
 	metrics := &core.Metrics{}
-	rt := tc.runtime(t, 0, core.Closed, ids, metrics)
+	rt, err := core.NewRuntime(core.Config{
+		Node:      0,
+		Transport: tc.Transport,
+		Quorums:   core.TreeQuorums{Tree: tc.Tree},
+		Mode:      core.Closed,
+		IDs:       ids,
+		Metrics:   metrics,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := context.Background()
-	err := rt.Atomic(ctx, func(tx *core.Txn) error {
+	err = rt.Atomic(ctx, func(tx *core.Txn) error {
 		xv, err := tx.Read("x")
 		if err != nil {
 			return err
@@ -104,12 +71,12 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 
 	// Every write-quorum member must hold the committed value.
-	wq, err := tc.tree.WriteQuorum(quorum.AllAlive)
+	wq, err := tc.Tree.WriteQuorum(quorum.AllAlive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range wq {
-		got, ok := tc.replicas[n].Store().Get("y")
+		got, ok := tc.Replicas[n].Store().Get("y")
 		if !ok || got.Version != 2 || got.Val.(proto.Int64) != 3 {
 			t.Fatalf("replica %v: %+v ok=%v", n, got, ok)
 		}
@@ -121,14 +88,14 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 
 func TestTCPClusterConcurrentTransfers(t *testing.T) {
 	const accounts, clients, txns = 8, 3, 15
-	tc := startTCPCluster(t, 4)
+	tc := startTCP(t, testcluster.Options{Nodes: 4})
 	var copies []proto.ObjectCopy
 	for i := 0; i < accounts; i++ {
 		copies = append(copies, proto.ObjectCopy{
 			ID: proto.ObjectID(fmt.Sprintf("acct/%d", i)), Version: 1, Val: proto.Int64(100),
 		})
 	}
-	tc.load(copies)
+	tc.Load(copies)
 
 	ids := core.NewIDGen()
 	metrics := &core.Metrics{}
@@ -137,7 +104,18 @@ func TestTCPClusterConcurrentTransfers(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rt := tc.runtime(t, proto.NodeID(c%4), core.Flat, ids, metrics)
+			rt, err := core.NewRuntime(core.Config{
+				Node:      proto.NodeID(c % 4),
+				Transport: tc.Transport,
+				Quorums:   core.TreeQuorums{Tree: tc.Tree},
+				Mode:      core.Flat,
+				IDs:       ids,
+				Metrics:   metrics,
+			})
+			if err != nil {
+				t.Errorf("client %d: %v", c, err)
+				return
+			}
 			for i := 0; i < txns; i++ {
 				from := proto.ObjectID(fmt.Sprintf("acct/%d", (c*3+i)%accounts))
 				to := proto.ObjectID(fmt.Sprintf("acct/%d", (c*5+i+1)%accounts))
@@ -168,7 +146,7 @@ func TestTCPClusterConcurrentTransfers(t *testing.T) {
 	wg.Wait()
 
 	// Conservation, resolved through a read quorum.
-	rq, err := tc.tree.ReadQuorum(quorum.AllAlive)
+	rq, err := tc.Tree.ReadQuorum(quorum.AllAlive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +154,7 @@ func TestTCPClusterConcurrentTransfers(t *testing.T) {
 	for i := 0; i < accounts; i++ {
 		var best proto.ObjectCopy
 		for _, n := range rq {
-			cp, ok := tc.replicas[n].Store().Get(proto.ObjectID(fmt.Sprintf("acct/%d", i)))
+			cp, ok := tc.Replicas[n].Store().Get(proto.ObjectID(fmt.Sprintf("acct/%d", i)))
 			if ok && cp.Version >= best.Version {
 				best = cp
 			}
@@ -189,15 +167,15 @@ func TestTCPClusterConcurrentTransfers(t *testing.T) {
 }
 
 func TestTCPClusterCheckpointedSteps(t *testing.T) {
-	tc := startTCPCluster(t, 4)
-	tc.load([]proto.ObjectCopy{
+	tc := startTCP(t, testcluster.Options{Nodes: 4})
+	tc.Load([]proto.ObjectCopy{
 		{ID: "a", Version: 1, Val: proto.Int64(5)},
 		{ID: "b", Version: 1, Val: proto.Int64(6)},
 	})
 	rt, err := core.NewRuntime(core.Config{
 		Node:      1,
-		Transport: tc.trans,
-		Quorums:   core.TreeQuorums{Tree: tc.tree},
+		Transport: tc.Transport,
+		Quorums:   core.TreeQuorums{Tree: tc.Tree},
 		Mode:      core.Checkpoint, CheckpointEvery: 1,
 	})
 	if err != nil {
@@ -233,6 +211,25 @@ type tcpState struct{ A, B int64 }
 
 func (s *tcpState) CloneState() core.State { out := *s; return &out }
 
+// restartOnFailure restarts a crashed node from the first call to it that
+// fails, so the node comes back while that call's transaction is in flight.
+// The restart's error is sent on done.
+type restartOnFailure struct {
+	cluster.Transport
+	node    proto.NodeID
+	restart func() error
+	once    sync.Once
+	done    chan error // buffered 1: the once sends without waiting
+}
+
+func (r *restartOnFailure) Call(ctx context.Context, from, to proto.NodeID, req any) (any, error) {
+	resp, err := r.Transport.Call(ctx, from, to, req)
+	if err != nil && to == r.node {
+		r.once.Do(func() { r.done <- r.restart() })
+	}
+	return resp, err
+}
+
 // TestTCPReplicaRestartWithRetry is the acceptance scenario for the cluster
 // robustness layer: a write-quorum replica is killed and restarted mid-
 // workload. With RetryTransport masking the transient connection faults, the
@@ -241,10 +238,19 @@ func (s *tcpState) CloneState() core.State { out := *s; return &out }
 // transport stats report the retries that absorbed the outage.
 func TestTCPReplicaRestartWithRetry(t *testing.T) {
 	const txns = 30
-	tc := startTCPCluster(t, 4)
-	tc.load([]proto.ObjectCopy{{ID: "ctr", Version: 1, Val: proto.Int64(0)}})
+	tc := startTCP(t, testcluster.Options{Nodes: 4})
+	tc.Load([]proto.ObjectCopy{{ID: "ctr", Version: 1, Val: proto.Int64(0)}})
 
-	trans := cluster.NewRetryTransport(tc.trans, cluster.RetryPolicy{
+	// Node 1 is a member of the canonical write quorum for 4 nodes; its
+	// outage stalls every prepare/decide round until retries ride it out.
+	victim := proto.NodeID(1)
+	restarter := &restartOnFailure{
+		Transport: tc.Transport,
+		node:      victim,
+		restart:   func() error { return tc.Restart(victim) },
+		done:      make(chan error, 1),
+	}
+	trans := cluster.NewRetryTransport(restarter, cluster.RetryPolicy{
 		MaxAttempts: 10,
 		CallTimeout: time.Second,
 		BackoffBase: 20 * time.Millisecond,
@@ -255,7 +261,7 @@ func TestTCPReplicaRestartWithRetry(t *testing.T) {
 	rt, err := core.NewRuntime(core.Config{
 		Node:      0,
 		Transport: trans,
-		Quorums:   core.TreeQuorums{Tree: tc.tree},
+		Quorums:   core.TreeQuorums{Tree: tc.Tree},
 		Mode:      core.Closed,
 		Metrics:   metrics,
 		Obs:       reg,
@@ -264,31 +270,16 @@ func TestTCPReplicaRestartWithRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Node 1 is a member of the canonical write quorum for 4 nodes; its
-	// outage stalls every prepare/decide round until retries ride it out.
-	victim := proto.NodeID(1)
-	addr := tc.servers[victim].Addr()
-
-	restartErr := make(chan error, 1)
 	ctx := context.Background()
 	for i := 0; i < txns; i++ {
 		if i == 5 {
-			// Kill the victim between transactions; the restart lands while
-			// the remaining transactions are still running, so their calls
-			// must ride out refused dials and reset pooled connections.
-			if err := tc.servers[victim].Close(); err != nil {
-				t.Fatalf("closing victim: %v", err)
+			// Kill the victim between transactions. The next transaction's
+			// first call to it fails and restarts it, so that transaction
+			// and the rest must ride out the refused dial and the reset
+			// pooled connection.
+			if err := tc.Crash(victim); err != nil {
+				t.Fatalf("crashing victim: %v", err)
 			}
-			go func() {
-				time.Sleep(150 * time.Millisecond) // the restart window
-				srv, err := cluster.ListenTCP(victim, addr, tc.replicas[victim].Handle)
-				if err != nil {
-					restartErr <- fmt.Errorf("restarting victim: %w", err)
-					return
-				}
-				tc.servers[victim] = srv // cleanup closes the new server
-				restartErr <- nil
-			}()
 		}
 		err := rt.Atomic(ctx, func(tx *core.Txn) error {
 			v, err := tx.Read("ctr")
@@ -301,8 +292,13 @@ func TestTCPReplicaRestartWithRetry(t *testing.T) {
 			t.Fatalf("txn %d failed across the restart window: %v", i, err)
 		}
 	}
-	if err := <-restartErr; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-restarter.done:
+		if err != nil {
+			t.Fatalf("restarting victim: %v", err)
+		}
+	default:
+		t.Fatal("no call to the crashed victim failed, so it was never restarted")
 	}
 
 	if got := metrics.Commits.Load(); got != txns {
@@ -323,12 +319,12 @@ func TestTCPReplicaRestartWithRetry(t *testing.T) {
 
 	// The committed counter must equal the transaction count on every
 	// write-quorum member, the restarted victim included.
-	wq, err := tc.tree.WriteQuorum(quorum.AllAlive)
+	wq, err := tc.Tree.WriteQuorum(quorum.AllAlive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range wq {
-		got, ok := tc.replicas[n].Store().Get("ctr")
+		got, ok := tc.Replicas[n].Store().Get("ctr")
 		if !ok || got.Val.(proto.Int64) != txns {
 			t.Fatalf("replica %v: ctr = %+v ok=%v, want %d", n, got, ok, txns)
 		}

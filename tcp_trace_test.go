@@ -15,42 +15,19 @@ import (
 	"qrdtm/internal/core"
 	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
-	"qrdtm/internal/quorum"
-	"qrdtm/internal/server"
+	"qrdtm/internal/testcluster"
 )
 
-// startTracedTCPCluster is startTCPCluster with a span ring per replica, the
-// deployment shape of qr-node -trace.
-func startTracedTCPCluster(t *testing.T, n int) (*tcpCluster, []*obs.Registry) {
-	t.Helper()
-	tc := &tcpCluster{tree: quorum.NewTree(n)}
-	regs := make([]*obs.Registry, n)
-	peers := make(map[proto.NodeID]string, n)
-	for i := 0; i < n; i++ {
-		regs[i] = obs.NewRegistry().WithSpans(obs.NewSpanBuffer(4096))
-		rep := server.New(proto.NodeID(i)).WithObs(regs[i])
-		srv, err := cluster.ListenTCP(proto.NodeID(i), "127.0.0.1:0", rep.Handle)
-		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
-		}
-		tc.replicas = append(tc.replicas, rep)
-		tc.servers = append(tc.servers, srv)
-		peers[proto.NodeID(i)] = srv.Addr()
-	}
-	tc.trans = cluster.NewTCPTransport(peers)
-	t.Cleanup(func() {
-		tc.trans.Close()
-		for _, s := range tc.servers {
-			_ = s.Close()
-		}
-	})
-	return tc, regs
+// spanRings gives every replica its own span ring, the deployment shape of
+// qr-node -trace.
+func spanRings(proto.NodeID) *obs.Registry {
+	return obs.NewRegistry().WithSpans(obs.NewSpanBuffer(4096))
 }
 
 func TestTCPClusterTracedEndToEnd(t *testing.T) {
 	const nodes, txns = 4, 8
-	tc, _ := startTracedTCPCluster(t, nodes)
-	tc.load([]proto.ObjectCopy{
+	tc := startTCP(t, testcluster.Options{Nodes: nodes, Obs: spanRings})
+	tc.Load([]proto.ObjectCopy{
 		{ID: "x", Version: 1, Val: proto.Int64(0)},
 		{ID: "y", Version: 1, Val: proto.Int64(0)},
 	})
@@ -58,8 +35,8 @@ func TestTCPClusterTracedEndToEnd(t *testing.T) {
 	clientReg := obs.NewRegistry().WithSpans(obs.NewSpanBuffer(4096))
 	rt, err := core.NewRuntime(core.Config{
 		Node:      0,
-		Transport: tc.trans,
-		Quorums:   core.TreeQuorums{Tree: tc.tree},
+		Transport: tc.Transport,
+		Quorums:   core.TreeQuorums{Tree: tc.Tree},
 		Mode:      core.Closed,
 		Obs:       clientReg,
 	})
@@ -85,11 +62,7 @@ func TestTCPClusterTracedEndToEnd(t *testing.T) {
 
 	// Collect every node's spans over the wire — the same TraceDump path
 	// qr-node -trace-out uses — and merge with the client's own ring.
-	nodeIDs := make([]proto.NodeID, nodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = proto.NodeID(i)
-	}
-	merged := qrdtm.CollectTrace(ctx, tc.trans, 0, nodeIDs, clientReg.Spans().Spans())
+	merged := qrdtm.CollectTrace(ctx, tc.Transport, 0, tc.Nodes(), clientReg.Spans().Spans())
 	if len(merged) == 0 {
 		t.Fatal("no spans collected")
 	}
@@ -191,8 +164,8 @@ func TestTCPClusterTracedEndToEnd(t *testing.T) {
 // identically to Atomic's.
 func TestTCPCheckpointedCommitTraced(t *testing.T) {
 	const nodes, txns = 4, 4
-	tc, _ := startTracedTCPCluster(t, nodes)
-	tc.load([]proto.ObjectCopy{
+	tc := startTCP(t, testcluster.Options{Nodes: nodes, Obs: spanRings})
+	tc.Load([]proto.ObjectCopy{
 		{ID: "x", Version: 1, Val: proto.Int64(0)},
 		{ID: "y", Version: 1, Val: proto.Int64(0)},
 	})
@@ -202,8 +175,8 @@ func TestTCPCheckpointedCommitTraced(t *testing.T) {
 		WithTracer(obs.NewTracer(1024, 1, nil))
 	rt, err := core.NewRuntime(core.Config{
 		Node:            0,
-		Transport:       tc.trans,
-		Quorums:         core.TreeQuorums{Tree: tc.tree},
+		Transport:       tc.Transport,
+		Quorums:         core.TreeQuorums{Tree: tc.Tree},
 		Mode:            core.Checkpoint,
 		CheckpointEvery: 1,
 		Obs:             clientReg,
@@ -263,11 +236,7 @@ func TestTCPCheckpointedCommitTraced(t *testing.T) {
 	}
 
 	// The merged timeline — checkpoint spans included — passes the checker.
-	nodeIDs := make([]proto.NodeID, nodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = proto.NodeID(i)
-	}
-	merged := qrdtm.CollectTrace(ctx, tc.trans, 0, nodeIDs, clientReg.Spans().Spans())
+	merged := qrdtm.CollectTrace(ctx, tc.Transport, 0, tc.Nodes(), clientReg.Spans().Spans())
 	check := qrdtm.CheckTrace(merged)
 	if err := check.Err(); err != nil {
 		t.Fatal(err)
@@ -318,22 +287,24 @@ func TestTCPTraceContextOnWire(t *testing.T) {
 // TestTCPPeerCounts pins the health inputs: after successful calls every
 // addressed peer counts up; after a peer dies it counts down.
 func TestTCPPeerCounts(t *testing.T) {
-	tc, _ := startTracedTCPCluster(t, 3)
+	tc := startTCP(t, testcluster.Options{Nodes: 3, Obs: spanRings})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := tc.trans.Call(ctx, 0, proto.NodeID(i), proto.ReadReq{Txn: proto.TxnID(i + 1), Obj: "nope"}); err != nil {
+		if _, err := tc.Transport.Call(ctx, 0, proto.NodeID(i), proto.ReadReq{Txn: proto.TxnID(i + 1), Obj: "nope"}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	up, down := tc.trans.PeerCounts()
+	up, down := tc.Transport.PeerCounts()
 	if up != 3 || down != 0 {
 		t.Fatalf("peer counts = %d up / %d down, want 3/0", up, down)
 	}
-	_ = tc.servers[2].Close()
-	if _, err := tc.trans.Call(ctx, 0, 2, proto.ReadReq{Obj: "nope"}); err == nil {
+	if err := tc.Crash(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.Transport.Call(ctx, 0, 2, proto.ReadReq{Obj: "nope"}); err == nil {
 		t.Fatal("call to dead peer succeeded")
 	}
-	up, down = tc.trans.PeerCounts()
+	up, down = tc.Transport.PeerCounts()
 	if up != 2 || down != 1 {
 		t.Fatalf("peer counts after kill = %d up / %d down, want 2/1", up, down)
 	}

@@ -19,6 +19,7 @@ import (
 	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
 	"qrdtm/internal/quorum"
+	"qrdtm/internal/testcluster"
 )
 
 func TestTCPWireFaultStressLinearizable(t *testing.T) {
@@ -31,16 +32,16 @@ func TestTCPWireFaultStressLinearizable(t *testing.T) {
 		txnsPer  = 10
 		accounts = 6
 	)
-	tc, _ := startTracedTCPCluster(t, nodes)
+	tc := startTCP(t, testcluster.Options{Nodes: nodes, Obs: spanRings})
 	var copies []proto.ObjectCopy
 	for i := 0; i < accounts; i++ {
 		copies = append(copies, proto.ObjectCopy{
 			ID: proto.ObjectID(fmt.Sprintf("acct/%d", i)), Version: 1, Val: proto.Int64(100),
 		})
 	}
-	tc.load(copies)
+	tc.Load(copies)
 
-	ft := cluster.NewFaultTransport(tc.trans, 0xD15EA5E)
+	ft := cluster.NewFaultTransport(tc.Transport, 0xD15EA5E)
 	ft.SetDropRate(0.01)
 	ft.SetDuplicateRate(0.01)
 	trans := cluster.NewRetryTransport(ft, cluster.RetryPolicy{
@@ -89,7 +90,7 @@ func TestTCPWireFaultStressLinearizable(t *testing.T) {
 			rt, err := core.NewRuntime(core.Config{
 				Node:      proto.NodeID(c % nodes),
 				Transport: trans,
-				Quorums:   core.TreeQuorums{Tree: tc.tree},
+				Quorums:   core.TreeQuorums{Tree: tc.Tree},
 				Mode:      core.Closed,
 				IDs:       ids,
 				Obs:       clientRegs[c],
@@ -156,7 +157,7 @@ func TestTCPWireFaultStressLinearizable(t *testing.T) {
 
 	// Oracle 1: conservation — the total balance, resolved through a read
 	// quorum (highest version per object), must be exactly the initial sum.
-	rq, err := tc.tree.ReadQuorum(quorum.AllAlive)
+	rq, err := tc.Tree.ReadQuorum(quorum.AllAlive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestTCPWireFaultStressLinearizable(t *testing.T) {
 	for i := 0; i < accounts; i++ {
 		var best proto.ObjectCopy
 		for _, n := range rq {
-			cp, ok := tc.replicas[n].Store().Get(proto.ObjectID(fmt.Sprintf("acct/%d", i)))
+			cp, ok := tc.Replicas[n].Store().Get(proto.ObjectID(fmt.Sprintf("acct/%d", i)))
 			if ok && cp.Version >= best.Version {
 				best = cp
 			}
@@ -179,15 +180,11 @@ func TestTCPWireFaultStressLinearizable(t *testing.T) {
 	// serve spans, collected over the (un-faulted) wire — passes the
 	// protocol checker: no stale read, no version regression, no
 	// mis-routed abort slipped through the drop/dup/kill chaos.
-	nodeIDs := make([]proto.NodeID, nodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = proto.NodeID(i)
-	}
 	var clientSpans []proto.Span
 	for _, reg := range clientRegs {
 		clientSpans = append(clientSpans, reg.Spans().Spans()...)
 	}
-	merged := qrdtm.CollectTrace(context.Background(), tc.trans, 0, nodeIDs, clientSpans)
+	merged := qrdtm.CollectTrace(context.Background(), tc.Transport, 0, tc.Nodes(), clientSpans)
 	check := qrdtm.CheckTrace(merged)
 	if err := check.Err(); err != nil {
 		t.Fatal(err)
