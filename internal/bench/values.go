@@ -92,7 +92,7 @@ func decodeBSTNode(b []byte) (proto.Value, error) {
 }
 
 // AppendBinary implements proto.BinaryValue. An empty Forward decodes as
-// nil, as it does through gob.
+// nil, as empty slices do throughout the codec.
 func (n SkipNode) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, n.Key)
 	b = binary.AppendUvarint(b, uint64(len(n.Forward)))

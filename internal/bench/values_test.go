@@ -31,7 +31,7 @@ func (c *commitCapture) Call(ctx context.Context, from, to proto.NodeID, req any
 }
 
 // delivered is msg as the codec promises to deliver it: zero-length slices
-// arrive as nil, as they do through gob.
+// arrive as nil.
 func delivered(msg any) any {
 	switch m := msg.(type) {
 	case proto.PrepareReq:

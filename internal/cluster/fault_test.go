@@ -113,11 +113,11 @@ func TestFaultKillConnectionsOverTCP(t *testing.T) {
 	defer tcp.Close()
 	ft := NewFaultTransport(tcp, 7)
 
-	if _, err := ft.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+	if _, err := ft.Call(context.Background(), 0, 1, ping(1)); err != nil {
 		t.Fatal(err)
 	}
 	ft.KillConnections()
-	if _, err := ft.Call(context.Background(), 0, 1, tcpPing{N: 2}); err != nil {
+	if _, err := ft.Call(context.Background(), 0, 1, ping(2)); err != nil {
 		t.Fatalf("call after connection kill: %v", err)
 	}
 }

@@ -164,7 +164,7 @@ func TestRetryOverTCPServerRestart(t *testing.T) {
 	rt := NewRetryTransport(tcp, RetryPolicy{
 		MaxAttempts: 10, BackoffBase: 10 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
 	})
-	if _, err := rt.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+	if _, err := rt.Call(context.Background(), 0, 1, ping(1)); err != nil {
 		t.Fatal(err)
 	}
 	_ = srv.Close()
@@ -180,11 +180,11 @@ func TestRetryOverTCPServerRestart(t *testing.T) {
 		}
 		restarted <- s2
 	}()
-	resp, err := rt.Call(context.Background(), 0, 1, tcpPing{N: 2})
+	resp, err := rt.Call(context.Background(), 0, 1, ping(2))
 	if err != nil {
 		t.Fatalf("call across the restart window failed: %v", err)
 	}
-	if resp.(tcpPing).N != 2 {
+	if pingN(resp) != 2 {
 		t.Fatalf("resp = %+v", resp)
 	}
 	if st := rt.Stats(); st.Retries == 0 {

@@ -25,8 +25,8 @@ import (
 // There is one wire protocol, pipelined binary frames (see wire.go for the
 // frame layout): one multiplexed connection per peer carries many concurrent
 // calls, request-id-tagged frames let a demux goroutine route replies to
-// waiting callers, and the hot proto messages use the hand-rolled binary
-// codec with pooled buffers (gob-blob frames cover everything else). A
+// waiting callers, and every proto message uses the hand-rolled binary
+// codec with pooled buffers. A
 // quorum round runs on its caller's goroutine (roundTrip) and the server
 // hands requests to parked per-connection workers (serveWire): steady
 // traffic creates no goroutine on either side. The server closes any

@@ -46,12 +46,11 @@ func startRoundPeers(t *testing.T, n int, sample func()) ([]*roundPeer, *TCPTran
 			if sample != nil {
 				sample()
 			}
-			ping := req.(tcpPing)
-			if ping.N < 0 || p.parkNext.CompareAndSwap(true, false) {
+			if pingN(req) < 0 || p.parkNext.CompareAndSwap(true, false) {
 				p.entered <- struct{}{}
 				<-p.release
 			}
-			return tcpPong{N: ping.N + 1}
+			return pong(req)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +137,7 @@ func checkPongs(t *testing.T, replies []Reply, want int) {
 		if r.Err != nil {
 			t.Fatalf("node %v: %v", r.Node, r.Err)
 		}
-		if got := r.Resp.(tcpPong).N; got != want {
+		if got := pongN(r.Resp); got != want {
 			t.Fatalf("node %v: pong %d, want %d", r.Node, got, want)
 		}
 	}
@@ -163,12 +162,12 @@ func TestRoundCreatesNoGoroutines(t *testing.T) {
 	nodes := nodeIDs(legs)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ { // warm-up: dial, start loops, create the workers
-		checkPongs(t, tr.CallMany(ctx, 0, nodes, tcpPing{N: i}), i+1)
+		checkPongs(t, tr.CallMany(ctx, 0, nodes, ping(i)), i+1)
 	}
 	idle := settledGoroutines(t)
 	maxSeen.Store(0)
 	for i := 0; i < rounds; i++ {
-		checkPongs(t, tr.CallMany(ctx, 0, nodes, tcpPing{N: i}), i+1)
+		checkPongs(t, tr.CallMany(ctx, 0, nodes, ping(i)), i+1)
 	}
 	if got := maxSeen.Load(); got > int64(idle) {
 		t.Errorf("%d goroutines alive inside a handler, %d when idle: a round created %d", got, idle, got-int64(idle))
@@ -190,7 +189,7 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	const n, k = 5, 2
 	peers, tr := startRoundPeers(t, n, nil)
 	nodes := nodeIDs(n)
-	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 1}), 2)
+	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, ping(1)), 2)
 	before := tr.Stats()
 	conns := snapshotConns(tr)
 
@@ -200,7 +199,7 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan []Reply, 1)
-	go func() { done <- tr.CallMany(ctx, 0, nodes, tcpPing{N: 7}) }()
+	go func() { done <- tr.CallMany(ctx, 0, nodes, ping(7)) }()
 	for _, p := range peers[:k] {
 		recvWithin(t, "handler to park", p.entered)
 	}
@@ -217,7 +216,7 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 			if errors.Is(r.Err, ErrNodeDown) {
 				t.Errorf("parked node %v: cancellation misreported as ErrNodeDown: %v", r.Node, r.Err)
 			}
-		} else if r.Err != nil || r.Resp.(tcpPong).N != 8 {
+		} else if r.Err != nil || pongN(r.Resp) != 8 {
 			t.Errorf("answered node %v: resp %+v err %v", r.Node, r.Resp, r.Err)
 		}
 	}
@@ -230,7 +229,7 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	}
 
 	// The same connections serve the next round, behind the parked handlers.
-	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 3}), 4)
+	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, ping(3)), 4)
 	for id, mc := range snapshotConns(tr) {
 		if mc != conns[id] {
 			t.Errorf("node %v: connection was replaced after a cancelled round", id)
@@ -262,7 +261,7 @@ func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
 		peers, tr = startRoundPeers(t, n, nil)
 		nodes := nodeIDs(n)
 		if warm {
-			checkPongs(t, tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 1}), 2)
+			checkPongs(t, tr.CallMany(context.Background(), 0, nodes, ping(1)), 2)
 		}
 		vp := peers[victim-1]
 		vp.parkNext.Store(true)
@@ -271,7 +270,7 @@ func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
 		}
 		before := tr.Stats()
 		done := make(chan []Reply, 1)
-		go func() { done <- tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 5}) }()
+		go func() { done <- tr.CallMany(context.Background(), 0, nodes, ping(5)) }()
 		recvWithin(t, "victim handler to park", vp.entered)
 		snapshotConns(tr)[victim].kill(errKilled)
 		replies = recvWithin(t, "round", done)
@@ -308,7 +307,7 @@ func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
 		peers, _, replies, delta := run(t, false)
 		for _, r := range replies {
 			if r.Node != victim {
-				if r.Err != nil || r.Resp.(tcpPong).N != 6 {
+				if r.Err != nil || pongN(r.Resp) != 6 {
 					t.Errorf("node %v: resp %+v err %v", r.Node, r.Resp, r.Err)
 				}
 				continue
@@ -354,7 +353,7 @@ func TestRoundColdDialsConcurrentAndSingleFlight(t *testing.T) {
 	nodes := nodeIDs(k)
 	done := make(chan []Reply, callers)
 	for c := 0; c < callers; c++ {
-		go func() { done <- tr.CallMany(context.Background(), 0, nodes, tcpPing{N: 1}) }()
+		go func() { done <- tr.CallMany(context.Background(), 0, nodes, ping(1)) }()
 	}
 	// A round that dialed its legs one after another would park here with a
 	// single dial in flight.
@@ -390,13 +389,13 @@ func TestRoundDialWaiterHonoursOwnContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	first := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(ctx, 0, 1, tcpPing{N: 1})
+		_, err := tr.Call(ctx, 0, 1, ping(1))
 		first <- err
 	}()
 	recvWithin(t, "dial to start", started)
 	second := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1})
+		_, err := tr.Call(context.Background(), 0, 1, ping(1))
 		second <- err
 	}()
 	cancel()
@@ -415,16 +414,16 @@ func TestRoundBlockedHandlerDoesNotStallConnection(t *testing.T) {
 	peers, tr := startRoundPeers(t, 1, nil)
 	p := peers[0]
 	ctx := context.Background()
-	checkPongs(t, tr.CallMany(ctx, 0, nodeIDs(1), tcpPing{N: 1}), 2)
+	checkPongs(t, tr.CallMany(ctx, 0, nodeIDs(1), ping(1)), 2)
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(ctx, 0, 1, tcpPing{N: -1})
+		_, err := tr.Call(ctx, 0, 1, ping(-1))
 		blocked <- err
 	}()
 	recvWithin(t, "handler to park", p.entered)
 	for i := 0; i < 50; i++ {
-		resp, err := tr.Call(ctx, 0, 1, tcpPing{N: i})
-		if err != nil || resp.(tcpPong).N != i+1 {
+		resp, err := tr.Call(ctx, 0, 1, ping(i))
+		if err != nil || pongN(resp) != i+1 {
 			t.Fatalf("call %d behind a blocked handler: resp %+v err %v", i, resp, err)
 		}
 	}
@@ -463,7 +462,7 @@ func TestRoundServerCloseWithParkedWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+			if _, err := tr.Call(context.Background(), 0, 1, ping(1)); err != nil {
 				t.Errorf("call: %v", err)
 			}
 		}()

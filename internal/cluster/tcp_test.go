@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,25 +11,24 @@ import (
 	"qrdtm/internal/proto"
 )
 
-type tcpPing struct {
-	N int
-}
+// The stub handlers speak a ping/pong pair of proto messages, so stub
+// traffic crosses the wire in the binary codec like replica traffic: a ping
+// is a LogTailReq whose Max carries a number, its pong a LogTailRep whose
+// Next carries that number plus one.
+func ping(n int) proto.LogTailReq { return proto.LogTailReq{Max: n} }
 
-type tcpPong struct {
-	N int
-}
+func pingN(req any) int { return req.(proto.LogTailReq).Max }
 
-func init() {
-	gob.Register(tcpPing{})
-	gob.Register(tcpPong{})
-}
+func pong(req any) proto.LogTailRep { return proto.LogTailRep{Next: uint64(pingN(req) + 1)} }
+
+func pongN(resp any) int { return int(resp.(proto.LogTailRep).Next) }
 
 func startTCPPair(t *testing.T) (*TCPServer, *TCPTransport) {
 	t.Helper()
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(from proto.NodeID, req any) any {
 		switch m := req.(type) {
-		case tcpPing:
-			return tcpPong{N: m.N + 1}
+		case proto.LogTailReq:
+			return pong(m)
 		case proto.ReadReq:
 			return proto.ReadRep{OK: true, Copy: proto.ObjectCopy{ID: m.Obj, Version: 3, Val: proto.Int64(7)}}
 		default:
@@ -48,11 +46,11 @@ func startTCPPair(t *testing.T) (*TCPServer, *TCPTransport) {
 
 func TestTCPRoundTrip(t *testing.T) {
 	_, tr := startTCPPair(t)
-	resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1})
+	resp, err := tr.Call(context.Background(), 0, 1, ping(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.(tcpPong).N != 2 {
+	if pongN(resp) != 2 {
 		t.Fatalf("resp = %+v", resp)
 	}
 	if st := tr.Stats(); st.Calls != 1 || st.Messages != 2 {
@@ -75,7 +73,7 @@ func TestTCPCarriesProtocolMessages(t *testing.T) {
 func TestTCPConnectionReuse(t *testing.T) {
 	_, tr := startTCPPair(t)
 	for i := 0; i < 20; i++ {
-		if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: i}); err != nil {
+		if _, err := tr.Call(context.Background(), 0, 1, ping(i)); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -89,12 +87,12 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: i*100 + j})
+				resp, err := tr.Call(context.Background(), 0, 1, ping(i*100+j))
 				if err != nil {
 					t.Errorf("call: %v", err)
 					return
 				}
-				if resp.(tcpPong).N != i*100+j+1 {
+				if pongN(resp) != i*100+j+1 {
 					t.Errorf("wrong response %+v", resp)
 					return
 				}
@@ -106,7 +104,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 
 func TestTCPUnknownPeer(t *testing.T) {
 	tr := NewTCPTransport(nil)
-	if _, err := tr.Call(context.Background(), 0, 7, tcpPing{}); err == nil {
+	if _, err := tr.Call(context.Background(), 0, 7, ping(0)); err == nil {
 		t.Fatal("expected error for unknown peer")
 	}
 }
@@ -116,7 +114,7 @@ func TestTCPDeadPeerIsNodeDown(t *testing.T) {
 	_ = srv.Close()
 	// The existing connection dies, fresh dials are refused; either way
 	// the caller sees ErrNodeDown semantics.
-	_, err := tr.Call(context.Background(), 0, 1, tcpPing{})
+	_, err := tr.Call(context.Background(), 0, 1, ping(0))
 	if err == nil {
 		t.Fatal("expected failure calling a closed server")
 	}
@@ -132,7 +130,7 @@ func TestTCPHandlerPanicIsReportedNotFatal(t *testing.T) {
 	defer srv.Close()
 	tr := NewTCPTransport(map[proto.NodeID]string{2: srv.Addr()})
 	defer tr.Close()
-	if _, err := tr.Call(context.Background(), 0, 2, tcpPing{}); err == nil {
+	if _, err := tr.Call(context.Background(), 0, 2, ping(0)); err == nil {
 		t.Fatal("expected handler panic to surface as an error")
 	}
 }
@@ -143,7 +141,7 @@ func TestTCPHandlerPanicIsReportedNotFatal(t *testing.T) {
 func TestTCPServerCloseWithIdleClientConn(t *testing.T) {
 	srv, tr := startTCPPair(t)
 	// Establish an idle connection and leave it open.
-	if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+	if _, err := tr.Call(context.Background(), 0, 1, ping(1)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -159,7 +157,7 @@ func TestTCPServerCloseWithIdleClientConn(t *testing.T) {
 // the same connection.
 func TestTCPDeadlineClearedBeforePooling(t *testing.T) {
 	srv, err := ListenTCP(4, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
-		if p, ok := req.(tcpPing); ok && p.N == 2 {
+		if p, ok := req.(proto.LogTailReq); ok && p.Max == 2 {
 			time.Sleep(300 * time.Millisecond) // longer than the first call's deadline
 		}
 		return req
@@ -172,13 +170,13 @@ func TestTCPDeadlineClearedBeforePooling(t *testing.T) {
 	defer tr.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	if _, err := tr.Call(ctx, 0, 4, tcpPing{N: 1}); err != nil {
+	if _, err := tr.Call(ctx, 0, 4, ping(1)); err != nil {
 		t.Fatalf("first call: %v", err)
 	}
 	cancel()
 	// The second call reuses the connection, has no deadline of its
 	// own, and outlives the first call's (already expired) deadline.
-	if _, err := tr.Call(context.Background(), 0, 4, tcpPing{N: 2}); err != nil {
+	if _, err := tr.Call(context.Background(), 0, 4, ping(2)); err != nil {
 		t.Fatalf("second call inherited a stale deadline: %v", err)
 	}
 }
@@ -198,7 +196,7 @@ func TestTCPDeadlineExceededIsNotNodeDown(t *testing.T) {
 	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err = tr.Call(ctx, 0, 5, tcpPing{})
+	_, err = tr.Call(ctx, 0, 5, ping(0))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -225,7 +223,7 @@ func TestTCPContextCancelWithoutDeadline(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = tr.Call(ctx, 0, 6, tcpPing{})
+	_, err = tr.Call(ctx, 0, 6, ping(0))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -238,7 +236,7 @@ func TestTCPTransientFaultsAreMarked(t *testing.T) {
 	srv, tr := startTCPPair(t)
 	addr := srv.Addr()
 	_ = srv.Close()
-	_, err := tr.Call(context.Background(), 0, 1, tcpPing{})
+	_, err := tr.Call(context.Background(), 0, 1, ping(0))
 	if !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("err = %v, want ErrNodeDown", err)
 	}
@@ -257,7 +255,7 @@ func TestTCPHandlerPanicIsTyped(t *testing.T) {
 	defer srv.Close()
 	tr := NewTCPTransport(map[proto.NodeID]string{7: srv.Addr()})
 	defer tr.Close()
-	_, err = tr.Call(context.Background(), 0, 7, tcpPing{})
+	_, err = tr.Call(context.Background(), 0, 7, ping(0))
 	if !errors.Is(err, ErrRemotePanic) {
 		t.Fatalf("err = %v, want ErrRemotePanic identity to survive the wire", err)
 	}
@@ -270,7 +268,7 @@ func TestTCPHandlerPanicIsTyped(t *testing.T) {
 // via the reply frame's error flags.
 func TestTCPWireErrorIdentity(t *testing.T) {
 	srv, err := ListenTCP(8, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
-		switch req.(tcpPing).N {
+		switch pingN(req) {
 		case 1:
 			return fmt.Errorf("replica gave up: %w", ErrNodeDown)
 		case 2:
@@ -286,13 +284,13 @@ func TestTCPWireErrorIdentity(t *testing.T) {
 	tr := NewTCPTransport(map[proto.NodeID]string{8: srv.Addr()})
 	defer tr.Close()
 
-	if _, err := tr.Call(context.Background(), 0, 8, tcpPing{N: 1}); !errors.Is(err, ErrNodeDown) {
+	if _, err := tr.Call(context.Background(), 0, 8, ping(1)); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("ErrNodeDown lost over the wire: %v", err)
 	}
-	if _, err := tr.Call(context.Background(), 0, 8, tcpPing{N: 2}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := tr.Call(context.Background(), 0, 8, ping(2)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("context.DeadlineExceeded lost over the wire: %v", err)
 	}
-	if _, err := tr.Call(context.Background(), 0, 8, tcpPing{N: 3}); err == nil || errors.Is(err, ErrNodeDown) {
+	if _, err := tr.Call(context.Background(), 0, 8, ping(3)); err == nil || errors.Is(err, ErrNodeDown) {
 		t.Fatalf("generic error mishandled: %v", err)
 	}
 }
@@ -335,7 +333,7 @@ func TestTCPContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := tr.Call(ctx, 0, 3, tcpPing{}); err == nil {
+	if _, err := tr.Call(ctx, 0, 3, ping(0)); err == nil {
 		t.Fatal("expected deadline error")
 	}
 	if time.Since(start) > 700*time.Millisecond {

@@ -29,7 +29,7 @@ func TestTCPDialHonoursCancelledContext(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		start := time.Now()
-		_, err := tr.Call(ctx, 0, 9, tcpPing{})
+		_, err := tr.Call(ctx, 0, 9, ping(0))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -59,7 +59,7 @@ func TestTCPDialHonoursCancelledContext(t *testing.T) {
 			cancel2()
 		}()
 		start = time.Now()
-		_, _ = tr.Call(ctx2, 0, 9, tcpPing{})
+		_, _ = tr.Call(ctx2, 0, 9, ping(0))
 		if el := time.Since(start); el > 3*time.Second {
 			t.Fatalf("cancelled mid-dial call took %v (dial timeout not cut short)", el)
 		}
@@ -73,7 +73,7 @@ func TestTCPDialHonoursCancelledContext(t *testing.T) {
 func TestTCPStaleConnRedialOnce(t *testing.T) {
 	t.Run("wire", func(t *testing.T) {
 		handler := func(from proto.NodeID, req any) any {
-			return tcpPong{N: req.(tcpPing).N + 1}
+			return pong(req)
 		}
 		srv, err := ListenTCP(1, "127.0.0.1:0", handler)
 		if err != nil {
@@ -86,7 +86,7 @@ func TestTCPStaleConnRedialOnce(t *testing.T) {
 		const cycles = 4
 		for cy := 0; cy < cycles; cy++ {
 			// A call establishes a live multiplexed connection.
-			if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: cy}); err != nil {
+			if _, err := tr.Call(context.Background(), 0, 1, ping(cy)); err != nil {
 				t.Fatalf("cycle %d pre-restart call: %v", cy, err)
 			}
 			// Restart the server on the same address: the client's
@@ -100,11 +100,11 @@ func TestTCPStaleConnRedialOnce(t *testing.T) {
 			}
 			// The next call hits the stale connection and must succeed by
 			// redialing, not burn a failure.
-			resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 100 + cy})
+			resp, err := tr.Call(context.Background(), 0, 1, ping(100+cy))
 			if err != nil {
 				t.Fatalf("cycle %d post-restart call: %v", cy, err)
 			}
-			if resp.(tcpPong).N != 101+cy {
+			if pongN(resp) != 101+cy {
 				t.Fatalf("cycle %d resp = %+v", cy, resp)
 			}
 		}
@@ -193,7 +193,7 @@ func TestTCPMultiSentinelOverWire(t *testing.T) {
 		defer srv.Close()
 		tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
 		defer tr.Close()
-		_, err = tr.Call(context.Background(), 0, 1, tcpPing{})
+		_, err = tr.Call(context.Background(), 0, 1, ping(0))
 		if !errors.Is(err, ErrNodeDown) {
 			t.Fatalf("ErrNodeDown identity lost: %v", err)
 		}
@@ -210,7 +210,7 @@ func TestTCPCallsArePipelined(t *testing.T) {
 	const workers, delay = 8, 100 * time.Millisecond
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
 		time.Sleep(delay)
-		return tcpPong{N: req.(tcpPing).N + 1}
+		return pong(req)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,12 +225,12 @@ func TestTCPCallsArePipelined(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: i})
+			resp, err := tr.Call(context.Background(), 0, 1, ping(i))
 			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
 			}
-			if resp.(tcpPong).N != i+1 {
+			if pongN(resp) != i+1 {
 				t.Errorf("call %d: resp %+v", i, resp)
 			}
 		}(i)
@@ -293,7 +293,7 @@ func TestTCPMulticastSingleEncode(t *testing.T) {
 func TestTCPPipelinedFaultStress(t *testing.T) {
 	const workers, callsPer = 64, 20
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
-		return tcpPong{N: req.(tcpPing).N + 1}
+		return pong(req)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,12 +336,12 @@ func TestTCPPipelinedFaultStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < callsPer; i++ {
 				n := w*1000 + i
-				resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: n})
+				resp, err := tr.Call(context.Background(), 0, 1, ping(n))
 				if err != nil {
 					t.Errorf("worker %d call %d: %v", w, i, err)
 					return
 				}
-				if resp.(tcpPong).N != n+1 {
+				if pongN(resp) != n+1 {
 					t.Errorf("worker %d call %d: resp %+v", w, i, resp)
 					return
 				}
@@ -369,7 +369,7 @@ func TestTCPServerClosesConnWithoutMagic(t *testing.T) {
 	var handled atomic.Int64
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
 		handled.Add(1)
-		return tcpPong{N: req.(tcpPing).N + 1}
+		return pong(req)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestTCPServerClosesConnWithoutMagic(t *testing.T) {
 	defer srv.Close()
 	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
 	defer tr.Close()
-	if _, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 1}); err != nil {
+	if _, err := tr.Call(context.Background(), 0, 1, ping(1)); err != nil {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -385,8 +385,8 @@ func TestTCPServerClosesConnWithoutMagic(t *testing.T) {
 	var envelope bytes.Buffer
 	if err := gob.NewEncoder(&envelope).Encode(&struct {
 		From proto.NodeID
-		Req  any
-	}{From: 0, Req: tcpPing{N: 2}}); err != nil {
+		Req  proto.LogTailReq
+	}{From: 0, Req: ping(2)}); err != nil {
 		t.Fatal(err)
 	}
 	prefixes := map[string][]byte{
@@ -422,8 +422,8 @@ func TestTCPServerClosesConnWithoutMagic(t *testing.T) {
 	if got := handled.Load(); got != 1 {
 		t.Fatalf("handler ran %d times, want 1 (the binary call only)", got)
 	}
-	resp, err := tr.Call(context.Background(), 0, 1, tcpPing{N: 41})
-	if err != nil || resp.(tcpPong).N != 42 {
+	resp, err := tr.Call(context.Background(), 0, 1, ping(41))
+	if err != nil || pongN(resp) != 42 {
 		t.Fatalf("binary client after bad prefixes: resp %+v, err %v", resp, err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

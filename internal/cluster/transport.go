@@ -208,7 +208,7 @@ func treeDepth(i int) int {
 // silently dropped. stats_test.go holds the conformance test.
 type Stats struct {
 	Messages uint64 // delivered requests and replies (one each; failed calls count one)
-	Bytes    uint64 // payload bytes moved (TCP: real frame bytes; Mem: proto.WireSize estimate)
+	Bytes    uint64 // TCP frame bytes moved; 0 on MemTransport, which encodes nothing
 	Calls    uint64 // request/reply exchanges attempted
 	Failed   uint64 // calls that returned an error (ErrNodeDown, transient faults, cancellation)
 	Retries  uint64 // attempts re-issued by RetryTransport after a transient fault or timeout
@@ -259,7 +259,6 @@ type MemTransport struct {
 	senders  map[proto.NodeID]*sync.Mutex
 
 	messages atomic.Uint64
-	bytes    atomic.Uint64
 	calls    atomic.Uint64
 	failed   atomic.Uint64
 }
@@ -350,7 +349,6 @@ func (t *MemTransport) Down(id proto.NodeID) bool {
 func (t *MemTransport) Stats() Stats {
 	return Stats{
 		Messages: t.messages.Load(),
-		Bytes:    t.bytes.Load(),
 		Calls:    t.calls.Load(),
 		Failed:   t.failed.Load(),
 	}
@@ -360,7 +358,6 @@ func (t *MemTransport) Stats() Stats {
 // so that benchmark population traffic is not charged to the run).
 func (t *MemTransport) ResetStats() {
 	t.messages.Store(0)
-	t.bytes.Store(0)
 	t.calls.Store(0)
 	t.failed.Store(0)
 }
@@ -369,7 +366,6 @@ func (t *MemTransport) ResetStats() {
 func (t *MemTransport) Call(ctx context.Context, from, to proto.NodeID, req any) (any, error) {
 	t.calls.Add(1)
 	t.messages.Add(1) // request leg
-	t.bytes.Add(uint64(proto.WireSize(req)))
 
 	// Sender-side transmission: one message at a time per sender.
 	if t.txTime > 0 {
@@ -424,7 +420,6 @@ func (t *MemTransport) Call(ctx context.Context, from, to proto.NodeID, req any)
 	}
 
 	t.messages.Add(1) // reply leg
-	t.bytes.Add(uint64(proto.WireSize(resp)))
 	if err := sleepCtx(ctx, t.latency.OneWay(to, from)); err != nil {
 		return nil, err
 	}

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -33,21 +31,19 @@ import (
 // Reply body:    u8 status (statusOK + message, or statusErr + uvarint error
 //	flags + error text).
 //
-// Messages encode as a 1-byte encoding tag followed by the payload: encBinary
-// is the hand-rolled proto codec (hot-path messages, application values
-// included), encGob is a self-contained gob blob for the message types the
-// codec does not cover. Each gob blob carries its own stream preamble because
-// frames from different calls interleave on the multiplexed connection —
-// gob's stream statefulness cannot be shared across concurrently pipelined
-// calls.
+// A message is its proto.EncodeWire encoding, the one codec for every
+// message type. A message the codec cannot encode (an unknown type, an
+// unregistered application value) fails its call with an error naming the
+// type and is never sent.
 //
 // The request id lets many calls be in flight on one connection per peer: a
 // demux goroutine on the client routes each reply frame to the waiting caller
 // by id, and ids with no waiter (the caller gave up on its context) are
 // dropped on the floor, leaving the connection healthy.
 
-// wireMagic opens every connection.
-var wireMagic = [4]byte{0x80, 'Q', 'W', 0x01}
+// wireMagic opens every connection. Version 0x02 dropped the per-message
+// encoding byte, so a peer speaking version 0x01 is refused at connect.
+var wireMagic = [4]byte{0x80, 'Q', 'W', 0x02}
 
 // Frame kinds.
 const (
@@ -59,12 +55,6 @@ const (
 const (
 	statusOK  byte = 0
 	statusErr byte = 1
-)
-
-// Message encodings.
-const (
-	encBinary byte = 0 // proto.EncodeWire / proto.DecodeWire
-	encGob    byte = 1 // self-contained gob blob of an interface value
 )
 
 // maxFramePayload caps a frame's payload so a corrupt or hostile length
@@ -108,46 +98,14 @@ func FrameBufStats() (live int64, allocated uint64) {
 	return int64(frameBufGets.Load()) - int64(frameBufPuts.Load()), frameBufNews.Load()
 }
 
-// appendMessage appends the 1-byte encoding tag plus the encoded message:
-// the binary codec for every type it covers, a gob blob for the cold types
-// it does not. A covered message the codec refuses — one carrying an
-// application value whose type was never registered — is an error naming
-// the type, never a gob blob: the hot messages have one encoding.
+// appendMessage appends msg's binary encoding; a message the codec refuses
+// is an error naming its type.
 func appendMessage(buf []byte, msg any) ([]byte, error) {
-	out, err := proto.EncodeWire(append(buf, encBinary), msg)
-	if err == nil {
-		return out, nil
-	}
-	if !errors.Is(err, proto.ErrNotWireEncodable) {
+	out, err := proto.EncodeWire(buf, msg)
+	if err != nil {
 		return buf, fmt.Errorf("cluster: encoding %T: %w", msg, err)
 	}
-	// Encode a copy: taking msg's own address would move the parameter to the
-	// heap on every call, binary path included.
-	var blob bytes.Buffer
-	boxed := msg
-	if err := gob.NewEncoder(&blob).Encode(&boxed); err != nil {
-		return buf, fmt.Errorf("cluster: gob-encode %T: %w", msg, err)
-	}
-	return append(append(buf, encGob), blob.Bytes()...), nil
-}
-
-// decodeMessage reverses appendMessage.
-func decodeMessage(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, errors.New("cluster: empty wire message")
-	}
-	switch b[0] {
-	case encBinary:
-		return proto.DecodeWire(b[1:])
-	case encGob:
-		var msg any
-		if err := gob.NewDecoder(bytes.NewReader(b[1:])).Decode(&msg); err != nil {
-			return nil, fmt.Errorf("cluster: gob-decode wire message: %w", err)
-		}
-		return msg, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown wire encoding tag %#x", b[0])
-	}
+	return out, nil
 }
 
 // beginFrame appends a frame's header — length prefix (blank until endFrame),
@@ -196,7 +154,7 @@ func decodeRequestBody(b []byte) (proto.NodeID, any, error) {
 	if n <= 0 {
 		return 0, nil, errors.New("cluster: corrupt request frame")
 	}
-	msg, err := decodeMessage(b[n:])
+	msg, err := proto.DecodeWire(b[n:])
 	return proto.NodeID(from), msg, err
 }
 
@@ -320,7 +278,7 @@ func decodeReply(b []byte) (any, error) {
 	}
 	switch b[0] {
 	case statusOK:
-		return decodeMessage(b[1:])
+		return proto.DecodeWire(b[1:])
 	case statusErr:
 		flags, n := binary.Uvarint(b[1:])
 		if n <= 0 {

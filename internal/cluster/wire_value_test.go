@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -12,17 +11,15 @@ import (
 )
 
 // strayValue is an application value nobody registered with
-// proto.RegisterValue (gob knows it, which must not matter).
+// proto.RegisterValue.
 type strayValue struct{ N int64 }
 
 func (v strayValue) CloneValue() proto.Value { return v }
 
-func init() { gob.Register(strayValue{}) }
-
 // TestTCPUnregisteredValueFailsLoudly: a call whose message carries an
 // unregistered application value fails with an error naming the type, is
-// counted in Stats().Failed, and sends nothing — no gob blob stands in for
-// the binary codec. A reply carrying one comes back as the same error.
+// counted in Stats().Failed, and sends nothing. A reply carrying one comes
+// back as the same error.
 func TestTCPUnregisteredValueFailsLoudly(t *testing.T) {
 	var served atomic.Int64
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
@@ -60,5 +57,41 @@ func TestTCPUnregisteredValueFailsLoudly(t *testing.T) {
 	_, err = tr.Call(ctx, 0, 1, proto.DumpReq{Obj: "x"})
 	if err == nil || !strings.Contains(err.Error(), "strayValue") {
 		t.Fatalf("reply with an unregistered value: error = %v, want one naming strayValue", err)
+	}
+}
+
+// TestTCPUnknownMessageFailsItsCall: a message type the codec does not know
+// fails its call with an error naming the type, is counted in
+// Stats().Failed, never reaches the handler, and leaves the connection
+// usable.
+func TestTCPUnknownMessageFailsItsCall(t *testing.T) {
+	type strayMsg struct{ N int }
+	var served atomic.Int64
+	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
+		served.Add(1)
+		return proto.DumpRep{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
+	t.Cleanup(tr.Close)
+
+	ctx := context.Background()
+	before := tr.Stats()
+	_, err = tr.Call(ctx, 0, 1, strayMsg{N: 1})
+	after := tr.Stats()
+	if err == nil || !strings.Contains(err.Error(), "strayMsg") {
+		t.Fatalf("call error = %v, want one naming strayMsg", err)
+	}
+	if got := after.Failed - before.Failed; got != 1 {
+		t.Fatalf("Stats().Failed rose by %d, want 1", got)
+	}
+	if after.Bytes != before.Bytes || served.Load() != 0 {
+		t.Fatalf("an unknown message reached the wire: %d bytes, %d served", after.Bytes-before.Bytes, served.Load())
+	}
+	if _, err := tr.Call(ctx, 0, 1, proto.DumpReq{Obj: "x"}); err != nil || served.Load() != 1 {
+		t.Fatalf("call after the refused one: err %v, %d served", err, served.Load())
 	}
 }

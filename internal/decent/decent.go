@@ -20,7 +20,6 @@ package decent
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -89,14 +88,6 @@ type InstallReq struct {
 
 // InstallRep acknowledges an InstallReq.
 type InstallRep struct{}
-
-func init() {
-	for _, m := range []any{
-		ReadReq{}, ReadRep{}, LockReq{}, LockRep{}, InstallReq{}, InstallRep{},
-	} {
-		gob.Register(m)
-	}
-}
 
 type record struct {
 	history []Versioned // oldest first

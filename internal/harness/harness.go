@@ -140,14 +140,6 @@ func (r Result) MsgsPerCommit() float64 {
 	return float64(r.Transport.Messages) / float64(r.Commits)
 }
 
-// BytesPerCommit is transport payload bytes per committed transaction.
-func (r Result) BytesPerCommit() float64 {
-	if r.Commits == 0 {
-		return 0
-	}
-	return float64(r.Transport.Bytes) / float64(r.Commits)
-}
-
 // Run executes one experiment cell.
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()

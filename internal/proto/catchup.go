@@ -4,10 +4,8 @@ package proto
 // (internal/wal). A replica restarting from its data directory asks each
 // peer for the log records it missed while down, identified by a per-peer
 // cursor (the highest record index of that peer's log it has applied). The
-// messages are cold-path and ride the gob fallback of the TCP transport,
-// like the reconfiguration messages above.
-
-import "encoding/gob"
+// messages are cold-path; like every message they cross the TCP transport in
+// the binary codec of codec.go.
 
 // Log record kinds served over the wire. Only externally meaningful
 // mutations are shipped: decisions and installs. A peer's prepare votes,
@@ -50,9 +48,4 @@ type LogTailRep struct {
 	Records   []LogRecord
 	Next      uint64
 	More      bool
-}
-
-func init() {
-	gob.Register(LogTailReq{})
-	gob.Register(LogTailRep{})
 }

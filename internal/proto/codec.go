@@ -1,23 +1,22 @@
 package proto
 
-// This file is the hand-rolled binary wire codec for the hot protocol
-// messages. The TCP transport's pipelined framing (internal/cluster) and the
-// WAL carry these messages in this encoding; only message types the codec
-// does not cover travel as a self-contained gob blob (EncodeWire's
-// ErrNotWireEncodable is the signal). Compared to gob the codec writes no
-// type descriptors, no field names and no per-connection stream state, so a
-// PrepareReq that gob spends ~400 bytes on fits in a few dozen, and one
-// encoding can be fanned out to every quorum member byte-identically.
+// This file is the hand-rolled binary codec, the one encoding of every
+// protocol message: the TCP transport's pipelined framing (internal/cluster)
+// carries it on the wire, and the WAL (internal/wal) in its log records and
+// snapshots. A message type the codec does not know cannot be sent or
+// logged; EncodeWire's error names it. The codec writes no type
+// descriptors, no field names and no per-connection stream state, so a
+// PrepareReq fits in a few dozen bytes, and one encoding can be fanned out
+// to every quorum member byte-identically.
 //
 // Layout conventions (see DESIGN.md §11 for the enclosing frame):
 //
 //   - one leading type-tag byte (wireTag* below) selects the message;
 //   - unsigned scalars are uvarints, signed scalars (nesting depths,
-//     checkpoint epochs, which use -1 sentinels) are zigzag varints;
+//     checkpoint epochs, which use -1 sentinels, and every int) are zigzag
+//     varints;
 //   - strings and byte slices are length-prefixed (uvarint);
-//   - slices are count-prefixed (uvarint); a zero count decodes as nil,
-//     matching gob's empty-slice omission so the two codecs are
-//     observationally equivalent (the fuzz target pins this);
+//   - slices are count-prefixed (uvarint); a zero count decodes as nil;
 //   - booleans are one byte (0/1);
 //   - Value payloads carry a one-byte kind. The stock implementations in
 //     values.go are encoded inline; an application-defined type is
@@ -54,6 +53,18 @@ const (
 	wireTagLoadRep
 	wireTagDumpReq
 	wireTagDumpRep
+	wireTagShardMapReq
+	wireTagShardMapRep
+	wireTagMapUpdateReq
+	wireTagMapUpdateRep
+	wireTagSlotDumpReq
+	wireTagSlotDumpRep
+	wireTagInstallReq
+	wireTagInstallRep
+	wireTagLogTailReq
+	wireTagLogTailRep
+	wireTagTraceDumpReq
+	wireTagTraceDumpRep
 )
 
 // Value payload kinds (see values.go for the stock implementations).
@@ -66,13 +77,9 @@ const (
 	wireValBytes
 	wireValInt64Slice
 	wireValIDSlice
-	_          // older builds' embedded gob blob: left unused so it fails as an unknown kind
+	_          // reserved: older builds wrote a gob blob here; it fails as an unknown kind
 	wireValApp // application-defined Value: tag, uvarint length, AppendBinary bytes
 )
-
-// ErrNotWireEncodable reports a message type the binary codec does not
-// cover; callers fall back to the gob path.
-var ErrNotWireEncodable = errors.New("proto: message not wire-encodable")
 
 // ErrUnregisteredValue reports an application-defined Value whose type was
 // never passed to RegisterValue; EncodeWire's error names the type.
@@ -82,7 +89,7 @@ var ErrUnregisteredValue = errors.New("proto: value type not registered")
 var errWireCorrupt = errors.New("proto: corrupt wire encoding")
 
 // AppendWire appends the binary encoding of msg to buf and reports whether
-// it could: a message type the codec does not cover, or one carrying an
+// it could: a message type the codec does not know, or one carrying an
 // application value it cannot encode, returns (buf, false) with buf
 // unchanged. EncodeWire says which.
 func AppendWire(buf []byte, msg any) ([]byte, bool) {
@@ -90,8 +97,8 @@ func AppendWire(buf []byte, msg any) ([]byte, bool) {
 	return out, err == nil
 }
 
-// EncodeWire is AppendWire with the reason for a refusal: ErrNotWireEncodable
-// for a message type outside the codec, ErrUnregisteredValue for an
+// EncodeWire is AppendWire with the reason for a refusal: an error naming a
+// message type the codec does not know, ErrUnregisteredValue for an
 // application value whose type is not registered, or the error of a value's
 // own AppendBinary. On error buf is returned unchanged.
 func EncodeWire(buf []byte, msg any) ([]byte, error) {
@@ -181,8 +188,56 @@ func EncodeWire(buf []byte, msg any) ([]byte, error) {
 		buf = append(buf, wireTagDumpRep)
 		buf = appendWireBool(buf, m.OK)
 		buf, err = appendWireCopy(buf, m.Copy)
+	case ShardMapReq:
+		buf = append(buf, wireTagShardMapReq)
+	case ShardMapRep:
+		buf = appendWireMap(append(buf, wireTagShardMapRep), m.Map)
+	case MapUpdateReq:
+		buf = appendWireMap(append(buf, wireTagMapUpdateReq), m.Map)
+	case MapUpdateRep:
+		buf = binary.AppendUvarint(append(buf, wireTagMapUpdateRep), m.Epoch)
+	case SlotDumpReq:
+		buf = append(buf, wireTagSlotDumpReq)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Slots)))
+		for _, s := range m.Slots {
+			buf = binary.AppendVarint(buf, int64(s))
+		}
+	case SlotDumpRep:
+		buf, err = appendWireCopies(append(buf, wireTagSlotDumpRep), m.Copies)
+		buf = appendWireBool(buf, m.Protected)
+	case InstallReq:
+		buf, err = appendWireCopies(append(buf, wireTagInstallReq), m.Copies)
+	case InstallRep:
+		buf = binary.AppendVarint(append(buf, wireTagInstallRep), int64(m.Installed))
+	case LogTailReq:
+		buf = binary.AppendUvarint(append(buf, wireTagLogTailReq), m.After)
+		buf = binary.AppendVarint(buf, int64(m.Max))
+	case LogTailRep:
+		buf = append(buf, wireTagLogTailRep)
+		buf = appendWireBool(buf, m.OK)
+		buf = appendWireBool(buf, m.Compacted)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Records)))
+		for _, rec := range m.Records {
+			buf = binary.AppendUvarint(buf, rec.Index)
+			buf = append(buf, rec.Kind)
+			buf = binary.AppendUvarint(buf, uint64(rec.Txn))
+			buf = appendWireBool(buf, rec.Commit)
+			if buf, err = appendWireCopies(buf, rec.Copies); err != nil {
+				break
+			}
+		}
+		buf = binary.AppendUvarint(buf, m.Next)
+		buf = appendWireBool(buf, m.More)
+	case TraceDumpReq:
+		buf = append(buf, wireTagTraceDumpReq)
+	case TraceDumpRep:
+		buf = binary.AppendVarint(append(buf, wireTagTraceDumpRep), int64(m.Node))
+		buf = binary.AppendUvarint(buf, uint64(len(m.Spans)))
+		for i := range m.Spans {
+			buf = appendWireSpan(buf, &m.Spans[i])
+		}
 	default:
-		return buf, ErrNotWireEncodable
+		return buf, fmt.Errorf("proto: %T has no wire encoding", msg)
 	}
 	if err != nil {
 		return buf[:start], err
@@ -280,6 +335,54 @@ func DecodeWire(b []byte) (any, error) {
 		msg = DumpReq{Obj: ObjectID(r.str())}
 	case wireTagDumpRep:
 		msg = DumpRep{OK: r.bool(), Copy: r.objCopy()}
+	case wireTagShardMapReq:
+		msg = ShardMapReq{}
+	case wireTagShardMapRep:
+		msg = ShardMapRep{Map: r.shardMap()}
+	case wireTagMapUpdateReq:
+		msg = MapUpdateReq{Map: r.shardMap()}
+	case wireTagMapUpdateRep:
+		msg = MapUpdateRep{Epoch: r.uvarint()}
+	case wireTagSlotDumpReq:
+		var m SlotDumpReq
+		if n := r.sliceLen(1); n > 0 {
+			m.Slots = make([]int, 0, n)
+			for i := 0; i < n; i++ {
+				m.Slots = append(m.Slots, int(r.varint()))
+			}
+		}
+		msg = m
+	case wireTagSlotDumpRep:
+		msg = SlotDumpRep{Copies: r.copies(), Protected: r.bool()}
+	case wireTagInstallReq:
+		msg = InstallReq{Copies: r.copies()}
+	case wireTagInstallRep:
+		msg = InstallRep{Installed: int(r.varint())}
+	case wireTagLogTailReq:
+		msg = LogTailReq{After: r.uvarint(), Max: int(r.varint())}
+	case wireTagLogTailRep:
+		m := LogTailRep{OK: r.bool(), Compacted: r.bool()}
+		if n := r.sliceLen(5); n > 0 {
+			m.Records = make([]LogRecord, 0, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				m.Records = append(m.Records, LogRecord{Index: r.uvarint(), Kind: r.byte(),
+					Txn: TxnID(r.uvarint()), Commit: r.bool(), Copies: r.copies()})
+			}
+		}
+		m.Next = r.uvarint()
+		m.More = r.bool()
+		msg = m
+	case wireTagTraceDumpReq:
+		msg = TraceDumpReq{}
+	case wireTagTraceDumpRep:
+		m := TraceDumpRep{Node: NodeID(r.varint())}
+		if n := r.sliceLen(16); n > 0 {
+			m.Spans = make([]Span, 0, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				m.Spans = append(m.Spans, r.span())
+			}
+		}
+		msg = m
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", errWireCorrupt, tag)
 	}
@@ -290,18 +393,6 @@ func DecodeWire(b []byte) (any, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errWireCorrupt, len(r.b)-r.off)
 	}
 	return msg, nil
-}
-
-// WireEncodable reports whether msg is covered by the binary codec without
-// encoding it (multicast planning).
-func WireEncodable(msg any) bool {
-	switch msg.(type) {
-	case ReadReq, ReadRep, BatchReadReq, BatchReadRep, PrepareReq, PrepareRep,
-		DecideReq, DecideRep, ReleaseReq, ReleaseRep, LoadReq, LoadRep, DumpReq, DumpRep:
-		return true
-	default:
-		return false
-	}
 }
 
 // ---- encode helpers ----
@@ -356,6 +447,49 @@ func appendWireCopies(buf []byte, cs []ObjectCopy) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// appendWireMap writes a shard map: epoch, slot table, shard specs.
+func appendWireMap(buf []byte, m ShardMap) []byte {
+	buf = binary.AppendUvarint(buf, m.Epoch)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Slots)))
+	for _, s := range m.Slots {
+		buf = binary.AppendVarint(buf, int64(s.Owner))
+		buf = binary.AppendVarint(buf, int64(s.MovingTo))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(m.Shards)))
+	for _, s := range m.Shards {
+		buf = binary.AppendVarint(buf, int64(s.ID))
+		buf = binary.AppendUvarint(buf, uint64(len(s.Members)))
+		for _, n := range s.Members {
+			buf = binary.AppendVarint(buf, int64(n))
+		}
+	}
+	return buf
+}
+
+// appendWireSpan writes one span field by field, in declaration order.
+func appendWireSpan(buf []byte, s *Span) []byte {
+	buf = binary.AppendUvarint(buf, s.Trace)
+	buf = binary.AppendUvarint(buf, s.ID)
+	buf = binary.AppendUvarint(buf, s.Parent)
+	buf = binary.AppendVarint(buf, int64(s.Node))
+	buf = binary.AppendVarint(buf, int64(s.Kind))
+	buf = binary.AppendVarint(buf, s.Start)
+	buf = binary.AppendVarint(buf, s.End)
+	buf = binary.AppendUvarint(buf, uint64(s.Txn))
+	buf = appendWireString(buf, string(s.Obj))
+	buf = binary.AppendUvarint(buf, uint64(s.Version))
+	buf = binary.AppendVarint(buf, int64(s.Depth))
+	buf = binary.AppendVarint(buf, int64(s.Chk))
+	buf = appendWireBool(buf, s.OK)
+	buf = appendWireString(buf, s.Note)
+	buf = binary.AppendUvarint(buf, uint64(len(s.Items)))
+	for _, it := range s.Items {
+		buf = appendWireString(buf, string(it.Obj))
+		buf = binary.AppendUvarint(buf, uint64(it.Version))
+	}
+	return binary.AppendVarint(buf, int64(s.Shard))
 }
 
 func appendWireValue(buf []byte, v Value) ([]byte, error) {
@@ -562,6 +696,45 @@ func (r *wireReader) copies() []ObjectCopy {
 	return cs
 }
 
+func (r *wireReader) shardMap() ShardMap {
+	m := ShardMap{Epoch: r.uvarint()}
+	if n := r.sliceLen(2); n > 0 {
+		m.Slots = make([]SlotEntry, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			m.Slots = append(m.Slots, SlotEntry{Owner: ShardID(r.varint()), MovingTo: ShardID(r.varint())})
+		}
+	}
+	if n := r.sliceLen(2); n > 0 {
+		m.Shards = make([]ShardSpec, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			s := ShardSpec{ID: ShardID(r.varint())}
+			if k := r.sliceLen(1); k > 0 {
+				s.Members = make([]NodeID, 0, k)
+				for j := 0; j < k; j++ {
+					s.Members = append(s.Members, NodeID(r.varint()))
+				}
+			}
+			m.Shards = append(m.Shards, s)
+		}
+	}
+	return m
+}
+
+func (r *wireReader) span() Span {
+	s := Span{Trace: r.uvarint(), ID: r.uvarint(), Parent: r.uvarint(),
+		Node: NodeID(r.varint()), Kind: SpanKind(r.varint()), Start: r.varint(), End: r.varint(),
+		Txn: TxnID(r.uvarint()), Obj: ObjectID(r.str()), Version: Version(r.uvarint()),
+		Depth: int(r.varint()), Chk: int(r.varint()), OK: r.bool(), Note: r.str()}
+	if n := r.sliceLen(2); n > 0 {
+		s.Items = make([]SpanItem, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			s.Items = append(s.Items, SpanItem{Obj: ObjectID(r.str()), Version: Version(r.uvarint())})
+		}
+	}
+	s.Shard = int(r.varint())
+	return s
+}
+
 func (r *wireReader) value() Value {
 	switch kind := r.byte(); kind {
 	case wireValNil:
@@ -579,8 +752,8 @@ func (r *wireReader) value() Value {
 	case wireValBool:
 		return Bool(r.bool())
 	case wireValBytes:
-		// Zero-length slice payloads decode as typed nils, as they do when an
-		// interface-held empty slice crosses gob.
+		// Zero-length slice payloads decode as typed nils, like every empty
+		// slice the codec decodes.
 		b := r.take(int(r.uvarint()))
 		if len(b) == 0 {
 			return Bytes(nil)

@@ -10,13 +10,30 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// gobIfaceRoundTrip pushes msg through gob the way a gob-blob wire frame
-// does (encode as interface, decode as interface), yielding the
-// normalization gob applies — zero-length slices come back nil. The binary
-// codec must be observationally equivalent to this.
+// gob is the codec's equivalence oracle, in tests only: it encodes
+// interface-held messages and values by registered type.
+func init() {
+	for _, v := range []any{
+		ReadReq{}, ReadRep{}, BatchReadReq{}, BatchReadRep{}, PrepareReq{}, PrepareRep{},
+		DecideReq{}, DecideRep{}, ReleaseReq{}, ReleaseRep{}, LoadReq{}, LoadRep{},
+		DumpReq{}, DumpRep{}, ShardMapReq{}, ShardMapRep{}, MapUpdateReq{}, MapUpdateRep{},
+		SlotDumpReq{}, SlotDumpRep{}, InstallReq{}, InstallRep{}, LogTailReq{}, LogTailRep{},
+		TraceDumpReq{}, TraceDumpRep{},
+		Int64(0), Float64(0), String(""), Bool(false), Bytes(nil), Int64Slice(nil), IDSlice(nil),
+		customWireValue{},
+	} {
+		gob.Register(v)
+	}
+}
+
+// gobIfaceRoundTrip pushes msg through gob as an interface value (encode as
+// interface, decode as interface), yielding the normalization gob applies —
+// zero-length slices come back nil. The binary codec must be
+// observationally equivalent to this.
 func gobIfaceRoundTrip(t testing.TB, msg any) any {
 	t.Helper()
 	var buf bytes.Buffer
@@ -45,8 +62,8 @@ func wireRoundTrip(t testing.TB, msg any) any {
 }
 
 // customWireValue is an application-defined payload exercising the tagged
-// value encoding inside ObjectCopy values; gob still carries it too, which
-// keeps gob usable as the equivalence oracle.
+// value encoding inside ObjectCopy values; the test registers it with gob
+// too, which keeps gob usable as the equivalence oracle.
 type customWireValue struct {
 	A int64
 	B string
@@ -130,10 +147,50 @@ func codecExamples() []any {
 	}
 }
 
+// coldCodecExamples covers the reconfiguration, catch-up and trace
+// messages: a migrating shard map, the zero map, app values in drained and
+// installed copies, both log record kinds, and spans with sentinels, notes
+// and items.
+func coldCodecExamples() []any {
+	m := PartitionMap([]NodeID{0, 1, 2, 3, 4, 5, 6}, 3)
+	m.Slots[5].MovingTo = 2
+	return []any{
+		ShardMapReq{},
+		ShardMapRep{Map: m},
+		ShardMapRep{}, // unsharded: the zero map
+		MapUpdateReq{Map: m},
+		MapUpdateRep{Epoch: 7},
+		SlotDumpReq{Slots: []int{0, 5, NumSlots - 1}},
+		SlotDumpRep{Protected: true, Copies: []ObjectCopy{
+			{ID: "acct/x", Version: 7, Val: Int64(93)},
+			{ID: "app", Version: 2, Val: customWireValue{A: 3, B: "c"}},
+		}},
+		InstallReq{Copies: []ObjectCopy{{ID: "hm/n4", Version: 5, Val: customWireValue{A: -1, B: "hm/n9"}}}},
+		InstallRep{Installed: 3},
+		LogTailReq{After: 41, Max: 2048},
+		LogTailRep{OK: true, Next: 44, More: true, Records: []LogRecord{
+			{Index: 42, Kind: LogKindDecide, Txn: 9, Commit: true,
+				Copies: []ObjectCopy{{ID: "w", Version: 4, Val: customWireValue{A: 4}}}},
+			{Index: 44, Kind: LogKindInstall, Copies: []ObjectCopy{{ID: "seed", Version: 1, Val: Int64(100)}}},
+		}},
+		LogTailRep{Compacted: true},
+		TraceDumpReq{},
+		TraceDumpRep{Node: 3, Spans: []Span{
+			{Trace: 1, ID: 2, Node: 3, Kind: SpanServeDecide, Start: 100, End: 250, Txn: 9, OK: true,
+				Items: []SpanItem{{Obj: "w", Version: 4}}, Shard: 2},
+			{Trace: 1, ID: 5, Parent: 2, Kind: SpanAbort, Start: -3, Obj: "x", Version: 3,
+				Depth: NoDepth, Chk: NoChk, Note: "lock-denied"},
+		}},
+	}
+}
+
+// allCodecExamples is every example, hot and cold.
+func allCodecExamples() []any { return append(codecExamples(), coldCodecExamples()...) }
+
 // TestWireCodecMatchesGob pins the codec's contract: for every covered
 // message, decode(binary-encode(m)) equals what the gob path would deliver.
 func TestWireCodecMatchesGob(t *testing.T) {
-	for _, msg := range codecExamples() {
+	for _, msg := range allCodecExamples() {
 		got := wireRoundTrip(t, msg)
 		want := gobIfaceRoundTrip(t, msg)
 		if !reflect.DeepEqual(got, want) {
@@ -143,11 +200,10 @@ func TestWireCodecMatchesGob(t *testing.T) {
 }
 
 // TestWireCodecCompact sanity-checks the point of the exercise: the binary
-// encoding of every hot message is materially smaller than its gob frame
-// (gob re-sends type descriptors per self-contained blob, which is also what
-// a fresh connection pays).
+// encoding of every message is smaller than a self-contained gob blob of it
+// (gob re-sends type descriptors per blob).
 func TestWireCodecCompact(t *testing.T) {
-	for _, msg := range codecExamples() {
+	for _, msg := range allCodecExamples() {
 		wire, ok := AppendWire(nil, msg)
 		if !ok {
 			t.Fatalf("AppendWire does not cover %T", msg)
@@ -162,25 +218,25 @@ func TestWireCodecCompact(t *testing.T) {
 	}
 }
 
-// TestWireCodecRejectsUnknown pins the fallback signal.
+// TestWireCodecRejectsUnknown: a type the codec does not know is refused
+// with an error naming it, and nothing is appended.
 func TestWireCodecRejectsUnknown(t *testing.T) {
 	type notAMessage struct{ X int }
 	buf, ok := AppendWire(nil, notAMessage{X: 1})
 	if ok || len(buf) != 0 {
 		t.Fatalf("AppendWire accepted an unknown type (ok=%v, %d bytes)", ok, len(buf))
 	}
-	if WireEncodable(notAMessage{}) {
-		t.Fatal("WireEncodable claims coverage for an unknown type")
-	}
-	if !WireEncodable(PrepareReq{}) {
-		t.Fatal("WireEncodable denies a covered type")
+	prefix := []byte{1, 2}
+	out, err := EncodeWire(prefix, notAMessage{X: 1})
+	if err == nil || !strings.Contains(err.Error(), "notAMessage") || !bytes.Equal(out, prefix) {
+		t.Fatalf("EncodeWire(notAMessage) = %x, %v; want the prefix and an error naming the type", out, err)
 	}
 }
 
 // TestWireCodecTruncation: every strict prefix of a valid encoding must
 // error, never panic or succeed.
 func TestWireCodecTruncation(t *testing.T) {
-	for _, msg := range codecExamples() {
+	for _, msg := range allCodecExamples() {
 		full, _ := AppendWire(nil, msg)
 		for cut := 0; cut < len(full); cut++ {
 			if out, err := DecodeWire(full[:cut]); err == nil {
@@ -245,7 +301,18 @@ func fuzzWireMessage(z *fzReader) any {
 		}
 		return TraceContext{Trace: z.u64() | 1, Span: z.u64(), Parent: z.u64()}
 	}
-	switch z.byte() % 10 {
+	span := func() Span {
+		s := Span{Trace: z.u64(), ID: z.u64(), Parent: z.u64(), Node: NodeID(int8(z.byte())),
+			Kind: SpanKind(int8(z.byte())), Start: int64(z.u64()), End: int64(z.u64()),
+			Txn: TxnID(z.u64()), Obj: ObjectID(z.str()), Version: Version(z.u64()),
+			Depth: int(int8(z.byte())), Chk: int(int8(z.byte())), OK: z.byte()&1 == 1,
+			Note: z.str(), Shard: int(int8(z.byte()))}
+		for n := int(z.byte() % 3); n > 0; n-- {
+			s.Items = append(s.Items, SpanItem{Obj: ObjectID(z.str()), Version: Version(z.u64())})
+		}
+		return s
+	}
+	switch z.byte() % 22 {
 	case 0:
 		return ReadReq{Txn: TxnID(z.u64()), Obj: ObjectID(z.str()),
 			Write: z.byte()&1 == 1, Depth: int(int8(z.byte())), DataSet: items(), TC: tc()}
@@ -280,18 +347,54 @@ func fuzzWireMessage(z *fzReader) any {
 		return ReleaseReq{Owner: TxnID(z.u64()), TC: tc()}
 	case 8:
 		return LoadReq{Objects: copies()}
-	default:
+	case 9:
 		return DumpRep{OK: z.byte()&1 == 1,
 			Copy: ObjectCopy{ID: ObjectID(z.str()), Version: Version(z.u64()), Val: value()}}
+	case 10:
+		return ShardMapReq{}
+	case 11:
+		return ShardMapRep{Map: fuzzShardMap(z)}
+	case 12:
+		return MapUpdateReq{Map: fuzzShardMap(z)}
+	case 13:
+		return MapUpdateRep{Epoch: z.u64()}
+	case 14:
+		var req SlotDumpReq
+		for n := int(z.byte() % 5); n > 0; n-- {
+			req.Slots = append(req.Slots, int(int8(z.byte())))
+		}
+		return req
+	case 15:
+		return SlotDumpRep{Copies: copies(), Protected: z.byte()&1 == 1}
+	case 16:
+		return InstallReq{Copies: copies()}
+	case 17:
+		return InstallRep{Installed: int(int64(z.u64()))}
+	case 18:
+		return LogTailReq{After: z.u64(), Max: int(int64(z.u64()))}
+	case 19:
+		rep := LogTailRep{OK: z.byte()&1 == 1, Compacted: z.byte()&1 == 1, Next: z.u64(), More: z.byte()&1 == 1}
+		for n := int(z.byte() % 4); n > 0; n-- {
+			rep.Records = append(rep.Records, LogRecord{Index: z.u64(), Kind: z.byte(),
+				Txn: TxnID(z.u64()), Commit: z.byte()&1 == 1, Copies: copies()})
+		}
+		return rep
+	case 20:
+		return TraceDumpReq{}
+	default:
+		rep := TraceDumpRep{Node: NodeID(int8(z.byte()))}
+		for n := int(z.byte() % 4); n > 0; n-- {
+			rep.Spans = append(rep.Spans, span())
+		}
+		return rep
 	}
 }
 
 // FuzzWireCodec is the binary codec's gob-equivalence fuzz target: raw bytes
 // must never panic the frame decoder, and every structured message derived
 // from those bytes must decode — through the binary codec — to exactly what
-// the gob path would deliver. Gob is the equivalence oracle: a message must
-// reach the engine the same whether it crosses as a binary-codec frame or as
-// a gob blob.
+// a gob round trip delivers. Gob is the test-only equivalence oracle: it
+// shares no code with the codec.
 func FuzzWireCodec(f *testing.F) {
 	for _, seed := range wireFuzzSeedInputs() {
 		f.Add(seed)
@@ -356,6 +459,16 @@ func wireFuzzSeedInputs() [][]byte {
 		appRep,
 		hostileAppValue(unknownWireTag, 0),
 		hostileAppValue(customWireTag, 1<<62),
+	)
+	// The cold messages come last, so the earlier seeds keep their names:
+	// each example, then hostile record and span counts.
+	for _, msg := range coldCodecExamples() {
+		b, _ := AppendWire(nil, msg)
+		seeds = append(seeds, b)
+	}
+	seeds = append(seeds,
+		[]byte{wireTagLogTailRep, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		[]byte{wireTagTraceDumpRep, 6, 0xff, 0xff, 0xff, 0xff, 0x0f},
 	)
 	return seeds
 }

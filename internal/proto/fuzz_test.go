@@ -124,12 +124,10 @@ func normalizeBatchRep(r BatchReadRep) BatchReadRep {
 	return r
 }
 
-// FuzzBatchReadWire exercises the new batched-read wire messages two ways:
-// arbitrary bytes fed to the gob decoder must fail cleanly (never panic),
-// and structured messages derived from the same bytes must survive a gob
-// round trip unchanged — the exact property the TCP transport depends on.
-// WireSize must stay positive for everything that round-trips, since the
-// in-memory transport's byte accounting divides by commit counts downstream.
+// FuzzBatchReadWire exercises the batched-read messages two ways: arbitrary
+// bytes fed to the gob decoder must fail cleanly (never panic), and
+// structured messages derived from the same bytes must survive a gob round
+// trip and a binary-codec round trip unchanged.
 func FuzzBatchReadWire(f *testing.F) {
 	for _, seed := range fuzzSeedInputs() {
 		f.Add(seed)
@@ -160,8 +158,8 @@ func FuzzBatchReadWire(f *testing.F) {
 		if a, b := normalizeBatchReq(in), normalizeBatchReq(out); !reflect.DeepEqual(a, b) {
 			t.Fatalf("BatchReadReq round trip:\n in: %+v\nout: %+v", a, b)
 		}
-		if sz := WireSize(in); sz <= 0 {
-			t.Fatalf("WireSize(BatchReadReq) = %d", sz)
+		if a, b := normalizeBatchReq(in), normalizeBatchReq(wireRoundTrip(t, in).(BatchReadReq)); !reflect.DeepEqual(a, b) {
+			t.Fatalf("BatchReadReq wire round trip:\n in: %+v\nout: %+v", a, b)
 		}
 
 		repIn := fuzzBatchReadRep(z)
@@ -176,15 +174,8 @@ func FuzzBatchReadWire(f *testing.F) {
 		if a, b := normalizeBatchRep(repIn), normalizeBatchRep(repOut); !reflect.DeepEqual(a, b) {
 			t.Fatalf("BatchReadRep round trip:\n in: %+v\nout: %+v", a, b)
 		}
-		if sz := WireSize(repIn); sz <= 0 {
-			t.Fatalf("WireSize(BatchReadRep) = %d", sz)
-		}
-		if len(repIn.Prefetch) > 0 {
-			bare := repIn
-			bare.Prefetch = nil
-			if WireSize(repIn) <= WireSize(bare) {
-				t.Fatalf("WireSize(BatchReadRep) does not count %d prefetched copies", len(repIn.Prefetch))
-			}
+		if a, b := normalizeBatchRep(repIn), normalizeBatchRep(wireRoundTrip(t, repIn).(BatchReadRep)); !reflect.DeepEqual(a, b) {
+			t.Fatalf("BatchReadRep wire round trip:\n in: %+v\nout: %+v", a, b)
 		}
 	})
 }

@@ -9,7 +9,6 @@
 package proto
 
 import (
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -133,7 +132,7 @@ type BatchReadReq struct {
 	Write bool
 	Depth int // nesting depth of the requester; 0 means root (PR/PW recording, as in ReadReq)
 	// Rqv requests validation. It is explicit (rather than Delta != nil as
-	// in ReadReq) because gob does not preserve nil-vs-empty for slices.
+	// in ReadReq) because the codec decodes an empty slice as nil.
 	Rqv   bool
 	From  int          // validation watermark: footprint log entries [0, From) were already shipped to this replica
 	Delta []DataItem   // footprint log entries [From, From+len(Delta))
@@ -260,9 +259,10 @@ type Linker interface {
 type ValueDecoder func(b []byte) (Value, error)
 
 // RegisterValue registers an application-defined Value under a one-byte tag
-// so that it can cross the TCP transport and the WAL inside ObjectCopy: the
-// codec writes the tag and then v's own AppendBinary encoding, and decodes
-// with decode. Tags are process-wide and must be unique. The in-memory
+// so that it can cross the TCP transport and enter WAL records and snapshots
+// inside ObjectCopy: the codec writes the tag and then v's own AppendBinary
+// encoding, and decodes with decode. AppendBinary is the value's only
+// encoding. Tags are process-wide and must be unique. The in-memory
 // transport needs no registration.
 //
 // A registered value may also implement Linker, so that batched reads ship
@@ -304,9 +304,6 @@ func RegisterValue(tag byte, v Value, decode ValueDecoder) {
 	next.tags[typ] = tag
 	next.decode[tag] = decode
 	valueReg.Store(next)
-	// WAL snapshots and the messages outside the binary codec still carry
-	// values through gob.
-	gob.Register(v)
 }
 
 // valueRegistry maps registered application types to their tags and tags to
@@ -335,28 +332,6 @@ func (r *valueRegistry) decoder(tag byte) ValueDecoder {
 		return nil
 	}
 	return r.decode[tag]
-}
-
-func init() {
-	gob.Register(ReadReq{})
-	gob.Register(ReadRep{})
-	gob.Register(BatchReadReq{})
-	gob.Register(BatchReadRep{})
-	gob.Register(PrepareReq{})
-	gob.Register(PrepareRep{})
-	gob.Register(DecideReq{})
-	gob.Register(DecideRep{})
-	gob.Register(ReleaseReq{})
-	gob.Register(ReleaseRep{})
-	gob.Register(LoadReq{})
-	gob.Register(LoadRep{})
-	gob.Register(DumpReq{})
-	gob.Register(DumpRep{})
-	// The stock kinds have their own binary encodings (codec.go); gob only
-	// needs them for the messages and snapshots that still travel as gob.
-	for _, v := range []Value{Int64(0), Float64(0), String(""), Bool(false), Bytes(nil), Int64Slice(nil), IDSlice(nil)} {
-		gob.Register(v)
-	}
 }
 
 func (n NodeID) String() string   { return fmt.Sprintf("n%d", int(n)) }

@@ -87,8 +87,8 @@ func TestMessagesGobRoundTrip(t *testing.T) {
 }
 
 func TestValuePayloadsGobRoundTripAsInterface(t *testing.T) {
-	// Values travel inside interface fields over TCP; registration must
-	// cover every built-in payload.
+	// The codec tests' gob oracle carries values in interface fields; its
+	// registration must cover every built-in payload.
 	for _, v := range []Value{
 		Int64(1), Float64(2), String("x"), Bool(true),
 		Bytes{1}, Int64Slice{2}, IDSlice{"id"},

@@ -13,8 +13,6 @@ package proto
 // prepares on them), objects are copied while in-flight commits drain, and
 // E+2 transfers ownership.
 
-import "encoding/gob"
-
 // ShardID identifies one quorum group in a ShardMap. IDs are dense indexes
 // into ShardMap.Shards.
 type ShardID int
@@ -182,8 +180,7 @@ func PartitionMap(nodes []NodeID, shards int) ShardMap {
 	return m
 }
 
-// ---- reconfiguration wire messages (cold path; these ride the gob
-// fallback of the TCP transport, so no binary-codec tags are needed) ----
+// ---- reconfiguration wire messages (cold path) ----
 
 // ShardMapReq asks a replica for its current shard map (clients bootstrap
 // and refresh their placement with it).
@@ -231,15 +228,4 @@ type InstallReq struct {
 // pass that installs zero anywhere has converged.
 type InstallRep struct {
 	Installed int
-}
-
-func init() {
-	gob.Register(ShardMapReq{})
-	gob.Register(ShardMapRep{})
-	gob.Register(MapUpdateReq{})
-	gob.Register(MapUpdateRep{})
-	gob.Register(SlotDumpReq{})
-	gob.Register(SlotDumpRep{})
-	gob.Register(InstallReq{})
-	gob.Register(InstallRep{})
 }

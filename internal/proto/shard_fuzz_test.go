@@ -108,56 +108,47 @@ func normalizePrepareReq(r PrepareReq) PrepareReq {
 }
 
 // FuzzShardWire exercises the sharding and 2PC wire messages: arbitrary
-// bytes must never panic the gob decoder, and structured messages derived
-// from the same bytes must survive a gob round trip unchanged, keep a
-// positive WireSize, and — for the types the binary codec covers — decode
-// from the binary wire identically to the gob path.
+// bytes must never panic the codec's decoder, and structured messages
+// derived from the same bytes must survive a binary-codec round trip with
+// exactly what a gob round trip (the test-only oracle) delivers.
 func FuzzShardWire(f *testing.F) {
 	for _, seed := range shardFuzzSeedInputs() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Robustness: attacker-shaped bytes error, never panic.
-		for _, target := range []any{&ShardMap{}, &MapUpdateReq{}, &SlotDumpRep{}, &InstallReq{}, &PrepareReq{}, &PrepareRep{}} {
-			_ = gob.NewDecoder(bytes.NewReader(data)).Decode(target)
+		if msg, err := DecodeWire(data); err == nil {
+			if _, ok := AppendWire(nil, msg); !ok {
+				t.Fatalf("decoded %T but cannot re-encode", msg)
+			}
 		}
 
 		z := &fzReader{d: data}
 
-		// Shard map and the reconfiguration messages wrapping it.
+		// Shard map, the reconfiguration messages wrapping it, and the
+		// migration drain messages.
 		m := fuzzShardMap(z)
-		var mOut ShardMap
-		gobRT(t, m, &mOut)
-		if a, b := normalizeMap(m), normalizeMap(mOut); !reflect.DeepEqual(a, b) {
-			t.Fatalf("ShardMap round trip:\n in: %+v\nout: %+v", a, b)
-		}
-		var upd MapUpdateReq
-		gobRT(t, MapUpdateReq{Map: m}, &upd)
+		upd := wireRoundTrip(t, MapUpdateReq{Map: m}).(MapUpdateReq)
 		if a, b := normalizeMap(m), normalizeMap(upd.Map); !reflect.DeepEqual(a, b) {
 			t.Fatalf("MapUpdateReq round trip:\n in: %+v\nout: %+v", a, b)
 		}
-		for _, msg := range []any{MapUpdateReq{Map: m}, ShardMapRep{Map: m}, ShardMapReq{}, MapUpdateRep{Epoch: m.Epoch}} {
-			if sz := WireSize(msg); sz <= 0 {
-				t.Fatalf("WireSize(%T) = %d", msg, sz)
-			}
-		}
-
-		// Migration drain messages.
 		dump := SlotDumpRep{Protected: z.byte()&1 == 1}
 		for n := int(z.byte() % 5); n > 0; n-- {
 			dump.Copies = append(dump.Copies, ObjectCopy{ID: ObjectID(z.str()), Version: Version(z.u64()), Val: Int64(int64(z.u64()))})
 		}
-		var dumpOut SlotDumpRep
-		gobRT(t, dump, &dumpOut)
-		if len(dumpOut.Copies) != len(dump.Copies) || dumpOut.Protected != dump.Protected {
-			t.Fatalf("SlotDumpRep round trip: in %+v out %+v", dump, dumpOut)
+		slots := SlotDumpReq{}
+		for n := int(z.byte() % 5); n > 0; n-- {
+			slots.Slots = append(slots.Slots, SlotOf(ObjectID(z.str())))
 		}
-		if sz := WireSize(dump); sz <= 0 {
-			t.Fatalf("WireSize(SlotDumpRep) = %d", sz)
+		for _, msg := range []any{ShardMapReq{}, ShardMapRep{Map: m}, MapUpdateReq{Map: m},
+			MapUpdateRep{Epoch: m.Epoch}, slots, dump, InstallReq{Copies: dump.Copies},
+			InstallRep{Installed: len(dump.Copies)}} {
+			if got, want := wireRoundTrip(t, msg), gobIfaceRoundTrip(t, msg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T binary codec diverges from gob:\n wire: %+v\n  gob: %+v", msg, got, want)
+			}
 		}
 
-		// 2PC messages: gob round trip plus binary-codec equivalence (the
-		// pipelined transport ships these in binary; both paths must agree).
+		// 2PC messages: gob round trip plus binary-codec equivalence.
 		preq := fuzzPrepareReq(z)
 		var preqOut PrepareReq
 		gobRT(t, preq, &preqOut)
@@ -183,16 +174,16 @@ func FuzzShardWire(f *testing.F) {
 	})
 }
 
-// shardFuzzSeedInputs is the in-code seed corpus for FuzzShardWire: real gob
+// shardFuzzSeedInputs is the in-code seed corpus for FuzzShardWire: binary
 // encodings of representative shard/2PC messages plus branch-driving byte
 // patterns. TestWriteShardFuzzCorpus mirrors these into testdata/fuzz.
 func shardFuzzSeedInputs() [][]byte {
 	enc := func(msg any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
+		b, err := EncodeWire(nil, msg)
+		if err != nil {
 			panic(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	m := PartitionMap([]NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 4)
 	moving := m.Clone()
@@ -201,7 +192,7 @@ func shardFuzzSeedInputs() [][]byte {
 	return [][]byte{
 		{},
 		[]byte("shards"),
-		enc(m),
+		enc(ShardMapRep{Map: m}),
 		enc(MapUpdateReq{Map: moving}),
 		enc(SlotDumpRep{Copies: []ObjectCopy{{ID: "acct/x", Version: 7, Val: Int64(93)}}, Protected: true}),
 		enc(InstallReq{Copies: []ObjectCopy{{ID: "acct/x", Version: 7, Val: Int64(93)}}}),

@@ -1,9 +1,6 @@
 package proto
 
-import (
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // TraceContext is the causal context piggybacked on every request message.
 // Trace identifies one root transaction's distributed trace; Span is the
@@ -13,10 +10,10 @@ import (
 // "tracing off": replicas must not record spans for it.
 //
 // The context travels inside the request structs themselves, so every
-// transport — MemTransport, TCP/gob, and the retry/fault wrappers, which
-// all pass requests through opaquely — propagates it without knowing it
-// exists. gob omits zero-valued fields, so untraced runs pay nothing extra
-// on the wire.
+// transport — MemTransport, TCP, and the retry/fault wrappers, which all
+// pass requests through opaquely — propagates it without knowing it exists.
+// The codec writes a zero context as one presence byte, so untraced runs pay
+// almost nothing extra on the wire.
 type TraceContext struct {
 	Trace  uint64
 	Span   uint64
@@ -85,9 +82,8 @@ func (k SpanKind) String() string {
 	return spanKindNames[k]
 }
 
-// MarshalText renders the kind name in JSON trace dumps. gob ignores it
-// (gob only consults GobEncoder/BinaryMarshaler) and keeps encoding the
-// int, so the wire format stays compact.
+// MarshalText renders the kind name in JSON trace dumps. The wire codec
+// writes the int, so the wire format stays compact.
 func (k SpanKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // UnmarshalText parses a kind name produced by MarshalText.
@@ -164,9 +160,4 @@ type TraceDumpReq struct{}
 type TraceDumpRep struct {
 	Node  NodeID
 	Spans []Span
-}
-
-func init() {
-	gob.Register(TraceDumpReq{})
-	gob.Register(TraceDumpRep{})
 }

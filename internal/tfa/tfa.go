@@ -20,7 +20,6 @@ package tfa
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -38,7 +37,7 @@ import (
 // ErrTooManyRetries mirrors core.ErrTooManyRetries for the TFA system.
 var ErrTooManyRetries = errors.New("tfa: transaction exceeded retry limit")
 
-// Wire messages. Registered for gob in init so TFA can also run over TCP.
+// Wire messages, carried by the in-memory transport.
 
 // ReadReq fetches an object from its home node.
 type ReadReq struct {
@@ -97,16 +96,6 @@ type UnlockReq struct {
 
 // UnlockRep acknowledges an UnlockReq.
 type UnlockRep struct{}
-
-func init() {
-	for _, m := range []any{
-		ReadReq{}, ReadRep{}, ValidateReq{}, ValidateRep{},
-		LockReq{}, LockRep{}, CommitReq{}, CommitRep{},
-		UnlockReq{}, UnlockRep{},
-	} {
-		gob.Register(m)
-	}
-}
 
 type tfaRecord struct {
 	copyv  proto.ObjectCopy

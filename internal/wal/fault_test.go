@@ -1,14 +1,17 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"qrdtm/internal/proto"
+	"qrdtm/internal/store"
 )
 
 // This file is the torn-write/corruption battery: truncation at every byte
@@ -320,5 +323,73 @@ func TestSnapshotCorruptionFatal(t *testing.T) {
 	}
 	if _, _, err := Open(Options{Dir: dir}); err == nil {
 		t.Fatal("Open accepted a snapshot with a bad CRC")
+	}
+}
+
+// TestSnapshotBodyCorruption: a snapshot body round-trips exactly, its bytes
+// depend on the state and not on object or cursor order, every strict prefix
+// of it fails to decode, and no bit flip panics the decoder. On disk the CRC
+// turns every truncation and every flip into an error.
+func TestSnapshotBodyCorruption(t *testing.T) {
+	state := SnapshotState{
+		AppliedIndex: 77,
+		Map:          proto.PartitionMap([]proto.NodeID{0, 1, 2, 3}, 2),
+		Objects: []store.Entry{
+			{Copy: proto.ObjectCopy{ID: "acct/a", Version: 3, Val: proto.Int64(5)}},
+			{Copy: proto.ObjectCopy{ID: "hm/n1", Version: 1, Val: chainNode{Key: 1, Next: "hm/n2"}}, Protected: true, Protector: 9},
+		},
+		Cursors: map[proto.NodeID]uint64{2: 9, 0: 4, 1: 1 << 40},
+	}
+	body, err := encodeSnapshot(nil, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeSnapshot(body)
+	if err != nil || !reflect.DeepEqual(*got, state) {
+		t.Fatalf("round trip: err %v\n got:  %+v\n want: %+v", err, got, state)
+	}
+	reordered := state
+	reordered.Objects = []store.Entry{state.Objects[1], state.Objects[0]}
+	if again, _ := encodeSnapshot(nil, reordered); !bytes.Equal(again, body) {
+		t.Fatal("snapshot bytes depend on object order")
+	}
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := decodeSnapshot(body[:cut]); err == nil {
+			t.Fatalf("a %d/%d byte prefix decoded", cut, len(body))
+		}
+	}
+	for pos := range body {
+		for bit := 0; bit < 8; bit++ {
+			flipped := bytes.Clone(body)
+			flipped[pos] ^= 1 << bit
+			_, _ = decodeSnapshot(flipped) // may decode to another state; must not panic
+		}
+	}
+
+	dir := t.TempDir()
+	if _, err := writeSnapshot(dir, snapName, state); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapName)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, b []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readSnapshot(path); err == nil {
+			t.Fatalf("readSnapshot accepted a snapshot %s", what)
+		}
+	}
+	for cut := 0; cut < len(file); cut++ {
+		check(fmt.Sprintf("cut to %d/%d bytes", cut, len(file)), file[:cut])
+	}
+	for pos := range file {
+		flipped := bytes.Clone(file)
+		flipped[pos] ^= 0x10
+		check(fmt.Sprintf("flipped at byte %d", pos), flipped)
 	}
 }

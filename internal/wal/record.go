@@ -7,9 +7,7 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -81,18 +79,15 @@ type Record struct {
 // Frame layout (little-endian):
 //
 //	u32 bodyLen | u32 crc32c(body) | body
-//	body := u64 index | kind(1) | enc(1) | payload
+//	body := u64 index | kind(1) | payload
 //
-// enc selects the payload codec: encWire is the hand-rolled proto binary
-// codec (the hot prepare/decide/load records), encGob a self-contained gob
-// blob (everything else). The CRC covers the whole body, so replay detects a
-// torn or corrupted record before looking at any of its fields.
+// The payload is the message's proto.EncodeWire encoding, except a cursor's,
+// which is its peer and index as two u64s. The CRC covers the whole body, so
+// replay detects a torn or corrupted record before looking at any of its
+// fields.
 const (
-	frameHeaderSize = 8  // bodyLen + crc
-	bodyPrefixSize  = 10 // index + kind + enc
-
-	encWire = 0
-	encGob  = 1
+	frameHeaderSize = 8 // bodyLen + crc
+	bodyPrefixSize  = 9 // index + kind
 
 	// maxRecordSize bounds one record's body. Mirrors the wire frame cap: a
 	// larger length prefix is treated as corruption, not an allocation order.
@@ -107,8 +102,8 @@ var errCorrupt = errors.New("wal: corrupt record")
 
 // errUndecodable marks a frame whose CRC checks out but whose payload does
 // not decode. That is no torn write but a record this build cannot read (one
-// written by a build with another value encoding, say), so replay refuses
-// the log rather than truncate acknowledged records away.
+// holding a value whose type this build did not register, say), so replay
+// refuses the log rather than truncate acknowledged records away.
 var errUndecodable = errors.New("wal: undecodable record")
 
 // ErrClosed is returned by Append and Snapshot after Close.
@@ -121,28 +116,16 @@ func appendFrame(buf []byte, index uint64, kind Kind, msg any) ([]byte, error) {
 	bodyStart := len(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, index)
 	buf = append(buf, byte(kind))
-	switch m := msg.(type) {
-	case Cursor:
+	if m, ok := msg.(Cursor); ok {
 		// Fixed-size hand encoding: cursors are tiny and hot during catch-up.
-		buf = append(buf, encWire)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(m.Peer)))
 		buf = binary.LittleEndian.AppendUint64(buf, m.Index)
-	default:
-		out, err := proto.EncodeWire(append(buf, encWire), msg)
-		switch {
-		case err == nil:
-			buf = out
-		case !errors.Is(err, proto.ErrNotWireEncodable):
-			// A hot kind the codec refuses (an unregistered value) is an
-			// error, not a gob record: each kind has one encoding on disk.
+	} else {
+		out, err := proto.EncodeWire(buf, msg)
+		if err != nil {
 			return buf[:start], fmt.Errorf("wal: encoding %T: %w", msg, err)
-		default:
-			var blob bytes.Buffer
-			if err := gob.NewEncoder(&blob).Encode(&msg); err != nil {
-				return buf[:start], fmt.Errorf("wal: encoding %T: %w", msg, err)
-			}
-			buf = append(append(buf, encGob), blob.Bytes()...)
 		}
+		buf = out
 	}
 	body := buf[bodyStart:]
 	if len(body) > maxRecordSize {
@@ -178,11 +161,9 @@ func decodeFrame(b []byte) (Record, int, error) {
 		Index: binary.LittleEndian.Uint64(body),
 		Kind:  Kind(body[8]),
 	}
-	enc := body[9]
 	payload := body[bodyPrefixSize:]
-	var err error
 	if rec.Kind == KindCursor {
-		if enc != encWire || len(payload) != 16 {
+		if len(payload) != 16 {
 			return Record{}, 0, fmt.Errorf("%w: malformed cursor payload", errUndecodable)
 		}
 		rec.Msg = Cursor{
@@ -190,15 +171,8 @@ func decodeFrame(b []byte) (Record, int, error) {
 			Index: binary.LittleEndian.Uint64(payload[8:]),
 		}
 	} else {
-		switch enc {
-		case encWire:
-			rec.Msg, err = proto.DecodeWire(payload)
-		case encGob:
-			err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec.Msg)
-		default:
-			err = fmt.Errorf("unknown payload encoding %d", enc)
-		}
-		if err != nil {
+		var err error
+		if rec.Msg, err = proto.DecodeWire(payload); err != nil {
 			return Record{}, 0, fmt.Errorf("%w: %v", errUndecodable, err)
 		}
 	}

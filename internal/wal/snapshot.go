@@ -1,13 +1,13 @@
 package wal
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"qrdtm/internal/proto"
 	"qrdtm/internal/store"
@@ -26,24 +26,31 @@ type SnapshotState struct {
 }
 
 // Snapshot file layout: the segment-style magic, then ONE CRC frame
-// (u32 len | u32 crc32c | gob(SnapshotState)). Atomicity comes from the
-// write path (temp file + fsync + rename + directory fsync), so a snapshot
-// file is always entirely old or entirely new; the CRC guards against media
-// corruption, not torn writes.
-const snapMagic = "QSNP\x01"
+// (u32 len | u32 crc32c | body). Atomicity comes from the write path (temp
+// file + fsync + rename + directory fsync), so a snapshot file is always
+// entirely old or entirely new; the CRC guards against media corruption, not
+// torn writes. The body carries values in the wire codec, so a value has the
+// one encoding it has on the wire and in log records:
+//
+//	uvarint AppliedIndex
+//	u32 len | proto.MapUpdateReq{Map}                          (EncodeWire)
+//	u32 len | proto.InstallReq{the objects' copies, by id}     (EncodeWire)
+//	per object, in the same order: protected(1) | uvarint protector
+//	uvarint count | per cursor, by peer: uvarint peer | uvarint index
+//
+// Sorting makes the bytes a function of the state alone.
+const snapMagic = "QSNP\x02"
 
 // writeSnapshot atomically replaces dir/name with the encoded state and
 // returns the file's size.
 func writeSnapshot(dir, name string, state SnapshotState) (int64, error) {
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(state); err != nil {
-		return 0, fmt.Errorf("wal: encoding snapshot: %w", err)
+	buf, err := encodeSnapshot(append([]byte(snapMagic), make([]byte, frameHeaderSize)...), state)
+	if err != nil {
+		return 0, err
 	}
-	buf := make([]byte, 0, len(snapMagic)+frameHeaderSize+blob.Len())
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(blob.Len()))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(blob.Bytes(), crcTable))
-	buf = append(buf, blob.Bytes()...)
+	body := buf[len(snapMagic)+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[len(snapMagic):], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[len(snapMagic)+4:], crc32.Checksum(body, crcTable))
 
 	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
@@ -95,11 +102,137 @@ func readSnapshot(path string) (*SnapshotState, int64, error) {
 	if crc32.Checksum(blob, crcTable) != crc {
 		return nil, 0, fmt.Errorf("wal: snapshot %s failed CRC", path)
 	}
-	var state SnapshotState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&state); err != nil {
-		return nil, 0, fmt.Errorf("wal: decoding snapshot %s: %w", path, err)
+	state, err := decodeSnapshot(blob)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: snapshot %s: %w", path, err)
 	}
-	return &state, int64(len(b)), nil
+	return state, int64(len(b)), nil
+}
+
+// encodeSnapshot appends the snapshot body for state to buf. It sorts
+// state.Objects in place.
+func encodeSnapshot(buf []byte, state SnapshotState) ([]byte, error) {
+	slices.SortFunc(state.Objects, func(a, b store.Entry) int { return cmp.Compare(a.Copy.ID, b.Copy.ID) })
+	copies := make([]proto.ObjectCopy, len(state.Objects))
+	for i, e := range state.Objects {
+		copies[i] = e.Copy
+	}
+	buf = binary.AppendUvarint(buf, state.AppliedIndex)
+	for _, msg := range []any{proto.MapUpdateReq{Map: state.Map}, proto.InstallReq{Copies: copies}} {
+		at := len(buf)
+		out, err := proto.EncodeWire(append(buf, 0, 0, 0, 0), msg)
+		if err != nil {
+			return buf, fmt.Errorf("wal: encoding snapshot: %w", err)
+		}
+		buf = out
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	for _, e := range state.Objects {
+		var protected byte
+		if e.Protected {
+			protected = 1
+		}
+		buf = binary.AppendUvarint(append(buf, protected), uint64(e.Protector))
+	}
+	peers := make([]proto.NodeID, 0, len(state.Cursors))
+	for p := range state.Cursors {
+		peers = append(peers, p)
+	}
+	slices.Sort(peers)
+	buf = binary.AppendUvarint(buf, uint64(len(peers)))
+	for _, p := range peers {
+		buf = binary.AppendUvarint(buf, uint64(p))
+		buf = binary.AppendUvarint(buf, state.Cursors[p])
+	}
+	return buf, nil
+}
+
+// decodeSnapshot reverses encodeSnapshot; malformed input is an error.
+func decodeSnapshot(b []byte) (*SnapshotState, error) {
+	r := &snapReader{b: b}
+	state := &SnapshotState{AppliedIndex: r.uvarint()}
+	upd, _ := r.message().(proto.MapUpdateReq)
+	inst, ok := r.message().(proto.InstallReq)
+	if !ok {
+		r.fail("no object table")
+	}
+	state.Map = upd.Map
+	for _, c := range inst.Copies {
+		protected := r.flag()
+		state.Objects = append(state.Objects, store.Entry{Copy: c, Protected: protected, Protector: proto.TxnID(r.uvarint())})
+	}
+	n := r.uvarint()
+	if n > uint64(len(r.b)/2) {
+		r.fail("cursor count exceeds input")
+	} else if n > 0 {
+		state.Cursors = make(map[proto.NodeID]uint64, n)
+		for ; n > 0; n-- {
+			peer := proto.NodeID(r.uvarint())
+			state.Cursors[peer] = r.uvarint()
+		}
+	}
+	if len(r.b) != 0 {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return state, nil
+}
+
+// snapReader is a bounds-checked cursor over a snapshot body. The first
+// failure sticks and empties the input, so every later read fails too.
+type snapReader struct {
+	b   []byte
+	err error
+}
+
+func (r *snapReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("corrupt body: %s", what)
+	}
+	r.b = nil
+}
+
+func (r *snapReader) take(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail("truncated")
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *snapReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *snapReader) flag() bool {
+	b := r.take(1)
+	if len(b) == 1 && b[0] > 1 {
+		r.fail("bad flag")
+	}
+	return len(b) == 1 && b[0] == 1
+}
+
+// message reads one u32-length-prefixed codec message.
+func (r *snapReader) message() any {
+	n := r.take(4)
+	if n == nil {
+		return nil
+	}
+	msg, err := proto.DecodeWire(r.take(uint64(binary.LittleEndian.Uint32(n))))
+	if err != nil {
+		r.fail(err.Error())
+	}
+	return msg
 }
 
 // Apply replays one log record into the store. Replay runs records in

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -47,15 +48,15 @@ var chainPrepare = proto.PrepareReq{Txn: 11, Owner: 11,
 	Writes: []proto.ObjectCopy{{ID: "hm/n4211", Version: 5, Val: chainNode{Key: 77, Next: "hm/n9"}}}}
 
 // TestAppValueRecordSurvivesReopen: a prepare carrying a registered
-// application value is logged in the binary codec, not gob, and comes back
+// application value is logged as its wire-codec encoding and comes back
 // unchanged after close and reopen.
 func TestAppValueRecordSurvivesReopen(t *testing.T) {
 	frame, err := appendFrame(nil, 1, KindPrepare, chainPrepare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc := frame[frameHeaderSize+9]; enc != encWire {
-		t.Fatalf("prepare logged with payload encoding %d, want the binary codec", enc)
+	if wire, _ := proto.EncodeWire(nil, chainPrepare); !bytes.Equal(frame[frameHeaderSize+bodyPrefixSize:], wire) {
+		t.Fatalf("prepare payload %x is not its wire encoding %x", frame[frameHeaderSize+bodyPrefixSize:], wire)
 	}
 
 	dir := t.TempDir()
@@ -110,7 +111,7 @@ func TestUndecodableRecordRefusesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := binary.LittleEndian.AppendUint64(nil, 2)
-	body = append(body, byte(KindDecide), encWire, 0xff) // 0xff: no such message
+	body = append(body, byte(KindDecide), 0xff) // 0xff: no such message
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crcTable))
 	frame = append(frame, body...)

@@ -114,11 +114,10 @@ type walFile interface {
 type osFile struct{ *os.File }
 
 const (
-	segPrefix  = "wal-"
-	segSuffix  = ".log"
-	snapName   = "state.snap"
-	segMagic   = "QWAL\x01"
-	logVersion = 1
+	segPrefix = "wal-"
+	segSuffix = ".log"
+	snapName  = "state.snap"
+	segMagic  = "QWAL\x02"
 
 	// segReserve is the space the active segment reserves past its written
 	// end, and what a flush that would cross the reserved end adds to it.

@@ -265,10 +265,11 @@ type (
 )
 
 // RegisterValue registers an application-defined Value for the TCP transport
-// and the WAL under a one-byte tag, unique within the process. v must also
-// implement AppendBinary(b []byte) ([]byte, error), appending its own
-// encoding to b, and decode must rebuild the value from exactly those bytes
-// (copying what it keeps). A message carrying an unregistered type fails its
+// and the WAL (log records and snapshots) under a one-byte tag, unique
+// within the process. v must also implement AppendBinary(b []byte) ([]byte,
+// error), appending its own encoding to b, and decode must rebuild the value
+// from exactly those bytes (copying what it keeps); that is the value's only
+// encoding. A message carrying an unregistered type fails its
 // call with an error naming the type. The stock payloads (Int64, String, …)
 // need no registration; the in-memory cluster needs none at all. A value may
 // also implement AppendLinks(dst []ObjectID) []ObjectID (proto.Linker),

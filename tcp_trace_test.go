@@ -1,5 +1,5 @@
 // End-to-end distributed tracing over real TCP: causal trace contexts ride
-// the gob wire, every replica records serve spans into its own ring, the
+// the binary wire, every replica records serve spans into its own ring, the
 // client collects them with TraceDump requests, and the merged timeline both
 // renders as Chrome trace-event JSON and passes the protocol checker.
 package qrdtm_test
@@ -247,8 +247,8 @@ func TestTCPCheckpointedCommitTraced(t *testing.T) {
 }
 
 // TestTCPTraceContextOnWire pins the wire behavior: a request carrying a
-// trace context round-trips it through gob, and an untraced request arrives
-// with a zero context (no wire overhead when tracing is off).
+// trace context round-trips it through the codec, and an untraced request
+// arrives with a zero context (one presence byte when tracing is off).
 func TestTCPTraceContextOnWire(t *testing.T) {
 	var got []proto.TraceContext
 	handler := func(_ proto.NodeID, req any) any {
