@@ -10,6 +10,7 @@ import (
 
 	"qrdtm/internal/cluster"
 	"qrdtm/internal/core"
+	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
 	"qrdtm/internal/quorum"
 	"qrdtm/internal/server"
@@ -29,6 +30,8 @@ type testCluster struct {
 	// (fault-injection variants); the raw MemTransport stays reachable via
 	// trans for crash control and stats.
 	wrap func(cluster.Transport) cluster.Transport
+	// obs, when set, is the registry every runtime records into.
+	obs *obs.Registry
 
 	mu       sync.Mutex
 	runtimes map[proto.NodeID]*core.Runtime
@@ -78,6 +81,7 @@ func (tc *testCluster) runtime(n proto.NodeID) *core.Runtime {
 		MaxRetries:      100000,
 		BackoffBase:     20 * time.Microsecond,
 		BackoffMax:      2 * time.Millisecond,
+		Obs:             tc.obs,
 	})
 	if err != nil {
 		tc.t.Fatalf("NewRuntime(%v): %v", n, err)
@@ -877,6 +881,65 @@ func TestUnavailableWhenClusterDies(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected failure with the whole cluster down")
+	}
+}
+
+// TestFlatZombieAbortLeavesSpan pins that a flat transaction's zombie abort
+// is recorded like every other abort. Transaction A reads x, another runtime
+// then moves d from x to y, and A reads y, sees x+y != 100 and fails;
+// revalidation finds x stale and turns the failure into an abort-and-retry.
+// That abort must count once as read-validation and leave exactly one abort
+// span, under the failed attempt, in A's trace.
+func TestFlatZombieAbortLeavesSpan(t *testing.T) {
+	const d = 10
+	tc := newTestCluster(t, 4, core.Flat)
+	tc.obs = obs.NewRegistry().WithSpans(obs.NewSpanBuffer(1 << 10))
+	tc.load(map[proto.ObjectID]int64{"x": 40, "y": 60})
+	a, other := tc.runtime(0), tc.runtime(1)
+
+	var once sync.Once
+	mustAtomic(t, a, func(tx *core.Txn) error {
+		x := readInt(t, tx, "x")
+		once.Do(func() {
+			mustAtomic(t, other, func(tx *core.Txn) error {
+				if err := tx.Write("x", proto.Int64(readInt(t, tx, "x")-d)); err != nil {
+					return err
+				}
+				return tx.Write("y", proto.Int64(readInt(t, tx, "y")+d))
+			})
+		})
+		if y := readInt(t, tx, "y"); x+y != 100 {
+			return fmt.Errorf("invariant broken: x+y = %d", x+y)
+		}
+		return nil
+	})
+
+	if got := tc.obs.Snapshot().Aborts["read-validation"]; got != 1 {
+		t.Fatalf("read-validation aborts = %d, want 1", got)
+	}
+	spans := tc.obs.Spans().Spans()
+	byID := map[uint64]proto.Span{}
+	var root proto.Span
+	for _, s := range spans {
+		byID[s.ID] = s
+		if s.Kind == proto.SpanRoot && s.Node == 0 {
+			root = s
+		}
+	}
+	var aborts []proto.Span
+	for _, s := range spans {
+		if s.Trace == root.Trace && s.Kind == proto.SpanAbort && s.Note == "read-validation" {
+			aborts = append(aborts, s)
+		}
+	}
+	if root.ID == 0 || len(aborts) != 1 {
+		t.Fatalf("A's trace holds %d read-validation abort spans, want 1", len(aborts))
+	}
+	if p := byID[aborts[0].Parent]; p.Kind != proto.SpanAttempt || p.OK || aborts[0].Depth != 0 {
+		t.Fatalf("abort span %+v not a depth-0 child of the failed attempt (parent %+v)", aborts[0], p)
+	}
+	if err := obs.CheckTrace(spans).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -56,7 +56,6 @@ func (rt *Runtime) Atomic(ctx context.Context, body func(*Txn) error) error {
 			}
 			rt.metrics.Commits.Add(1)
 			rt.obs.ObserveSince(obs.SiteTxnLatency, t0)
-			rt.obs.Trace(obs.Event{Kind: obs.EvCommit, Txn: uint64(tx.id)})
 			rsp.SetTxn(tx.id)
 			rsp.SetOK(true)
 			return nil
@@ -87,7 +86,7 @@ func (rt *Runtime) attemptRoot(tx *Txn, body func(*Txn) error) (aborted bool, er
 	if bodyErr != nil {
 		if errors.Is(bodyErr, errZombie) {
 			// Staleness already confirmed by runBody.
-			tx.noteAbort(obs.CauseReadValidation, 0, proto.NoChk, "")
+			tx.noteAbort(tx.tc, obs.CauseReadValidation, "", 0, proto.NoChk)
 			return true, nil
 		}
 		// Engine errors (quorum unavailable, cancellation) are never
@@ -96,7 +95,7 @@ func (rt *Runtime) attemptRoot(tx *Txn, body func(*Txn) error) (aborted bool, er
 			errors.Is(bodyErr, context.Canceled) ||
 			errors.Is(bodyErr, context.DeadlineExceeded)
 		if !rt.mode.Rqv() && !engineErr && tx.snapshotStale() {
-			tx.noteAbort(obs.CauseReadValidation, 0, proto.NoChk, "")
+			tx.noteAbort(tx.tc, obs.CauseReadValidation, "", 0, proto.NoChk)
 			return true, nil
 		}
 		return false, bodyErr
@@ -516,8 +515,7 @@ func (tx *Txn) commit(absLocks []string, owner proto.TxnID) error {
 				return err
 			}
 		}
-		tx.noteAbort(cause, 0, proto.NoChk, "")
-		tx.abortSpan(csp.Context(), cause, "", 0, proto.NoChk)
+		tx.noteAbort(csp.Context(), cause, "", 0, proto.NoChk)
 		throwAbort(0, proto.NoChk)
 	}
 
@@ -707,7 +705,6 @@ func (rt *Runtime) atomicCheckpointed(ctx context.Context, initial State, steps 
 		if !aborted {
 			rt.metrics.Commits.Add(1)
 			rt.obs.ObserveSince(obs.SiteTxnLatency, t0)
-			rt.obs.Trace(obs.Event{Kind: obs.EvCommit, Txn: uint64(id)})
 			rsp.SetTxn(id)
 			rsp.SetOK(true)
 			return st, nil
@@ -719,8 +716,8 @@ func (rt *Runtime) atomicCheckpointed(ctx context.Context, initial State, steps 
 
 // checkpointedAttempt runs one full attempt with partial rollbacks handled
 // internally; aborted reports a commit-time conflict (full restart). The
-// attempt's transaction id is returned so the caller can stamp the commit
-// trace event and root span exactly like Atomic does.
+// attempt's transaction id is returned so the caller can stamp the root
+// span exactly like Atomic does.
 func (rt *Runtime) checkpointedAttempt(ctx context.Context, initial State, steps []Step, rtc proto.TraceContext) (st State, id proto.TxnID, aborted bool, err error) {
 	tx := newRootTxn(rt, ctx)
 	id = tx.id
@@ -757,7 +754,6 @@ func (rt *Runtime) checkpointedAttempt(ctx context.Context, initial State, steps
 			tx.chkEpoch++
 			tx.footprint = 0
 			rt.metrics.Checkpoints.Add(1)
-			rt.obs.Trace(obs.Event{Kind: obs.EvCheckpoint, Txn: uint64(tx.id), Chk: tx.chkEpoch})
 			ksp := rt.obs.StartSpan(proto.SpanCheckpoint, rt.node, tx.tc)
 			ksp.SetTxn(tx.id)
 			ksp.SetChk(tx.chkEpoch)
@@ -784,10 +780,6 @@ func (rt *Runtime) checkpointedAttempt(ctx context.Context, initial State, steps
 			// persistent (see immediateRetries).
 			rt.metrics.ChkRollbacks.Add(1)
 			rt.obs.Observe(obs.SiteRollbackDepth, int64(i-cps[chk].step))
-			rt.obs.Trace(obs.Event{
-				Kind: obs.EvRollback, Txn: uint64(tx.id),
-				Chk: chk, Note: i - cps[chk].step,
-			})
 			rbs := rt.obs.StartSpan(proto.SpanRollback, rt.node, tx.tc)
 			rbs.SetTxn(tx.id)
 			rbs.SetChk(chk)                 // target epoch being restored

@@ -105,25 +105,6 @@ func throwAbort(depth, chk int) {
 	panic(abortSignal{depth: depth, chk: chk})
 }
 
-// noteAbort attributes one abort decision to the observability layer: the
-// cause counter plus a trace event naming the resolved retry target (depth
-// for QR-CN, checkpoint epoch for QR-CHK) and the object whose read hit the
-// denial (empty for commit-time aborts). No-op without a registry.
-func (tx *Txn) noteAbort(cause obs.AbortCause, depth, chk int, objKey proto.ObjectID) {
-	if tx.rt.obs == nil {
-		return
-	}
-	tx.rt.obs.Abort(cause)
-	tx.rt.obs.Trace(obs.Event{
-		Kind:  obs.EvAbort,
-		Txn:   uint64(tx.id),
-		Depth: depth,
-		Cause: cause,
-		Obj:   string(objKey),
-		Chk:   chk,
-	})
-}
-
 // Txn is one (possibly nested) transaction. A Txn is confined to the
 // goroutine executing its body; the engine never shares it.
 type Txn struct {
@@ -883,8 +864,7 @@ func (tx *Txn) routeAbort(abortDepth, abortChk int, cause obs.AbortCause, obj pr
 			// into an ancestor; the shallowest live scope retries.
 			d = tx.depth
 		}
-		tx.noteAbort(cause, d, proto.NoChk, obj)
-		tx.abortSpan(parent, cause, obj, d, proto.NoChk)
+		tx.noteAbort(parent, cause, obj, d, proto.NoChk)
 		throwAbort(d, proto.NoChk)
 	case Checkpoint:
 		c := abortChk
@@ -894,19 +874,21 @@ func (tx *Txn) routeAbort(abortDepth, abortChk int, cause obs.AbortCause, obj pr
 		if c > tx.chkEpoch {
 			c = tx.chkEpoch
 		}
-		tx.noteAbort(cause, 0, c, obj)
-		tx.abortSpan(parent, cause, obj, 0, c)
+		tx.noteAbort(parent, cause, obj, 0, c)
 		throwAbort(0, c)
 	default:
-		tx.noteAbort(cause, 0, proto.NoChk, obj)
-		tx.abortSpan(parent, cause, obj, 0, proto.NoChk)
+		tx.noteAbort(parent, cause, obj, 0, proto.NoChk)
 		throwAbort(0, proto.NoChk)
 	}
 }
 
-// abortSpan records an instant abort-decision span carrying the routed
-// target (Depth for QR-CN, Chk for QR-CHK) and the cause as its note.
-func (tx *Txn) abortSpan(parent proto.TraceContext, cause obs.AbortCause, obj proto.ObjectID, depth, chk int) {
+// noteAbort attributes one abort decision to the observability layer: the
+// cause counter plus an instant SpanAbort under parent naming the resolved
+// retry target (depth for QR-CN, checkpoint epoch for QR-CHK) and the object
+// whose read hit the denial (empty for commit-time and zombie aborts). Every
+// abort passes through here, so counted aborts and abort spans agree.
+func (tx *Txn) noteAbort(parent proto.TraceContext, cause obs.AbortCause, obj proto.ObjectID, depth, chk int) {
+	tx.rt.obs.Abort(cause)
 	sp := tx.rt.obs.StartSpan(proto.SpanAbort, tx.rt.node, parent)
 	sp.SetTxn(tx.id)
 	sp.SetObj(obj)

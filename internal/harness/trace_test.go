@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qrdtm/internal/obs"
+	"qrdtm/internal/proto"
 )
 
 func TestFaultTraceAudit(t *testing.T) {
@@ -44,8 +45,9 @@ func TestFaultTraceAudit(t *testing.T) {
 
 // TestTraceRunVerified runs one traced hashmap cell per protocol with
 // workload verification on. Tracing must not perturb the engine (same commit
-// count), the spans must pass the protocol checker, every commit must
-// decompose into critical-path phases, and the heat counters must fill.
+// count), the spans must pass the protocol checker with one complete trace
+// per transaction, every counted abort must have left exactly one abort span,
+// and the heat counters must fill.
 func TestTraceRunVerified(t *testing.T) {
 	for _, mode := range figureModes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -65,12 +67,24 @@ func TestTraceRunVerified(t *testing.T) {
 			if err := check.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if check.Traces == 0 || check.Spans == 0 {
-				t.Fatalf("nothing traced: %+v", check)
+			if check.Traces != 30 || check.Incomplete != 0 {
+				t.Fatalf("want 30 complete traces: %+v", check)
 			}
-			dec := obs.DecomposePhases(spans)
-			if len(dec.Commits) == 0 || dec.Skipped != 0 {
-				t.Fatalf("phase decomposition: %d commits, %d skipped", len(dec.Commits), dec.Skipped)
+			// With nothing overwritten, the abort spans and the abort
+			// counters are two views of the same decisions.
+			if reg.Spans().Stats().Dropped == 0 {
+				var spanned, counted uint64
+				for _, s := range spans {
+					if s.Kind == proto.SpanAbort {
+						spanned++
+					}
+				}
+				for _, n := range reg.Snapshot().Aborts {
+					counted += n
+				}
+				if spanned != counted {
+					t.Fatalf("%d abort spans, %d counted aborts", spanned, counted)
+				}
 			}
 			if len(reg.HeatSnapshot().TopSlots(1)) == 0 {
 				t.Fatal("no heat recorded")

@@ -149,7 +149,7 @@ func (a *Admin) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Mux returns the handler serving /metrics, /healthz, /trace and
+// Mux returns the handler serving /metrics, /healthz, /trace, /heat and
 // /debug/pprof/.
 func (a *Admin) Mux() *http.ServeMux {
 	mux := http.NewServeMux()

@@ -178,15 +178,15 @@ func TestSpansSince(t *testing.T) {
 	if dropped != 2 || len(spans) != 8 || cur != 13 {
 		t.Fatalf("overrun drain: %d spans, cursor %d, dropped %d (want 8/13/2)", len(spans), cur, dropped)
 	}
-	if b.Dropped() != 5 {
-		t.Fatalf("Dropped() = %d, want 5 (13 seen - 8 cap)", b.Dropped())
+	if st := b.Stats(); st.Dropped != 5 {
+		t.Fatalf("Stats().Dropped = %d, want 5 (13 seen - 8 cap)", st.Dropped)
 	}
 	// Nil-safety.
 	var nilBuf *SpanBuffer
 	if spans, cur, dropped := nilBuf.SpansSince(0); spans != nil || cur != 0 || dropped != 0 {
 		t.Fatal("nil buffer SpansSince not a no-op")
 	}
-	if nilBuf.Cap() != 0 || nilBuf.Dropped() != 0 {
-		t.Fatal("nil buffer Cap/Dropped not zero")
+	if st := nilBuf.Stats(); st != (SpanBufStats{}) {
+		t.Fatalf("nil buffer Stats = %+v, want zero", st)
 	}
 }

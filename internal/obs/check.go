@@ -211,7 +211,7 @@ func checkAbortRouting(res *CheckResult, ts *traceSet, spans []proto.Span) {
 		}
 		read := ts.byID[s.Parent]
 		if read.Kind != proto.SpanRead {
-			continue // commit-conflict aborts route to the root uncondionally
+			continue // commit-time and zombie aborts route to the root unconditionally
 		}
 		denialSeen := false
 		minDepth, minChk := proto.NoDepth, proto.NoChk

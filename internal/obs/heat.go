@@ -98,25 +98,6 @@ func (h *HeatSnapshot) Total(slot int) uint64 {
 	return h.Reads[slot] + h.Writes[slot]
 }
 
-// Merge folds o into a copy of h (associative; per-node snapshots combine in
-// any order). Either side may be nil.
-func (h *HeatSnapshot) Merge(o *HeatSnapshot) *HeatSnapshot {
-	if h == nil {
-		return o
-	}
-	if o == nil {
-		return h
-	}
-	out := *h
-	for i := 0; i < proto.NumSlots; i++ {
-		out.Reads[i] += o.Reads[i]
-		out.Writes[i] += o.Writes[i]
-		out.Conflicts[i] += o.Conflicts[i]
-		out.Aborts[i] += o.Aborts[i]
-	}
-	return &out
-}
-
 // SlotHeat is one slot's row in ranked heat output.
 type SlotHeat struct {
 	Slot      int    `json:"slot"`

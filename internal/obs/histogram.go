@@ -1,12 +1,13 @@
 // Package obs is the observability layer of QR-DTM: lock-free log-bucketed
-// latency histograms, a per-transaction trace/event ring with abort-cause
-// attribution, and an HTTP admin surface (/metrics, /healthz, pprof) for
-// live nodes.
+// latency histograms, abort counters by cause, a per-transaction span ring
+// (the one per-transaction record: attempts, reads, commits, aborts,
+// checkpoints and rollbacks), and an HTTP admin surface (/metrics, /healthz,
+// pprof) for live nodes.
 //
 // Everything in the package is built for the protocol hot path: recording a
 // sample is a handful of atomic adds with zero allocation, a nil *Registry
 // (the default) makes every instrumentation site a no-op, and snapshots are
-// plain values that can be merged across nodes and serialized to JSON.
+// plain values that serialize to JSON.
 package obs
 
 import (
@@ -101,16 +102,7 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordSince records the elapsed wall time since t0; it no-ops when t0 is
-// the zero time (the convention Registry.Start uses for a nil registry).
-func (h *Histogram) RecordSince(t0 time.Time) {
-	if h == nil || t0.IsZero() {
-		return
-	}
-	h.Record(int64(time.Since(t0)))
-}
-
-// Snapshot copies the histogram into a mergeable plain value. Concurrent
+// Snapshot copies the histogram into a plain value. Concurrent
 // Records may land between field reads; the snapshot is a consistent-enough
 // view for reporting (counts never decrease).
 func (h *Histogram) Snapshot() HistSnapshot {
@@ -140,8 +132,8 @@ type bucketCount struct {
 	N   uint64
 }
 
-// HistSnapshot is a plain-value copy of a Histogram: mergeable, queryable
-// for quantiles, and cheap to keep around (only non-empty buckets are
+// HistSnapshot is a plain-value copy of a Histogram: queryable for
+// quantiles, and cheap to keep around (only non-empty buckets are
 // stored).
 type HistSnapshot struct {
 	Count uint64
@@ -150,37 +142,6 @@ type HistSnapshot struct {
 	Max   int64
 
 	buckets []bucketCount // sorted by Idx
-}
-
-// Merge returns the combination of s and o (associative and commutative, so
-// per-node snapshots can be folded in any order).
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	switch {
-	case s.Count == 0:
-		out.Min, out.Max = o.Min, o.Max
-	case o.Count == 0:
-		out.Min, out.Max = s.Min, s.Max
-	default:
-		out.Min, out.Max = min(s.Min, o.Min), max(s.Max, o.Max)
-	}
-	// Merge the two sorted sparse bucket lists.
-	i, j := 0, 0
-	for i < len(s.buckets) || j < len(o.buckets) {
-		switch {
-		case j >= len(o.buckets) || (i < len(s.buckets) && s.buckets[i].Idx < o.buckets[j].Idx):
-			out.buckets = append(out.buckets, s.buckets[i])
-			i++
-		case i >= len(s.buckets) || o.buckets[j].Idx < s.buckets[i].Idx:
-			out.buckets = append(out.buckets, o.buckets[j])
-			j++
-		default:
-			out.buckets = append(out.buckets, bucketCount{Idx: s.buckets[i].Idx, N: s.buckets[i].N + o.buckets[j].N})
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // CumBucket is one step of a cumulative bucket distribution: Count samples

@@ -140,58 +140,9 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociative verifies (a+b)+c == a+(b+c) == (c+a)+b for
-// snapshots with disjoint and overlapping buckets.
-func TestHistogramMergeAssociative(t *testing.T) {
-	build := func(seed uint64, n int, scale int64) HistSnapshot {
-		r := rand.New(rand.NewPCG(seed, 1))
-		h := NewHistogram()
-		for i := 0; i < n; i++ {
-			h.Record(r.Int64N(scale))
-		}
-		return h.Snapshot()
-	}
-	a := build(1, 1000, 1000)      // low range
-	b := build(2, 500, 10_000_000) // high range (mostly disjoint buckets)
-	c := build(3, 2000, 50_000)    // overlapping middle
-	ab_c := a.Merge(b).Merge(c)
-	a_bc := a.Merge(b.Merge(c))
-	ca_b := c.Merge(a).Merge(b)
-
-	eq := func(x, y HistSnapshot) bool {
-		if x.Count != y.Count || x.Sum != y.Sum || x.Min != y.Min || x.Max != y.Max {
-			return false
-		}
-		if len(x.buckets) != len(y.buckets) {
-			return false
-		}
-		for i := range x.buckets {
-			if x.buckets[i] != y.buckets[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq(ab_c, a_bc) {
-		t.Errorf("merge not associative:\n(a+b)+c = %+v\na+(b+c) = %+v", ab_c, a_bc)
-	}
-	if !eq(ab_c, ca_b) {
-		t.Errorf("merge not commutative:\n(a+b)+c = %+v\n(c+a)+b = %+v", ab_c, ca_b)
-	}
-	// Identity: merging an empty snapshot changes nothing.
-	if !eq(a.Merge(HistSnapshot{}), a) || !eq(HistSnapshot{}.Merge(a), a) {
-		t.Error("empty snapshot is not a merge identity")
-	}
-	// Merged quantiles answer from the combined distribution.
-	if q := ab_c.Quantile(1.0); q != ab_c.Max {
-		t.Errorf("q1.0 = %d, want max %d", q, ab_c.Max)
-	}
-}
-
 func TestHistogramNilAndEmpty(t *testing.T) {
 	var h *Histogram
 	h.Record(5) // must not panic
-	h.RecordSince(time.Now())
 	s := h.Snapshot()
 	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
 		t.Errorf("nil histogram snapshot not empty: %+v", s)

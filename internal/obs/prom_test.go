@@ -22,20 +22,20 @@ func promRegistry() *Registry {
 	r.Abort(CauseReadValidation)
 	r.Abort(CauseReadValidation)
 	r.Abort(CauseLockDenied)
-	r.Hist(SiteReadRTT).Record(int64(1 * time.Millisecond))
-	r.Hist(SiteReadRTT).Record(int64(2 * time.Millisecond))
-	r.Hist(SiteReadRTT).Record(int64(8 * time.Millisecond))
-	r.Hist(SiteTxnLatency).Record(int64(20 * time.Millisecond))
-	r.Hist(SiteRollbackDepth).Record(2)
-	r.Hist(SiteRollbackDepth).Record(3)
+	r.Observe(SiteReadRTT, int64(1*time.Millisecond))
+	r.Observe(SiteReadRTT, int64(2*time.Millisecond))
+	r.Observe(SiteReadRTT, int64(8*time.Millisecond))
+	r.Observe(SiteTxnLatency, int64(20*time.Millisecond))
+	r.Observe(SiteRollbackDepth, 2)
+	r.Observe(SiteRollbackDepth, 3)
 	// Introspection-plane samples: commit phases, queue instrumentation,
 	// per-slot heat, a registered gauge, and a span buffer — so the golden
 	// file pins the new optional series too.
-	r.Hist(SitePhasePrepare).Record(int64(2 * time.Millisecond))
-	r.Hist(SitePhaseDecide).Record(int64(1 * time.Millisecond))
-	r.Hist(SiteQueueWait).Record(int64(100 * time.Microsecond))
-	r.Hist(SiteQueueDepth).Record(3)
-	r.Hist(SiteLockWait).Record(int64(1 * time.Millisecond))
+	r.Observe(SitePhasePrepare, int64(2*time.Millisecond))
+	r.Observe(SitePhaseDecide, int64(1*time.Millisecond))
+	r.Observe(SiteQueueWait, int64(100*time.Microsecond))
+	r.Observe(SiteQueueDepth, 3)
+	r.Observe(SiteLockWait, int64(1*time.Millisecond))
 	r.HeatRead("acct/1")
 	r.HeatRead("acct/1")
 	r.HeatWrite("acct/1")
@@ -55,7 +55,7 @@ func promRegistry() *Registry {
 // new optional series, so pre-existing scrape parsers see unchanged output.
 func TestWritePromUntouched(t *testing.T) {
 	r := NewRegistry()
-	r.Hist(SiteReadRTT).Record(int64(time.Millisecond))
+	r.Observe(SiteReadRTT, int64(time.Millisecond))
 	var buf bytes.Buffer
 	if err := WriteProm(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)

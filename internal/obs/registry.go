@@ -137,7 +137,7 @@ var Causes = []AbortCause{CauseReadValidation, CauseLockDenied, CauseCommitConfl
 
 // Registry is the per-process (or per-experiment-cell) observability hub:
 // one histogram per instrumented site, abort counters by cause, and an
-// optional Tracer for per-transaction events.
+// optional SpanBuffer holding the per-transaction record (spans).
 //
 // The zero value is ready to use. A nil *Registry no-ops on every method at
 // the cost of a nil check — instrumented code calls unconditionally and a
@@ -145,7 +145,6 @@ var Causes = []AbortCause{CauseReadValidation, CauseLockDenied, CauseCommitConfl
 type Registry struct {
 	hists  [numSites]Histogram
 	aborts [numCauses]atomic.Uint64
-	tracer *Tracer
 	spans  *SpanBuffer
 
 	// Per-shard metric slices, lazily allocated the first time a sharded
@@ -179,32 +178,6 @@ type shardStats struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// WithTracer attaches a tracer for per-transaction events and returns the
-// registry. Attach before handing the registry to runtimes; the field is
-// read unsynchronized on the hot path.
-func (r *Registry) WithTracer(t *Tracer) *Registry {
-	if r != nil {
-		r.tracer = t
-	}
-	return r
-}
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
-}
-
-// Hist returns the histogram for a site (nil on a nil registry).
-func (r *Registry) Hist(s Site) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return &r.hists[s]
-}
 
 // Start returns the current time, or the zero time on a nil registry so the
 // matching ObserveSince is a no-op. The pair brackets a timed section
@@ -333,14 +306,6 @@ func (r *Registry) GaugeValues() map[string]int64 {
 	return out
 }
 
-// Trace emits ev to the attached tracer, if any.
-func (r *Registry) Trace(ev Event) {
-	if r == nil || r.tracer == nil {
-		return
-	}
-	r.tracer.Emit(ev)
-}
-
 // AbortCounts returns the abort counters keyed by cause name.
 func (r *Registry) AbortCounts() map[string]uint64 {
 	out := make(map[string]uint64, numCauses)
@@ -376,8 +341,8 @@ type Snapshot struct {
 	// dropped-by-overwrite). Nil (omitted) when tracing is off.
 	SpanStats *SpanBufStats `json:"spans,omitempty"`
 
-	// Hists keeps the full mergeable snapshots (not serialized; quantile
-	// queries on merged windows need the buckets, not just the summary).
+	// Hists keeps the full bucketed snapshots (not serialized; Prometheus
+	// exposition and sum/count readers need more than the summary).
 	Hists map[Site]HistSnapshot `json:"-"`
 }
 

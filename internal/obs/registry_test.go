@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"testing"
 	"time"
 )
@@ -19,16 +18,6 @@ func TestNilRegistryNoops(t *testing.T) {
 	r.ObserveSince(SiteTxnLatency, time.Now())
 	r.Observe(SiteBackoff, 42)
 	r.Abort(CauseLockDenied)
-	r.Trace(Event{Kind: EvCommit})
-	if h := r.Hist(SiteReadRTT); h != nil {
-		t.Errorf("nil Hist() = %v, want nil", h)
-	}
-	if tr := r.Tracer(); tr != nil {
-		t.Errorf("nil Tracer() = %v, want nil", tr)
-	}
-	if r.WithTracer(NewTracer(0, 0, nil)) != nil {
-		t.Error("nil WithTracer must return nil")
-	}
 
 	// A nil registry still snapshots with the full key set so consumers can
 	// index unconditionally.
@@ -96,73 +85,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if Site(-1).String() != "site(?)" || AbortCause(99).String() != "cause(?)" {
 		t.Error("out-of-range enums must not panic")
-	}
-	for _, k := range []EventKind{EvCommit, EvAbort, EvRollback, EvCheckpoint} {
-		if k.String() == "event(?)" {
-			t.Errorf("event kind %d has no name", int(k))
-		}
-	}
-}
-
-func TestTracerRingAndSampling(t *testing.T) {
-	// Nil tracer no-ops.
-	var nilT *Tracer
-	nilT.Emit(Event{})
-	if nilT.Seen() != 0 || nilT.Events() != nil {
-		t.Error("nil tracer must no-op")
-	}
-
-	// Ring keeps the most recent `size` events.
-	tr := NewTracer(4, 1, nil)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Event{Kind: EvCommit, Txn: uint64(i)})
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := uint64(6 + i); ev.Txn != want {
-			t.Errorf("event %d: txn %d, want %d (oldest-first)", i, ev.Txn, want)
-		}
-		if ev.Time.IsZero() {
-			t.Errorf("event %d has zero timestamp", i)
-		}
-	}
-	if tr.Seen() != 10 {
-		t.Errorf("Seen() = %d, want 10", tr.Seen())
-	}
-
-	// sampleEvery=3 retains every third event.
-	ts := NewTracer(100, 3, nil)
-	for i := 0; i < 30; i++ {
-		ts.Emit(Event{Txn: uint64(i)})
-	}
-	if got := len(ts.Events()); got != 10 {
-		t.Errorf("sampled tracer kept %d of 30, want 10", got)
-	}
-	if ts.Seen() != 30 {
-		t.Errorf("Seen() = %d, want 30 (sampling must not hide volume)", ts.Seen())
-	}
-}
-
-func TestTracerSlogMirror(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	tr := NewTracer(8, 1, logger)
-
-	r := NewRegistry().WithTracer(tr)
-	r.Trace(Event{Kind: EvAbort, Txn: 7, Depth: 1, Cause: CauseLockDenied, Obj: "acct-3"})
-
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("slog output not JSON: %v (%q)", err, buf.String())
-	}
-	if rec["kind"] != "abort" || rec["cause"] != "lock-denied" || rec["obj"] != "acct-3" {
-		t.Errorf("slog record = %v", rec)
-	}
-	if r.Tracer() != tr {
-		t.Error("Tracer() accessor lost the attached tracer")
 	}
 }
 

@@ -34,11 +34,11 @@ func newID() uint64 {
 	}
 }
 
-// SpanBuffer retains completed spans in a bounded lock-free ring, same
-// discipline as Tracer: writers claim a slot with an atomic counter and
-// store a pointer, readers copy slot-by-slot. When the ring wraps, the
-// oldest spans are overwritten — the merger reports such traces as
-// incomplete rather than mis-checking them.
+// SpanBuffer retains completed spans in a bounded lock-free ring: writers
+// claim a slot with an atomic counter and store a pointer, readers copy
+// slot-by-slot. When the ring wraps, the oldest spans are overwritten (Stats
+// counts them as Dropped) — the merger reports such traces as incomplete
+// rather than mis-checking them.
 type SpanBuffer struct {
 	pos  atomic.Uint64
 	ring []atomic.Pointer[proto.Span]
@@ -77,15 +77,10 @@ func (b *SpanBuffer) Cap() int {
 	return len(b.ring)
 }
 
-// Dropped reports how many spans have been overwritten by the ring wrapping
-// — spans Seen but no longer retained. A nonzero value means any reader that
-// did not keep up (Spans, SpansSince, the streaming auditor) has an
-// incomplete view.
-func (b *SpanBuffer) Dropped() uint64 {
-	return b.Stats().Dropped
-}
-
 // SpanBufStats is the serializable retention summary of a span buffer.
+// Dropped counts spans Seen but overwritten by the ring wrapping: nonzero
+// means a reader that did not keep up (Spans, SpansSince, the streaming
+// auditor) has an incomplete view.
 type SpanBufStats struct {
 	Seen    uint64 `json:"seen"`
 	Dropped uint64 `json:"dropped"`
@@ -93,8 +88,7 @@ type SpanBufStats struct {
 }
 
 // Stats summarizes retention from ONE reading of the ring position, so
-// Dropped can never exceed Seen however fast writers are adding (separate
-// Seen and Dropped calls can be a whole ring apart).
+// Dropped can never exceed Seen however fast writers are adding.
 func (b *SpanBuffer) Stats() SpanBufStats {
 	st := SpanBufStats{Seen: b.Seen(), Cap: b.Cap()}
 	if st.Seen > uint64(st.Cap) {
@@ -134,18 +128,8 @@ func (b *SpanBuffer) SpansSince(cursor uint64) (spans []proto.Span, next uint64,
 
 // Spans returns the retained window, oldest first.
 func (b *SpanBuffer) Spans() []proto.Span {
-	if b == nil {
-		return nil
-	}
-	n := uint64(len(b.ring))
-	head := b.pos.Load()
-	out := make([]proto.Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if s := b.ring[(head+i)%n].Load(); s != nil {
-			out = append(out, *s)
-		}
-	}
-	return out
+	spans, _, _ := b.SpansSince(0)
+	return spans
 }
 
 // ActiveSpan is an in-flight span. It is a plain value — starting one on a

@@ -23,7 +23,6 @@ package qrdtm
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"slices"
 	"sync"
 	"time"
@@ -62,16 +61,12 @@ type (
 )
 
 // Observability re-exports (see internal/obs and DESIGN.md §8): a Registry
-// collects latency histograms by site and abort counters by cause; a Tracer
-// retains a sampled ring of per-transaction events.
+// collects latency histograms by site and abort counters by cause; an
+// attached SpanBuffer retains the per-transaction record as spans.
 type (
 	// Registry is the observability hub handed to runtimes via
 	// ClusterConfig.Obs. The nil default records nothing at no cost.
 	Registry = obs.Registry
-	// Tracer is the ring-buffered transaction event trace.
-	Tracer = obs.Tracer
-	// TraceEvent is one structured trace record.
-	TraceEvent = obs.Event
 	// AbortCause classifies why a transaction attempt aborted.
 	AbortCause = obs.AbortCause
 	// ObsSnapshot is a serializable registry snapshot.
@@ -87,8 +82,8 @@ type (
 )
 
 // Introspection-plane re-exports (see internal/obs and DESIGN.md §13): the
-// live registry also carries per-slot heat counters, per-commit critical-path
-// phase decomposition, and an always-on streaming trace auditor.
+// live registry also carries per-slot heat counters and an always-on
+// streaming trace auditor.
 type (
 	// Auditor is the streaming trace auditor continuously running CheckTrace
 	// invariants over a live span buffer.
@@ -101,11 +96,6 @@ type (
 	HeatSnapshot = obs.HeatSnapshot
 	// SlotHeat is one slot's row in ranked heat output.
 	SlotHeat = obs.SlotHeat
-	// PhaseBreakdown is one committed transaction's critical-path phase
-	// decomposition.
-	PhaseBreakdown = obs.PhaseBreakdown
-	// PhaseDecomposition is the result of decomposing a span timeline.
-	PhaseDecomposition = obs.PhaseDecomposition
 )
 
 // NewAuditor builds a streaming auditor over the registry's span buffer (see
@@ -150,14 +140,6 @@ func ParseLoadSchedule(name string) (LoadSchedule, error) { return load.ParseSch
 // GC pause p99) as registry gauges (see obs.RegisterRuntimeGauges). Opt-in:
 // an untouched registry's Prometheus scrape stays byte-identical.
 func RegisterRuntimeGauges(reg *Registry) { obs.RegisterRuntimeGauges(reg) }
-
-// DecomposePhases stitches a span timeline into per-commit critical-path
-// phase breakdowns (see obs.DecomposePhases).
-func DecomposePhases(spans []Span) PhaseDecomposition { return obs.DecomposePhases(spans) }
-
-// SummarizePhases folds phase breakdowns into per-phase distribution
-// summaries (see obs.SummarizePhases).
-func SummarizePhases(bds []PhaseBreakdown) map[string]obs.Stats { return obs.SummarizePhases(bds) }
 
 // Sharding re-exports (see internal/proto/shard.go and DESIGN.md §12): the
 // object space can be split into independent quorum groups behind a
@@ -217,11 +199,6 @@ func CollectTrace(ctx context.Context, trans cluster.Transport, from NodeID, nod
 		}
 	}
 	return obs.MergeSpans(dumps...)
-}
-
-// NewTracer builds a transaction tracer (see obs.NewTracer).
-func NewTracer(size, sampleEvery int, logger *slog.Logger) *Tracer {
-	return obs.NewTracer(size, sampleEvery, logger)
 }
 
 // Abort causes.
@@ -364,8 +341,8 @@ type ClusterConfig struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Obs, when set, collects latency histograms, abort-cause counters and
-	// (with an attached Tracer) per-transaction events from every runtime of
-	// the cluster. The nil default records nothing at no hot-path cost.
+	// (with an attached SpanBuffer) per-transaction spans from every runtime
+	// of the cluster. The nil default records nothing at no hot-path cost.
 	Obs *Registry
 	// WrapTransport, when set, decorates the transport the runtimes issue
 	// calls through (e.g. cluster.NewFaultTransport for message-level fault

@@ -158,8 +158,8 @@ func TestTCPClusterTracedEndToEnd(t *testing.T) {
 }
 
 // TestTCPCheckpointedCommitTraced pins that QR-CHK commits are observable
-// exactly like flat/closed ones: the commit emits an EvCommit trace event
-// carrying the committed attempt's id and stamps the root span's txn id, so
+// exactly like flat/closed ones: the commit stamps the root span with the
+// committed attempt's id — the id the attempt's checkpoint spans carry — so
 // obs.CheckTrace and abort attribution treat Checkpoint-mode transactions
 // identically to Atomic's.
 func TestTCPCheckpointedCommitTraced(t *testing.T) {
@@ -170,9 +170,7 @@ func TestTCPCheckpointedCommitTraced(t *testing.T) {
 		{ID: "y", Version: 1, Val: proto.Int64(0)},
 	})
 
-	clientReg := obs.NewRegistry().
-		WithSpans(obs.NewSpanBuffer(4096)).
-		WithTracer(obs.NewTracer(1024, 1, nil))
+	clientReg := obs.NewRegistry().WithSpans(obs.NewSpanBuffer(4096))
 	rt, err := core.NewRuntime(core.Config{
 		Node:            0,
 		Transport:       tc.Transport,
@@ -202,41 +200,33 @@ func TestTCPCheckpointedCommitTraced(t *testing.T) {
 		}
 	}
 
-	// Every commit emitted an EvCommit event stamped with the attempt's id.
-	commitTxns := map[uint64]bool{}
-	for _, ev := range clientReg.Tracer().Events() {
-		if ev.Kind == obs.EvCommit {
-			if ev.Txn == 0 {
-				t.Fatal("EvCommit with zero txn id")
-			}
-			commitTxns[ev.Txn] = true
-		}
-	}
-	if len(commitTxns) != txns {
-		t.Fatalf("EvCommit events for %d distinct txns, want %d", len(commitTxns), txns)
-	}
-
-	// Root spans carry the committed txn id, matching the commit events.
-	rootTxns := map[uint64]bool{}
-	for _, s := range clientReg.Spans().Spans() {
-		if s.Kind == proto.SpanRoot {
+	// Root spans carry the committed txn id, and that id is the attempt the
+	// same trace's checkpoints were taken in.
+	spans := clientReg.Spans().Spans()
+	rootTxns := map[uint64]uint64{} // txn -> trace
+	chkTxns := map[[2]uint64]bool{} // (trace, txn) of each checkpoint span
+	for _, s := range spans {
+		switch s.Kind {
+		case proto.SpanRoot:
 			if !s.OK || s.Txn == 0 {
 				t.Fatalf("root span not stamped: OK=%v Txn=%d", s.OK, s.Txn)
 			}
-			rootTxns[uint64(s.Txn)] = true
+			rootTxns[uint64(s.Txn)] = s.Trace
+		case proto.SpanCheckpoint:
+			chkTxns[[2]uint64{s.Trace, uint64(s.Txn)}] = true
 		}
 	}
 	if len(rootTxns) != txns {
 		t.Fatalf("stamped root spans for %d distinct txns, want %d", len(rootTxns), txns)
 	}
-	for txn := range rootTxns {
-		if !commitTxns[txn] {
-			t.Fatalf("root span txn %d has no matching EvCommit", txn)
+	for txn, trace := range rootTxns {
+		if !chkTxns[[2]uint64{trace, txn}] {
+			t.Fatalf("root span txn %d has no checkpoint span of that txn in its trace", txn)
 		}
 	}
 
 	// The merged timeline — checkpoint spans included — passes the checker.
-	merged := qrdtm.CollectTrace(ctx, tc.Transport, 0, tc.Nodes(), clientReg.Spans().Spans())
+	merged := qrdtm.CollectTrace(ctx, tc.Transport, 0, tc.Nodes(), spans)
 	check := qrdtm.CheckTrace(merged)
 	if err := check.Err(); err != nil {
 		t.Fatal(err)
