@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test flake race bench-compare bench bench-quick bench-shard bench-load bench-load-quick exp exp-quick fmt cover clean check
+.PHONY: all build vet test flake race bench-compare bench bench-quick bench-shard bench-load bench-load-quick exp exp-quick fmt cover size clean check
 
 all: build vet test
 
@@ -95,6 +95,13 @@ fmt:
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -15
+
+# Non-test Go lines per package and in total, outside benchmark/: the size
+# figure simplicity changes are judged on.
+size:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 1 ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; pkg[d] += $$1; all += $$1 } \
+		END { for (d in pkg) printf "%7d  %s\n", pkg[d], d; printf "%7d  total\n", all }' | sort -rn
 
 clean:
 	rm -f cover.out

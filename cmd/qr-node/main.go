@@ -224,21 +224,13 @@ func runClient(peerList, modeName string, txns, retries int, callTimeout time.Du
 		auditor.Start()
 		defer auditor.Stop()
 	}
-	cfg := core.Config{
-		Node:      proto.NodeID(0),
-		Transport: trans,
-		Mode:      mode,
-		Obs:       reg,
+	all := make([]proto.NodeID, len(addrs))
+	for i := range all {
+		all[i] = proto.NodeID(i)
 	}
 	if shards > 1 {
 		// Stand in for the reconfiguration controller: install the partition
-		// on every replica (replicas serve whatever map they're handed), then
-		// route through per-shard quorum groups, refetching the map from the
-		// cluster whenever a replica denies an op with WrongShard.
-		all := make([]proto.NodeID, len(addrs))
-		for i := range all {
-			all[i] = proto.NodeID(i)
-		}
+		// on every replica (replicas serve whatever map they're handed).
 		m := proto.PartitionMap(all, shards)
 		for _, rep := range cluster.Multicast(context.Background(), trans, 0, all, proto.MapUpdateReq{Map: m}) {
 			if rep.Err != nil {
@@ -246,11 +238,18 @@ func runClient(peerList, modeName string, txns, retries int, callTimeout time.Du
 			}
 		}
 		log.Printf("installed shard map: %d shards over %d replicas (epoch %d)", shards, len(addrs), m.Epoch)
-		cfg.Shards = core.TreeShardQuorums{Map: func() (proto.ShardMap, error) {
+	}
+	// Route through the cluster's map — per-shard quorum groups when it is
+	// partitioned, the one tree when it answers the zero map — refetching it
+	// whenever a replica denies an op with WrongShard.
+	cfg := core.Config{
+		Node:      proto.NodeID(0),
+		Transport: trans,
+		Mode:      mode,
+		Obs:       reg,
+		Quorums: core.TreeQuorums{Tree: quorum.NewTree(len(addrs)), Map: func() (proto.ShardMap, error) {
 			return core.FetchShardMap(context.Background(), trans, 0, all)
-		}}
-	} else {
-		cfg.Quorums = core.TreeQuorums{Tree: quorum.NewTree(len(addrs))}
+		}},
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {

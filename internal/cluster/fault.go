@@ -94,13 +94,6 @@ func (t *FaultTransport) Heal(from, to proto.NodeID) {
 	t.mu.Unlock()
 }
 
-// HealAll restores every cut link.
-func (t *FaultTransport) HealAll() {
-	t.mu.Lock()
-	t.partition = make(map[[2]proto.NodeID]struct{})
-	t.mu.Unlock()
-}
-
 // KillConnections closes the inner transport's pooled idle connections (TCP
 // only; a no-op on transports without a pool). The next calls must re-dial,
 // exercising the reconnect path mid-workload.

@@ -144,57 +144,6 @@ func (l UniformLatency) OneWay(_, _ proto.NodeID) time.Duration {
 	return d
 }
 
-// TreeMetricLatency models the cc-DTM metric-space assumption: the delay
-// between two nodes is PerHop times their distance in the logical ternary
-// tree (hops to the lowest common ancestor and back down), plus jitter.
-// Nodes at distance zero (self-calls) still pay Local.
-type TreeMetricLatency struct {
-	PerHop time.Duration
-	Local  time.Duration
-	Jitter time.Duration
-}
-
-// OneWay implements LatencyModel.
-func (l TreeMetricLatency) OneWay(from, to proto.NodeID) time.Duration {
-	d := l.Local + time.Duration(treeDistance(int(from), int(to)))*l.PerHop
-	if l.Jitter > 0 {
-		d += time.Duration(rand.Int64N(int64(l.Jitter)))
-	}
-	return d
-}
-
-// treeDistance counts edges between heap-ordered ternary tree positions a
-// and b (children of i are 3i+1..3i+3).
-func treeDistance(a, b int) int {
-	da, db := treeDepth(a), treeDepth(b)
-	dist := 0
-	for da > db {
-		a = (a - 1) / 3
-		da--
-		dist++
-	}
-	for db > da {
-		b = (b - 1) / 3
-		db--
-		dist++
-	}
-	for a != b {
-		a = (a - 1) / 3
-		b = (b - 1) / 3
-		dist += 2
-	}
-	return dist
-}
-
-func treeDepth(i int) int {
-	d := 0
-	for i > 0 {
-		i = (i - 1) / 3
-		d++
-	}
-	return d
-}
-
 // Stats is a snapshot of transport-level accounting.
 //
 // Message accounting: a successful call counts two messages (request plus

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"qrdtm/internal/proto"
@@ -177,24 +176,6 @@ func TestMulticastMixedOutcomes(t *testing.T) {
 	}
 }
 
-// TreeMetricLatency must be symmetric and charge self-calls only the local
-// cost, mirroring treeDistance's metric properties.
-func TestTreeMetricLatencySymmetry(t *testing.T) {
-	m := TreeMetricLatency{PerHop: time.Millisecond, Local: 100 * time.Microsecond}
-	for a := 0; a < 40; a++ {
-		for b := 0; b < 40; b++ {
-			ab := m.OneWay(proto.NodeID(a), proto.NodeID(b))
-			ba := m.OneWay(proto.NodeID(b), proto.NodeID(a))
-			if ab != ba {
-				t.Fatalf("OneWay(%d,%d)=%v != OneWay(%d,%d)=%v", a, b, ab, b, a, ba)
-			}
-		}
-		if d := m.OneWay(proto.NodeID(a), proto.NodeID(a)); d != m.Local {
-			t.Fatalf("self-call latency OneWay(%d,%d) = %v, want Local %v", a, a, d, m.Local)
-		}
-	}
-}
-
 func TestTxTimeSerializesSender(t *testing.T) {
 	// With sender transmission time, a 5-leg multicast must take ~5 slots,
 	// while 5 parallel unicasts from distinct senders overlap.
@@ -270,38 +251,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestTreeDistance(t *testing.T) {
-	cases := []struct {
-		a, b, want int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{1, 0, 1},
-		{0, 4, 2},  // root -> child1 -> grandchild
-		{1, 2, 2},  // siblings via root
-		{4, 5, 2},  // siblings via node 1
-		{4, 13, 1}, // 13 is a child of 4
-		{4, 7, 4},  // 4 under 1, 7 under 2: up 2, down 2... via root
-	}
-	for _, c := range cases {
-		if got := treeDistance(c.a, c.b); got != c.want {
-			t.Errorf("treeDistance(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestTreeDistanceSymmetricProperty(t *testing.T) {
-	prop := func(a, b uint8) bool {
-		x, y := int(a)%64, int(b)%64
-		return treeDistance(x, y) == treeDistance(y, x) &&
-			treeDistance(x, x) == 0 &&
-			treeDistance(x, y) >= 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLatencyModels(t *testing.T) {
 	if d := (ZeroLatency{}).OneWay(0, 1); d != 0 {
 		t.Fatalf("ZeroLatency = %v", d)
@@ -312,9 +261,5 @@ func TestLatencyModels(t *testing.T) {
 		if d < time.Millisecond || d >= 2*time.Millisecond {
 			t.Fatalf("UniformLatency out of range: %v", d)
 		}
-	}
-	m := TreeMetricLatency{PerHop: time.Millisecond, Local: time.Millisecond}
-	if d01, d04 := m.OneWay(0, 1), m.OneWay(0, 4); d04 <= d01 {
-		t.Fatalf("metric latency must grow with distance: %v vs %v", d01, d04)
 	}
 }

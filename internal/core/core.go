@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -74,9 +73,6 @@ func (m Mode) String() string {
 // Rqv reports whether the mode performs read-quorum validation on reads.
 func (m Mode) Rqv() bool { return m != Flat }
 
-// Modes lists all protocol modes in presentation order.
-var Modes = []Mode{Flat, Closed, Checkpoint}
-
 // ErrUnavailable is returned when no quorum can be formed (too many nodes
 // down) or the transport cannot reach a required replica even after quorum
 // reconfiguration.
@@ -108,55 +104,19 @@ func (g *IDGen) Next() proto.TxnID {
 	return proto.TxnID(g.next.Add(1) - 1)
 }
 
-// QuorumProvider yields the read and write quorums a node should currently
-// use. Runtimes re-query it when a quorum member stops responding, which is
-// how the system reconfigures around failures.
-type QuorumProvider interface {
-	Quorums(node proto.NodeID) (read, write []proto.NodeID, err error)
-}
-
-// ShardProvider generalizes QuorumProvider to a sharded object space: it
-// yields the current placement map plus independent per-shard quorums.
-// Runtimes re-query it both when a quorum member stops responding and when a
-// replica answers WrongShard (the client's map is stale — a reconfiguration
-// moved slots since it last looked).
-type ShardProvider interface {
-	// ShardMap returns the current placement.
-	ShardMap() (proto.ShardMap, error)
-	// ShardQuorums resolves the read and write quorums of one shard for the
-	// given client node.
-	ShardQuorums(node proto.NodeID, spec proto.ShardSpec) (read, write []proto.NodeID, err error)
-}
-
-// StaticQuorums is a QuorumProvider with fixed quorums (single-node tests
-// and tooling).
-type StaticQuorums struct {
-	Read  []proto.NodeID
-	Write []proto.NodeID
-}
-
-// Quorums implements QuorumProvider.
-func (s StaticQuorums) Quorums(proto.NodeID) ([]proto.NodeID, []proto.NodeID, error) {
-	return s.Read, s.Write, nil
-}
-
 // Config assembles a Runtime.
 type Config struct {
 	// Node is the identity of the node hosting this runtime's transactions.
 	Node proto.NodeID
 	// Transport reaches the replicas.
 	Transport cluster.Transport
-	// Quorums provides (and re-provides, after failures) this node's
-	// designated quorums: the one group of an unsharded cluster, which the
-	// runtime routes as the single shard of the zero map. Required unless
-	// Shards is set.
-	Quorums QuorumProvider
-	// Shards, when non-nil, supplies a versioned shard map and per-shard
-	// quorums instead: reads go to the owning shard's read quorum, commits
-	// run two-phase commit over the union of the touched shards' write
-	// quorums, and WrongShard denials trigger a map refresh + retry. When
-	// set, Quorums is ignored.
-	Shards ShardProvider
+	// Quorums resolves (and re-resolves, after failures and WrongShard
+	// denials) this node's routes: the one tree of an unsharded cluster,
+	// which the runtime routes as the single shard of the zero map, or one
+	// group per shard of a partitioning map, in which case reads go to the
+	// owning shard's read quorum and commits run two-phase commit over the
+	// union of the touched shards' write quorums. It needs a Tree or a Map.
+	Quorums TreeQuorums
 	// Mode selects the protocol (default Flat).
 	Mode Mode
 	// IDs allocates transaction ids; defaults to a fresh generator. Share
@@ -202,8 +162,7 @@ type Config struct {
 type Runtime struct {
 	node    proto.NodeID
 	trans   cluster.Transport
-	qp      QuorumProvider
-	sp      ShardProvider // nil: qp resolves the zero map's single route
+	quorums TreeQuorums
 	mode    Mode
 	ids     *IDGen
 	metrics *Metrics
@@ -245,14 +204,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("core: Config.Transport is required")
 	}
-	if cfg.Quorums == nil && cfg.Shards == nil {
-		return nil, errors.New("core: Config.Quorums or Config.Shards is required")
-	}
 	rt := &Runtime{
 		node:        cfg.Node,
 		trans:       cfg.Transport,
-		qp:          cfg.Quorums,
-		sp:          cfg.Shards,
+		quorums:     cfg.Quorums,
 		mode:        cfg.Mode,
 		ids:         cfg.IDs,
 		metrics:     cfg.Metrics,
@@ -297,44 +252,18 @@ func (rt *Runtime) Metrics() *Metrics { return rt.metrics }
 // Obs returns the runtime's observability registry (nil when disabled).
 func (rt *Runtime) Obs() *obs.Registry { return rt.obs }
 
-// RefreshQuorums re-queries the provider, replacing the routing state. It
-// is called automatically when a quorum member stops responding and when a
-// replica answers WrongShard. Bumping viewEpoch invalidates every outstanding
-// delta-Rqv watermark, which is exactly right: after either kind of
-// reconfiguration the old validation sessions may be split across different
-// member sets.
-//
-// This is the only place that knows which provider was configured:
-// Config.Quorums resolves the single route of the zero map, Config.Shards
-// fetches the map and resolves every shard's route.
+// RefreshQuorums re-resolves Config.Quorums, replacing the routing state.
+// It is called automatically when a quorum member stops responding and when
+// a replica answers WrongShard. Bumping viewEpoch invalidates every
+// outstanding delta-Rqv watermark, which is exactly right: after either kind
+// of reconfiguration the old validation sessions may be split across
+// different member sets.
 func (rt *Runtime) RefreshQuorums() error {
-	var m proto.ShardMap
-	var routes []route
-	if rt.sp == nil {
-		r, w, err := rt.qp.Quorums(rt.node)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		routes = []route{{read: slices.Clone(r), write: slices.Clone(w), tag: proto.NoShard}}
-	} else {
-		var err error
-		if m, err = rt.sp.ShardMap(); err != nil {
-			return fmt.Errorf("%w: shard map: %v", ErrUnavailable, err)
-		}
-		if !m.Sharded() {
-			return fmt.Errorf("%w: shard provider returned an unsharded map", ErrUnavailable)
-		}
-		// Shard ids are their index in m.Shards (see ShardMap.Shard).
-		routes = make([]route, len(m.Shards))
-		for i, spec := range m.Shards {
-			r, w, err := rt.sp.ShardQuorums(rt.node, spec)
-			if err != nil {
-				return fmt.Errorf("%w: shard %d: %v", ErrUnavailable, spec.ID, err)
-			}
-			routes[i] = route{read: slices.Clone(r), write: slices.Clone(w), tag: spec.ID}
-		}
+	table, err := rt.quorums.resolve(rt.node)
+	if err != nil {
+		return err
 	}
-	rt.routes.Store(&routeTable{smap: m, shards: routes})
+	rt.routes.Store(table)
 	rt.viewEpoch.Add(1)
 	return nil
 }
@@ -365,14 +294,17 @@ func (rt *Runtime) ReadQuorumSize() int { return len(rt.route(0).read) }
 // WriteQuorumSize reports the first shard's write quorum size.
 func (rt *Runtime) WriteQuorumSize() int { return len(rt.route(0).write) }
 
-// backoff sleeps a randomized exponential delay after a full abort.
+// backoff sleeps a randomized exponential delay after a full abort and
+// records the sleep as it happened: the platform timer may round a short
+// request up well past the delay asked for.
 func (rt *Runtime) backoff(attempt int) {
 	sleep := rt.backoffDelay(attempt, rand.Int64N)
 	if sleep <= 0 {
 		return
 	}
-	rt.obs.Observe(obs.SiteBackoff, int64(sleep))
+	t0 := rt.obs.Start()
 	time.Sleep(sleep)
+	rt.obs.ObserveSince(obs.SiteBackoff, t0)
 }
 
 // backoffDelay computes the randomized delay for one retry: an exponentially

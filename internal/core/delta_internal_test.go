@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"qrdtm/internal/obs"
 	"qrdtm/internal/proto"
 )
 
@@ -146,5 +147,31 @@ func TestBackoffDelayNeverExceedsMax(t *testing.T) {
 	off := &Runtime{backoffBase: -1, backoffMax: time.Millisecond}
 	if d := off.backoffDelay(3, worst); d != 0 {
 		t.Fatalf("disabled backoff returned %v", d)
+	}
+}
+
+// TestBackoffRecordsTheSleep checks that the backoff site records the sleep
+// that happened, not the delay asked for: the platform timer may round a
+// short request up well past it, and the recorded sample must say so.
+func TestBackoffRecordsTheSleep(t *testing.T) {
+	reg := obs.NewRegistry()
+	// A base above the cap pins every delay to BackoffMax, whatever the
+	// sampler draws.
+	rt := &Runtime{obs: reg, backoffBase: 2 * time.Millisecond, backoffMax: time.Millisecond}
+	requested := rt.backoffMax
+	for _, randN := range []func(int64) int64{func(int64) int64 { return 0 }, func(n int64) int64 { return n - 1 }} {
+		if d := rt.backoffDelay(0, randN); d != requested {
+			t.Fatalf("delay = %v, want the pinned %v", d, requested)
+		}
+	}
+	t0 := time.Now()
+	rt.backoff(0)
+	wall := time.Since(t0)
+	h := reg.Snapshot().Hists[obs.SiteBackoff]
+	if h.Count != 1 {
+		t.Fatalf("%d backoff samples, want 1", h.Count)
+	}
+	if slept := time.Duration(h.Sum); slept < requested || slept > wall {
+		t.Fatalf("recorded %v, want between the requested %v and the measured wall time %v", slept, requested, wall)
 	}
 }

@@ -279,7 +279,7 @@ func TestPrefetchStaysInShard(t *testing.T) {
 	rt, err := core.NewRuntime(core.Config{
 		Node:      3,
 		Transport: spy,
-		Shards:    core.TreeShardQuorums{Map: func() (proto.ShardMap, error) { return m, nil }},
+		Quorums:   core.TreeQuorums{Map: func() (proto.ShardMap, error) { return m, nil }},
 		Mode:      core.Closed,
 		Metrics:   tc.metrics,
 	})

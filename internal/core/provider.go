@@ -7,77 +7,77 @@ import (
 	"qrdtm/internal/quorum"
 )
 
-// TreeQuorums is a QuorumProvider backed by the ternary tree quorum system.
-// Alive reports node liveness (nil means all alive); Choice selects which of
-// the structurally valid quorums a given node uses (nil means the canonical,
-// cheapest quorum for everyone). Distinct choices let clients spread read
-// load across the tree — the effect behind the throughput rise for the
-// first few failures in the paper's Figure 10.
+// TreeQuorums is how a runtime learns its routes: the ternary tree quorum
+// system (Agrawal & El Abbadi), one independent tree per quorum group.
+//
+// Map, when set, supplies the placement: a partitioning map gives every
+// shard its own group over its Members (tree order), so the intersection
+// property — and with it 1-copy equivalence — holds within each shard while
+// the shards stay independent. The sim cluster closes over its in-memory
+// map, TCP clients over FetchShardMap. A nil Map, or one that returns the
+// zero map, routes the whole object space through Tree as one untagged
+// group. Alive reports node liveness (nil means all alive).
+//
+// Spread gives each node the failure-adaptive read quorum
+// (ReadQuorumSpread keyed by the node id): canonical while no failure
+// forces delegation, spread across the subtree replicas once one does — the
+// load-balancing effect behind the throughput rise for the first few
+// failures in the paper's Figure 10. Write quorums are always canonical:
+// their pairwise intersection serializes conflicting commits, so every node
+// using the same one keeps conflict detection as early as possible.
 type TreeQuorums struct {
 	Tree   *quorum.Tree
-	Alive  quorum.Alive
-	Choice func(node proto.NodeID) int
-}
-
-// TreeShardQuorums is a ShardProvider running one independent quorum tree
-// per shard: each shard's Members list (in tree order) gets its own ternary
-// group, so the intersection property — and with it 1-copy equivalence —
-// holds within every shard while the shards stay mutually independent. Map
-// is the source of truth for placement: the sim cluster closes over its
-// in-memory map, TCP clients close over FetchShardMap.
-type TreeShardQuorums struct {
 	Map    func() (proto.ShardMap, error)
 	Alive  quorum.Alive
-	Choice func(node proto.NodeID) int
+	Spread bool
 }
 
-// ShardMap implements ShardProvider.
-func (t TreeShardQuorums) ShardMap() (proto.ShardMap, error) { return t.Map() }
-
-// ShardQuorums implements ShardProvider.
-func (t TreeShardQuorums) ShardQuorums(node proto.NodeID, spec proto.ShardSpec) ([]proto.NodeID, []proto.NodeID, error) {
-	if len(spec.Members) == 0 {
-		return nil, nil, fmt.Errorf("shard %d has no members", spec.ID)
+// resolve returns node's routing state: the placement map (zero unless Map
+// partitions the object space) and one route per shard, indexed by shard id.
+func (t TreeQuorums) resolve(node proto.NodeID) (*routeTable, error) {
+	var m proto.ShardMap
+	if t.Map != nil {
+		var err error
+		if m, err = t.Map(); err != nil {
+			return nil, fmt.Errorf("%w: shard map: %v", ErrUnavailable, err)
+		}
 	}
-	g := quorum.NewGroup(spec.Members)
-	choice := 0
-	if t.Choice != nil {
-		choice = t.Choice(node)
+	// Shard ids are their index in m.Shards (see ShardMap.Shard). The zero
+	// map's one group, over every node, is proto.NoShard: its observations
+	// stay untagged.
+	specs := m.Shards
+	if !m.Sharded() {
+		if t.Tree == nil {
+			return nil, fmt.Errorf("%w: no shard map and no tree", ErrUnavailable)
+		}
+		// A group over every node yields exactly the tree's quorums.
+		all := make([]proto.NodeID, t.Tree.Len())
+		for i := range all {
+			all[i] = proto.NodeID(i)
+		}
+		m, specs = proto.ShardMap{}, []proto.ShardSpec{{ID: proto.NoShard, Members: all}}
 	}
-	r, err := g.ReadQuorumChoice(t.Alive, choice)
-	if err != nil {
-		return nil, nil, err
+	routes := make([]route, len(specs))
+	for i, spec := range specs {
+		if len(spec.Members) == 0 {
+			return nil, fmt.Errorf("%w: shard %d has no members", ErrUnavailable, spec.ID)
+		}
+		g := quorum.NewGroup(spec.Members)
+		var r []proto.NodeID
+		var err error
+		if t.Spread {
+			r, err = g.ReadQuorumSpread(t.Alive, int(node))
+		} else {
+			r, err = g.ReadQuorum(t.Alive)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrUnavailable, spec.ID, err)
+		}
+		w, err := g.WriteQuorum(t.Alive)
+		if err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrUnavailable, spec.ID, err)
+		}
+		routes[i] = route{read: r, write: w, tag: spec.ID}
 	}
-	// As in TreeQuorums: write quorums always use the canonical construction
-	// so every client's write quorum pairwise-intersects within the shard.
-	w, err := g.WriteQuorum(t.Alive)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, w, nil
-}
-
-// Quorums implements QuorumProvider.
-func (t TreeQuorums) Quorums(node proto.NodeID) ([]proto.NodeID, []proto.NodeID, error) {
-	alive := t.Alive
-	if alive == nil {
-		alive = quorum.AllAlive
-	}
-	choice := 0
-	if t.Choice != nil {
-		choice = t.Choice(node)
-	}
-	r, err := t.Tree.ReadQuorumChoice(alive, choice)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Write quorums always use the canonical construction: they are larger
-	// and their pairwise intersection is what serializes conflicting
-	// commits, so every node using the same one keeps conflict detection
-	// as early as possible.
-	w, err := t.Tree.WriteQuorum(alive)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, w, nil
+	return &routeTable{smap: m, shards: routes}, nil
 }

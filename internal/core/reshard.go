@@ -92,7 +92,8 @@ func pushMap(ctx context.Context, trans cluster.Transport, from proto.NodeID, al
 // one being rebalanced onto — while transactions keep flowing, and returns
 // the final map. all is every node that should (eventually) hold the new
 // map; it must include the source and target members. The caller installs
-// the returned map into its own provider and refreshes its runtimes.
+// the returned map where its runtimes' TreeQuorums.Map reads it and
+// refreshes them.
 func Reshard(ctx context.Context, trans cluster.Transport, from proto.NodeID, all []proto.NodeID, cur proto.ShardMap, spec proto.ShardSpec, slots []int) (proto.ShardMap, error) {
 	if !cur.Sharded() {
 		return cur, fmt.Errorf("core: cannot reshard an unsharded map")
@@ -216,16 +217,4 @@ func Reshard(ctx context.Context, trans cluster.Transport, from proto.NodeID, al
 		return cur, err
 	}
 	return final, nil
-}
-
-// SlotsOwnedBy lists the slots owned by shard id in m (reconfiguration
-// helpers and tests).
-func SlotsOwnedBy(m proto.ShardMap, id proto.ShardID) []int {
-	var out []int
-	for sl, e := range m.Slots {
-		if e.Owner == id {
-			out = append(out, sl)
-		}
-	}
-	return out
 }

@@ -904,9 +904,3 @@ func (tx *Txn) noteAcquisition() {
 		tx.footprint++
 	}
 }
-
-// FootprintSize returns the number of distinct objects in this
-// transaction's own read and write sets (not counting ancestors).
-func (tx *Txn) FootprintSize() int {
-	return len(tx.readset) + len(tx.writeset)
-}

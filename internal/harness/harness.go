@@ -52,7 +52,7 @@ type Config struct {
 	// (default 0: abort immediately, as in the paper).
 	LockWaitRetries int
 	// SpreadReads gives each client node a failure-adaptive spread read
-	// quorum (quorum.ReadQuorumSpread) instead of the canonical one.
+	// quorum (qrdtm.ClusterConfig.SpreadQuorums) instead of the canonical one.
 	SpreadReads bool
 	// FailNodes crash before the run starts (Figure 10).
 	FailNodes []proto.NodeID
@@ -185,6 +185,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		CheckpointEvery: cfg.CheckpointEvery,
 		CheckpointCost:  cfg.CheckpointCost,
 		LockWaitRetries: cfg.LockWaitRetries,
+		SpreadQuorums:   cfg.SpreadReads,
 		MaxRetries:      1_000_000,
 		// Full-abort retries back off at commit-window scale, mirroring
 		// the paper's testbed where a retry inherently costs a ~30 ms
@@ -197,10 +198,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.SpreadReads {
-		installSpreadProvider(c)
-	}
-
 	c.Load(w.Setup(cfg.Params, rand.New(rand.NewPCG(cfg.Seed, 0xBEEF))))
 	for _, n := range cfg.FailNodes {
 		if err := c.Fail(n); err != nil {
@@ -292,30 +289,4 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// installSpreadProvider replaces each runtime's quorum provider with one
-// that uses spread read quorums keyed by the hosting node.
-func installSpreadProvider(c *qrdtm.Cluster) {
-	// The facade builds runtimes lazily; wrap its provider by rebuilding
-	// runtimes against a spread-aware provider.
-	c.SetQuorumProvider(spreadProvider{c: c})
-}
-
-type spreadProvider struct {
-	c *qrdtm.Cluster
-}
-
-// Quorums implements core.QuorumProvider with spread read quorums.
-func (p spreadProvider) Quorums(node proto.NodeID) ([]proto.NodeID, []proto.NodeID, error) {
-	alive := func(n proto.NodeID) bool { return !p.c.Transport.Down(n) }
-	r, err := p.c.Tree.ReadQuorumSpread(alive, int(node))
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := p.c.Tree.WriteQuorum(alive)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, w, nil
 }

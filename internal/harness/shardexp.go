@@ -214,24 +214,20 @@ func checkShardConservation(c *testcluster.Cluster, buckets [][]proto.ObjectID, 
 	return true, nil
 }
 
-// shardRuntime builds a client runtime for the cell: classic tree quorums
-// when unsharded, per-shard groups over mapFn otherwise.
+// shardRuntime builds a client runtime for the cell, routed through mapFn's
+// placement: per-shard groups under a partitioning map, the classic tree
+// over every node under the zero map.
 func shardRuntime(c *testcluster.Cluster, node proto.NodeID, mapFn func() (proto.ShardMap, error),
 	ids *core.IDGen, metrics *core.Metrics, reg *obs.Registry) (*core.Runtime, error) {
-	cfg := core.Config{
+	return core.NewRuntime(core.Config{
 		Node:      node,
 		Transport: c.Transport,
+		Quorums:   core.TreeQuorums{Tree: c.Tree, Map: mapFn},
 		Mode:      core.Closed,
 		IDs:       ids,
 		Metrics:   metrics,
 		Obs:       reg,
-	}
-	if mapFn != nil {
-		cfg.Shards = core.TreeShardQuorums{Map: mapFn}
-	} else {
-		cfg.Quorums = core.TreeQuorums{Tree: c.Tree}
-	}
-	return core.NewRuntime(cfg)
+	})
 }
 
 // runShardCell runs one scaling cell: an s.Nodes-node localhost TCP cluster
@@ -259,10 +255,7 @@ func runShardCell(ctx context.Context, s Scale, shards int) (shardRecord, error)
 	buckets := refAccountBuckets(4)
 	c.Load(accountCopies(buckets, initBalance))
 
-	var mapFn func() (proto.ShardMap, error)
-	if m.Sharded() {
-		mapFn = func() (proto.ShardMap, error) { return m, nil }
-	}
+	mapFn := func() (proto.ShardMap, error) { return m, nil }
 	ids := core.NewIDGen()
 	metrics := &core.Metrics{}
 	reg := obs.NewRegistry()

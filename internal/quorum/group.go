@@ -44,13 +44,13 @@ func (g *Group) translate(q []proto.NodeID, err error) ([]proto.NodeID, error) {
 
 // ReadQuorum assembles the canonical read quorum in cluster node ids.
 func (g *Group) ReadQuorum(alive Alive) ([]proto.NodeID, error) {
-	return g.ReadQuorumChoice(alive, 0)
+	return g.translate(g.tree.ReadQuorum(g.positionAlive(alive)))
 }
 
-// ReadQuorumChoice is ReadQuorum with deterministic variation (load
-// spreading), as in Tree.ReadQuorumChoice.
-func (g *Group) ReadQuorumChoice(alive Alive, choice int) ([]proto.NodeID, error) {
-	return g.translate(g.tree.ReadQuorumChoice(g.positionAlive(alive), choice))
+// ReadQuorumSpread is the failure-adaptive read quorum of
+// Tree.ReadQuorumSpread in cluster node ids.
+func (g *Group) ReadQuorumSpread(alive Alive, choice int) ([]proto.NodeID, error) {
+	return g.translate(g.tree.ReadQuorumSpread(g.positionAlive(alive), choice))
 }
 
 // WriteQuorum assembles the canonical write quorum in cluster node ids.

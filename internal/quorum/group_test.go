@@ -71,7 +71,7 @@ func TestGroupWriteQuorumIntersection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill each member in turn; every surviving write quorum must intersect
-	// the full one and every read-quorum choice.
+	// the full one and every spread read quorum.
 	for _, dead := range members {
 		alive := func(n proto.NodeID) bool { return n != dead }
 		wq, err := g.WriteQuorum(alive)
@@ -82,12 +82,12 @@ func TestGroupWriteQuorumIntersection(t *testing.T) {
 			t.Fatalf("write quorums disjoint with %v dead: %v vs %v", dead, wq, full)
 		}
 		for choice := 0; choice < 4; choice++ {
-			rq, err := g.ReadQuorumChoice(alive, choice)
+			rq, err := g.ReadQuorumSpread(alive, choice)
 			if err != nil {
 				continue
 			}
 			if !intersects(rq, wq) {
-				t.Fatalf("read choice %d misses write quorum with %v dead: %v vs %v", choice, dead, rq, wq)
+				t.Fatalf("spread read %d misses write quorum with %v dead: %v vs %v", choice, dead, rq, wq)
 			}
 		}
 	}

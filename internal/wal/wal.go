@@ -685,9 +685,6 @@ func (w *WAL) Fsyncs() int64 { return w.fsyncs.Load() }
 // LogBytes returns the byte size of the live log segments.
 func (w *WAL) LogBytes() int64 { return w.logBytes.Load() }
 
-// SnapshotBytes returns the byte size of the newest snapshot file.
-func (w *WAL) SnapshotBytes() int64 { return w.snapBytes.Load() }
-
 // Close waits for a running snapshot, flushes staged appends, and cuts the
 // active segment to its written length, fsyncs and closes it. Appends and
 // snapshots after Close fail with ErrClosed.

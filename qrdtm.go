@@ -321,9 +321,12 @@ type ClusterConfig struct {
 	// CheckpointCost is the simulated per-checkpoint state-capture cost
 	// (default 0; see core.Config.CheckpointCost).
 	CheckpointCost time.Duration
-	// SpreadQuorums gives each node a different (but valid) read quorum,
-	// spreading read load across the tree. The default assigns everyone
-	// the canonical quorum, as in the paper's main experiments.
+	// SpreadQuorums gives each node the failure-adaptive read quorum
+	// (quorum.Tree.ReadQuorumSpread keyed by the node id, per shard when
+	// sharded): canonical while no failure forces delegation, spread across
+	// the subtree replicas once one does (the paper's Figure 10). Write
+	// quorums stay canonical. The default assigns everyone the canonical
+	// read quorum, as in the paper's main experiments.
 	SpreadQuorums bool
 	// Shards splits the object space into that many independent quorum
 	// groups: the nodes are dealt into contiguous groups, each running its
@@ -362,7 +365,6 @@ type Cluster struct {
 	cfg       ClusterConfig
 	metrics   *core.Metrics
 	ids       *core.IDGen
-	provider  core.QuorumProvider
 	callTrans cluster.Transport // transport runtimes call through (possibly decorated)
 
 	mu       sync.Mutex
@@ -370,7 +372,7 @@ type Cluster struct {
 
 	// smap is the live placement map of a sharded cluster (zero when
 	// unsharded). Guarded by its own lock: runtimes re-read it through the
-	// provider closure while refreshAll holds mu.
+	// Quorums.Map closure while refreshAll holds mu.
 	smapMu sync.RWMutex
 	smap   proto.ShardMap
 }
@@ -451,43 +453,6 @@ func (c *Cluster) setShardMap(m ShardMap) {
 	c.smapMu.Unlock()
 }
 
-// quorumProvider returns the provider runtimes are built against.
-func (c *Cluster) quorumProvider() core.QuorumProvider {
-	if c.provider != nil {
-		return c.provider
-	}
-	var choice func(NodeID) int
-	if c.cfg.SpreadQuorums {
-		choice = func(n NodeID) int { return int(n) }
-	}
-	return core.TreeQuorums{
-		Tree:   c.Tree,
-		Alive:  func(n NodeID) bool { return !c.Transport.Down(n) },
-		Choice: choice,
-	}
-}
-
-// shardProvider returns the placement provider of a sharded cluster: one
-// independent quorum tree per shard, resolved against the cluster's live map
-// so a refresh after AddShard sees the new placement.
-func (c *Cluster) shardProvider() core.ShardProvider {
-	var choice func(NodeID) int
-	if c.cfg.SpreadQuorums {
-		choice = func(n NodeID) int { return int(n) }
-	}
-	return core.TreeShardQuorums{
-		Map:    func() (ShardMap, error) { return c.ShardMap(), nil },
-		Alive:  func(n NodeID) bool { return !c.Transport.Down(n) },
-		Choice: choice,
-	}
-}
-
-// SetQuorumProvider overrides how runtimes obtain their quorums (e.g. the
-// failure-adaptive spread quorums of the Figure 10 experiment). It must be
-// called before the first Runtime for a node is built; existing runtimes
-// keep their provider.
-func (c *Cluster) SetQuorumProvider(p core.QuorumProvider) { c.provider = p }
-
 // Runtime returns (building on first use) the transaction runtime hosted on
 // the given node. All runtimes share the cluster's metrics and ID space.
 // Safe for concurrent use.
@@ -510,11 +475,14 @@ func (c *Cluster) Runtime(node NodeID) *Runtime {
 		MaxRetries:      c.cfg.MaxRetries,
 		LockWaitRetries: c.cfg.LockWaitRetries,
 		Obs:             c.cfg.Obs,
-	}
-	if c.Sharded() {
-		cfg.Shards = c.shardProvider()
-	} else {
-		cfg.Quorums = c.quorumProvider()
+		// Resolved against the live map, so a refresh after AddShard sees
+		// the new placement; the zero map routes through Tree.
+		Quorums: core.TreeQuorums{
+			Tree:   c.Tree,
+			Map:    func() (ShardMap, error) { return c.ShardMap(), nil },
+			Alive:  func(n NodeID) bool { return !c.Transport.Down(n) },
+			Spread: c.cfg.SpreadQuorums,
+		},
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {

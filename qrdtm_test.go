@@ -3,11 +3,13 @@ package qrdtm_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"qrdtm"
+	"qrdtm/internal/cluster"
 	"qrdtm/internal/dtm"
 	"qrdtm/internal/proto"
 )
@@ -238,5 +240,99 @@ func TestFailureStormConservation(t *testing.T) {
 	}
 	if total != accounts*initial {
 		t.Fatalf("total = %d, want %d (committed writes lost under failures)", total, accounts*initial)
+	}
+}
+
+// routeSpy records, per calling node, which replicas each read and prepare
+// went to.
+type routeSpy struct {
+	inner cluster.Transport
+
+	mu             sync.Mutex
+	reads, prepare map[qrdtm.NodeID]map[qrdtm.NodeID]bool
+}
+
+func (s *routeSpy) Call(ctx context.Context, from, to qrdtm.NodeID, req any) (any, error) {
+	s.mu.Lock()
+	var into map[qrdtm.NodeID]map[qrdtm.NodeID]bool
+	switch req.(type) {
+	case proto.ReadReq, proto.BatchReadReq:
+		into = s.reads
+	case proto.PrepareReq:
+		into = s.prepare
+	}
+	if into != nil {
+		if into[from] == nil {
+			into[from] = map[qrdtm.NodeID]bool{}
+		}
+		into[from][to] = true
+	}
+	s.mu.Unlock()
+	return s.inner.Call(ctx, from, to, req)
+}
+
+// TestSpreadQuorumsAreFigure10s checks that ClusterConfig.SpreadQuorums
+// gives every runtime the failure-adaptive read quorum
+// (Tree.ReadQuorumSpread keyed by the node) and the canonical write quorum:
+// on a 28-node cluster with nodes 0–2 down, each node's reads and prepares
+// go exactly there, and the read quorums are not all the same.
+func TestSpreadQuorumsAreFigure10s(t *testing.T) {
+	spy := &routeSpy{reads: map[qrdtm.NodeID]map[qrdtm.NodeID]bool{}, prepare: map[qrdtm.NodeID]map[qrdtm.NodeID]bool{}}
+	c, err := qrdtm.NewCluster(qrdtm.ClusterConfig{
+		Nodes:         28,
+		SpreadQuorums: true,
+		WrapTransport: func(inner cluster.Transport) cluster.Transport { spy.inner = inner; return spy },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadKV(map[qrdtm.ObjectID]qrdtm.Value{"k": qrdtm.Int64(0)})
+	for n := qrdtm.NodeID(0); n < 3; n++ {
+		if err := c.Fail(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alive := func(n qrdtm.NodeID) bool { return !c.Transport.Down(n) }
+	wantW, err := c.Tree.WriteQuorum(alive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(m map[qrdtm.NodeID]bool) []qrdtm.NodeID {
+		out := make([]qrdtm.NodeID, 0, len(m))
+		for n := range m {
+			out = append(out, n)
+		}
+		slices.Sort(out)
+		return out
+	}
+	distinct := map[string]bool{}
+	for n := qrdtm.NodeID(3); n < 28; n++ {
+		err := c.Runtime(n).Atomic(context.Background(), func(tx *qrdtm.Txn) error {
+			v, err := tx.Read("k")
+			if err != nil {
+				return err
+			}
+			return tx.Write("k", v.(qrdtm.Int64)+1)
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", n, err)
+		}
+		wantR, err := c.Tree.ReadQuorumSpread(alive, int(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spy.mu.Lock()
+		gotR, gotW := set(spy.reads[n]), set(spy.prepare[n])
+		spy.mu.Unlock()
+		if !slices.Equal(gotR, wantR) {
+			t.Errorf("node %d read from %v, want ReadQuorumSpread's %v", n, gotR, wantR)
+		}
+		if !slices.Equal(gotW, wantW) {
+			t.Errorf("node %d prepared at %v, want the canonical write quorum %v", n, gotW, wantW)
+		}
+		distinct[fmt.Sprint(gotR)] = true
+	}
+	if len(distinct) < 2 {
+		t.Errorf("every node read from %v: nothing spread", distinct)
 	}
 }
