@@ -24,7 +24,7 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 13, "tree size")
 	downList := flag.String("down", "", "comma-separated crashed node ids")
-	choices := flag.Int("choices", 4, "how many alternative quorums to show")
+	choices := flag.Int("choices", 4, "how many nodes' spread read quorums to show")
 	enumerate := flag.Bool("enumerate", false, "enumerate all quorums (small trees)")
 	benchN := flag.Int("bench", 0, "time N read+write quorum constructions and print percentiles")
 	prom := flag.Bool("prom", false, "print the -bench histogram in Prometheus text format instead of a summary line")
@@ -62,29 +62,27 @@ func main() {
 	}
 
 	if *choices > 1 {
-		fmt.Println("\nalternative read quorums (load spreading):")
-		seen := map[string]bool{}
-		for c := 0; c < *choices*4 && len(seen) < *choices; c++ {
-			q, err := tree.ReadQuorumChoice(alive, c)
+		// The read quorum each node reads from when the runtime spreads
+		// reads (core.TreeQuorums.Spread).
+		fmt.Println("\nper-node read quorums (spread reads):")
+		for n := 0; n < *nodes && n < *choices; n++ {
+			q, err := tree.ReadQuorumSpread(alive, n)
 			if err != nil {
-				continue
+				fmt.Printf("  %v\n", err)
+				break
 			}
-			key := fmt.Sprint(q)
-			if !seen[key] {
-				seen[key] = true
-				fmt.Printf("  %v\n", q)
-			}
+			fmt.Printf("  node %d: %v\n", n, q)
 		}
 	}
 
 	if *benchN > 0 {
 		// Quorum construction runs on every transaction start and on every
-		// reconfiguration, so its latency distribution matters; the choice
-		// index cycles to cover the load-spreading variants too.
+		// reconfiguration, so its latency distribution matters; the node
+		// cycles to cover every node's spread read quorum too.
 		hist := obs.NewHistogram()
 		for i := 0; i < *benchN; i++ {
 			t0 := time.Now()
-			_, errR := tree.ReadQuorumChoice(alive, i)
+			_, errR := tree.ReadQuorumSpread(alive, i%*nodes)
 			_, errW := tree.WriteQuorum(alive)
 			hist.Record(int64(time.Since(t0)))
 			if errR != nil || errW != nil {

@@ -26,10 +26,12 @@ import (
 // frame layout): one multiplexed connection per peer carries many concurrent
 // calls, request-id-tagged frames let a demux goroutine route replies to
 // waiting callers, and every proto message uses the hand-rolled binary
-// codec with pooled buffers. A
-// quorum round runs on its caller's goroutine (roundTrip) and the server
-// hands requests to parked per-connection workers (serveWire): steady
-// traffic creates no goroutine on either side. The server closes any
+// codec with pooled buffers. A quorum round runs on its caller's goroutine
+// (roundTrip), and the server answers each request on the goroutine that
+// read it (serveWire): steady traffic creates no goroutine on either side.
+// Only a request whose handling may wait on a durable replica's WAL — a
+// prepare or a decide (mayWait) — is served on a goroutine of its own, and
+// only while such requests on its connection do wait. The server closes any
 // connection that does not open with wireMagic.
 //
 // Failure model: a TCP-level fault (dial refused, connection reset, decode
@@ -142,22 +144,31 @@ func (s *TCPServer) handle(from proto.NodeID, req any) (resp any, err error) {
 	return out, nil
 }
 
+// mayWait reports whether serving req may block on I/O: a durable replica
+// answers a prepare or a decide only once its WAL append is on disk. Every
+// other request is answered by the connection's reader.
+func mayWait(req any) bool {
+	switch req.(type) {
+	case proto.PrepareReq, proto.DecideReq:
+		return true
+	}
+	return false
+}
+
+// waitThreshold tells a request that waited from one that did not: an
+// in-memory prepare or decide is served in a few microseconds, a WAL append
+// takes tens to hundreds.
+const waitThreshold = 20 * time.Microsecond
+
 // serveWire speaks the pipelined binary protocol on one accepted connection,
 // closing it without running the handler when its first four bytes are not
-// wireMagic. The reader decodes each request frame inline and hands it to a
-// worker goroutine, so many calls proceed concurrently on one connection and
-// replies are written back (tagged with the request id) in whatever order
-// the handlers finish.
-//
-// The handler never runs on the reader: durable handlers block in
-// wal.Append, and the connection must keep pipelining behind them. Workers
-// are per-connection and parked between requests rather than spawned per
-// request, so a steady stream of requests reuses goroutines whose stacks
-// have already grown to the handler's depth (the grpc-go serverWorkers
-// idiom). A worker is created only when none is idle — the pool is never
-// bounded and the reader never waits, so requests cannot queue behind
-// blocked handlers or blocked reply writes — and retires when the connection
-// closes or when maxParkedWorkers others are already idle.
+// wireMagic. The reader answers each request itself (decode, handler, reply
+// write, next frame): no goroutine handoff, and a stack already grown to the
+// handler's depth. A request that mayWait goes to serveOff instead while the
+// connection's last one took waitThreshold or more, so the connection keeps
+// pipelining behind a WAL wait; either way one goroutine runs the whole
+// handler call, so a wrapper around the handler times all of it. A client
+// that stops reading blocks the reader in Write, and TCP pushes back on it.
 func (s *TCPServer) serveWire(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -167,10 +178,10 @@ func (s *TCPServer) serveWire(conn net.Conn) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != wireMagic {
 		return
 	}
-	c := &wireConn{s: s, conn: conn}
-	c.ready.L = &c.mu
+	c := &wireConn{s: s, conn: conn, off: make(chan offReq), done: make(chan struct{})}
+	c.waiting.Store(true)
 	defer c.wg.Wait()
-	defer c.close()
+	defer close(c.done)
 	var scratch []byte
 	for {
 		payload, err := readFrame(br, scratch)
@@ -183,105 +194,89 @@ func (s *TCPServer) serveWire(conn net.Conn) {
 		}
 		// Decode inline: the codec copies everything out of the frame buffer,
 		// so scratch is reusable immediately.
-		rq := wireReq{id: binary.BigEndian.Uint64(payload)}
-		rq.from, rq.req, rq.err = decodeRequestBody(payload[9:])
-		c.dispatch(rq)
+		id := binary.BigEndian.Uint64(payload)
+		from, req, err := decodeRequestBody(payload[9:])
+		var out any
+		switch {
+		case err != nil:
+		case !mayWait(req):
+			out, err = s.handle(from, req)
+		case c.waiting.Load():
+			r := offReq{id: id, from: from, req: req}
+			select {
+			case c.off <- r: // a goroutine parked after an earlier wait takes it
+			default:
+				c.wg.Add(1)
+				go c.serveOff(r)
+			}
+			continue
+		default:
+			out, err = c.handleTimed(from, req)
+		}
+		c.reply(id, out, err)
 	}
-}
-
-// maxParkedWorkers caps the idle workers one connection keeps; a burst's
-// extra workers exit after their request instead of parking.
-const maxParkedWorkers = 32
-
-// wireReq is one decoded request on its way to a worker. err is a decode
-// failure, answered without running the handler.
-type wireReq struct {
-	id   uint64
-	from proto.NodeID
-	req  any
-	err  error
 }
 
 // wireConn is the server side of one binary-protocol connection.
 type wireConn struct {
 	s    *TCPServer
 	conn net.Conn
-	wmu  sync.Mutex // serializes reply writes
-	wg   sync.WaitGroup
-
-	mu       sync.Mutex
-	ready    sync.Cond // a request was assigned, or the reader exited
-	idle     int       // workers that will take from assigned next and have nothing assigned yet
-	assigned []wireReq // requests handed to idle workers, not yet taken
-	closed   bool      // the reader exited: idle workers retire
+	wmu  sync.Mutex     // serializes reply writes: the reader's and serveOff's
+	wg   sync.WaitGroup // serveOff goroutines still running
+	// waiting: the last request that mayWait took waitThreshold or more, so
+	// the next one is served off the reader.
+	waiting atomic.Bool
+	off     chan offReq   // hands a request to a parked serveOff
+	done    chan struct{} // closed when the reader exits: parked serveOffs return
 }
 
-// dispatch hands rq to an idle worker, or to a new one when none is idle.
-func (c *wireConn) dispatch(rq wireReq) {
-	c.mu.Lock()
-	if c.idle == 0 {
-		c.mu.Unlock()
-		c.wg.Add(1)
-		go c.worker(rq)
-		return
-	}
-	c.idle--
-	c.assigned = append(c.assigned, rq)
-	c.mu.Unlock()
-	c.ready.Signal()
+// offReq is one decoded request served off the reader.
+type offReq struct {
+	id   uint64
+	from proto.NodeID
+	req  any
 }
 
-// close retires the idle workers once the reader has exited.
-func (c *wireConn) close() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	c.ready.Broadcast()
+// handleTimed handles a request that mayWait and records whether it waited.
+func (c *wireConn) handleTimed(from proto.NodeID, req any) (any, error) {
+	t0 := time.Now()
+	out, err := c.s.handle(from, req)
+	c.waiting.Store(time.Since(t0) >= waitThreshold)
+	return out, err
 }
 
-// worker serves rq, then every request it takes while idle.
-func (c *wireConn) worker(rq wireReq) {
+// serveOff serves r off the reader and writes its reply. While requests on
+// the connection keep waiting it then parks for the next one, so a durable
+// replica's prepares and decides reuse goroutines whose stacks have already
+// grown to the WAL append's depth: a fresh goroutine per request spent 10%
+// of bank_wal's CPU in runtime.newstack. Once one is served fast it exits.
+func (c *wireConn) serveOff(r offReq) {
 	defer c.wg.Done()
 	for {
-		var out any
-		herr := rq.err
-		if herr == nil {
-			out, herr = c.s.handle(rq.from, rq.req)
-		}
-		frame := getFrameBuf()
-		*frame = appendReplyFrame((*frame)[:0], rq.id, out, herr)
-		// Count as idle before the write, not after: by the time the client
-		// has the reply and sends its next request this worker is already
-		// counted, so a sequential caller is served by one worker, never two.
-		c.mu.Lock()
-		park := c.idle < maxParkedWorkers && !c.closed
-		if park {
-			c.idle++
-		}
-		c.mu.Unlock()
-		c.wmu.Lock()
-		_, werr := c.conn.Write(*frame)
-		c.wmu.Unlock()
-		putFrameBuf(frame)
-		if werr != nil {
-			// Unblock the reader; the connection is done for.
-			_ = c.conn.Close()
-		}
-		if !park {
+		out, err := c.handleTimed(r.from, r.req)
+		c.reply(r.id, out, err)
+		if !c.waiting.Load() {
 			return
 		}
-		c.mu.Lock()
-		for len(c.assigned) == 0 && !c.closed {
-			c.ready.Wait()
-		}
-		last := len(c.assigned) - 1
-		if last < 0 {
-			c.mu.Unlock()
+		select {
+		case r = <-c.off:
+		case <-c.done:
 			return
 		}
-		rq, c.assigned[last] = c.assigned[last], wireReq{}
-		c.assigned = c.assigned[:last]
-		c.mu.Unlock()
+	}
+}
+
+// reply writes one reply frame. A failed write closes the connection, which
+// also stops the reader.
+func (c *wireConn) reply(id uint64, out any, err error) {
+	frame := getFrameBuf()
+	*frame = appendReplyFrame((*frame)[:0], id, out, err)
+	c.wmu.Lock()
+	_, werr := c.conn.Write(*frame)
+	c.wmu.Unlock()
+	putFrameBuf(frame)
+	if werr != nil {
+		_ = c.conn.Close()
 	}
 }
 

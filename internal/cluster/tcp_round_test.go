@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,16 +13,18 @@ import (
 )
 
 // These tests pin the round engine's structure — who runs a round, what a
-// connection death or a cancellation costs, how dials and server workers are
-// shared — by counting goroutines, deliveries, dials and Stats. None of them
-// compares a duration or a rate against a threshold; the only clocks are
-// watchdogs that turn a hang into a failure.
+// connection death or a cancellation costs, how dials are shared, which
+// server goroutine answers — by counting goroutines, deliveries, dials and
+// Stats. None of them compares a duration or a rate against a threshold; the
+// only clocks are watchdogs that turn a hang into a failure.
 
 const roundWatchdog = 10 * time.Second
 
 // roundPeer is one test server: it counts deliveries, and parks a delivery in
 // the handler — until released — when its ping number is negative or
-// parkNext is set (which that delivery consumes).
+// parkNext is set (which that delivery consumes). Tests park only slowPing
+// requests, which the server serves off the connection's reader, as it does
+// a durable replica's prepare waiting for its WAL.
 type roundPeer struct {
 	srv        *TCPServer
 	deliveries atomic.Int64
@@ -161,7 +162,7 @@ func TestRoundCreatesNoGoroutines(t *testing.T) {
 	})
 	nodes := nodeIDs(legs)
 	ctx := context.Background()
-	for i := 0; i < 20; i++ { // warm-up: dial, start loops, create the workers
+	for i := 0; i < 20; i++ { // warm-up: dial, start the loops
 		checkPongs(t, tr.CallMany(ctx, 0, nodes, ping(i)), i+1)
 	}
 	idle := settledGoroutines(t)
@@ -183,7 +184,7 @@ func TestRoundCreatesNoGoroutines(t *testing.T) {
 }
 
 // (b) Cancelling a round fails exactly the legs still unanswered — here the
-// k of n whose handlers are parked — with ctx.Err(), returns the n-k replies
+// k of n whose replies are parked — with ctx.Err(), returns the n-k replies
 // that had arrived, and leaves every connection in use.
 func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	const n, k = 5, 2
@@ -199,7 +200,7 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan []Reply, 1)
-	go func() { done <- tr.CallMany(ctx, 0, nodes, ping(7)) }()
+	go func() { done <- tr.CallMany(ctx, 0, nodes, slowPing(7)) }()
 	for _, p := range peers[:k] {
 		recvWithin(t, "handler to park", p.entered)
 	}
@@ -270,7 +271,7 @@ func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
 		}
 		before := tr.Stats()
 		done := make(chan []Reply, 1)
-		go func() { done <- tr.CallMany(context.Background(), 0, nodes, ping(5)) }()
+		go func() { done <- tr.CallMany(context.Background(), 0, nodes, slowPing(5)) }()
 		recvWithin(t, "victim handler to park", vp.entered)
 		snapshotConns(tr)[victim].kill(errKilled)
 		replies = recvWithin(t, "round", done)
@@ -408,8 +409,8 @@ func TestRoundDialWaiterHonoursOwnContext(t *testing.T) {
 	}
 }
 
-// (e) Parked workers keep the connection pipelining: with one handler
-// blocked, later requests on the same connection are still served.
+// (e) A request that waits does not stall its connection: with one slowPing
+// handler blocked, later requests on the same connection are still served.
 func TestRoundBlockedHandlerDoesNotStallConnection(t *testing.T) {
 	peers, tr := startRoundPeers(t, 1, nil)
 	p := peers[0]
@@ -417,7 +418,7 @@ func TestRoundBlockedHandlerDoesNotStallConnection(t *testing.T) {
 	checkPongs(t, tr.CallMany(ctx, 0, nodeIDs(1), ping(1)), 2)
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(ctx, 0, 1, ping(-1))
+		_, err := tr.Call(ctx, 0, 1, slowPing(-1))
 		blocked <- err
 	}()
 	recvWithin(t, "handler to park", p.entered)
@@ -441,50 +442,166 @@ func TestRoundBlockedHandlerDoesNotStallConnection(t *testing.T) {
 	}
 }
 
-// (f) A server with parked idle workers closes promptly and leaves no
-// goroutine behind.
-func TestRoundServerCloseWithParkedWorkers(t *testing.T) {
-	const workers = 4
+// (f) Sequential calls that need no wait start no server goroutine: the
+// reader answers each one itself. The count sampled inside the handler over
+// 1 000 calls never exceeds the idle count, and the idle count is the
+// server's accept loop and reader plus the client's read and write loops.
+func TestRoundSequentialCallsStartNoServerGoroutine(t *testing.T) {
+	const calls = 1000
 	base := settledGoroutines(t)
-	entered := make(chan struct{}, workers)
-	release := make(chan struct{})
+	var maxSeen atomic.Int64
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
-		entered <- struct{}{}
-		<-release
-		return req
+		if n := int64(runtime.NumGoroutine()); n > maxSeen.Load() {
+			maxSeen.Store(n) // calls are sequential: no concurrent writer
+		}
+		return pong(req)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := tr.Call(context.Background(), 0, 1, ping(1)); err != nil {
-				t.Errorf("call: %v", err)
-			}
-		}()
+	t.Cleanup(func() {
+		tr.Close()
+		_ = srv.Close()
+	})
+	ctx := context.Background()
+	if _, err := tr.Call(ctx, 0, 1, ping(0)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < workers; i++ {
-		recvWithin(t, "handler to block", entered) // four handlers at once: four workers
+	idle := settledGoroutines(t)
+	if idle != base+4 {
+		t.Fatalf("%d goroutines with one idle connection, want %d (accept loop, reader, two client loops)", idle, base+4)
 	}
-	close(release)
-	wg.Wait()
-	// Server: accept loop, connection reader, the parked workers. Client:
-	// read loop, write loop.
-	if got, want := settledGoroutines(t), base+2+workers+2; got != want {
-		t.Fatalf("%d goroutines with %d workers parked, want %d", got, workers, want)
+	maxSeen.Store(0)
+	for i := 0; i < calls; i++ {
+		resp, err := tr.Call(ctx, 0, 1, ping(i))
+		if err != nil || pongN(resp) != i+1 {
+			t.Fatalf("call %d: resp %+v err %v", i, resp, err)
+		}
 	}
+	if got := maxSeen.Load(); got > int64(idle) {
+		t.Errorf("%d goroutines alive inside a handler, %d when idle: the server started %d", got, idle, got-int64(idle))
+	}
+	if after := settledGoroutines(t); after != idle {
+		t.Errorf("goroutines %d before %d sequential calls, %d after", idle, calls, after)
+	}
+}
+
+// (g) A server with a request blocked off the reader closes promptly once
+// that handler returns — Close waits for it rather than leaking it — and
+// leaves no goroutine behind.
+func TestRoundServerCloseWithSlowRequestInFlight(t *testing.T) {
+	base := settledGoroutines(t)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
+		entered <- struct{}{}
+		<-release
+		return pong(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
+	called := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(context.Background(), 0, 1, slowPing(1))
+		called <- err
+	}()
+	recvWithin(t, "handler to block", entered)
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
+	// Close drops the connection, so the call fails (its one re-send finds
+	// the listener gone) while the handler is still blocked.
+	if err := recvWithin(t, "call to fail", called); err == nil {
+		t.Fatal("call answered by a closed server")
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a handler still running", err)
+	default:
+	}
+	close(release)
 	if err := recvWithin(t, "server Close", closed); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	tr.Close()
 	if got := settledGoroutines(t); got != base {
 		t.Fatalf("%d goroutines after Close, %d before the server existed", got, base)
+	}
+}
+
+// (h) Where a prepare or decide is served follows the connection's last one.
+// The connection's first runs off the reader, and its goroutine exits when
+// it did not wait. After one that took under waitThreshold the next is
+// answered by the reader: over 1 000 sequential fast slowPings, at most a
+// few (those the box happened to slow past the threshold) ran while a
+// goroutine beyond the idle count was alive. After one that waited, the next
+// runs off the reader, so it can block without stalling the connection.
+func TestRoundWaitingRequestFollowsTheLastOne(t *testing.T) {
+	const calls, waits = 1000, 1 << 20
+	base := settledGoroutines(t)
+	var idle, offReader atomic.Int64
+	idle.Store(-1)
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
+		switch n := pingN(req); {
+		case n < 0:
+			entered <- struct{}{}
+			<-release
+		case n >= waits:
+			time.Sleep(2 * waitThreshold)
+		case idle.Load() >= 0 && int64(runtime.NumGoroutine()) > idle.Load():
+			offReader.Add(1)
+		}
+		return pong(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+		tr.Close()
+		_ = srv.Close()
+	})
+	ctx := context.Background()
+	call := func(req any) {
+		t.Helper()
+		if resp, err := tr.Call(ctx, 0, 1, req); err != nil || pongN(resp) != pingN(req)+1 {
+			t.Fatalf("%+v: resp %+v err %v", req, resp, err)
+		}
+	}
+	call(slowPing(0)) // a connection's first one runs off the reader
+	n := settledGoroutines(t)
+	if n != base+4 {
+		t.Fatalf("%d goroutines after one fast slowPing, want %d (accept loop, reader, two client loops)", n, base+4)
+	}
+	idle.Store(int64(n))
+	for i := 1; i <= calls; i++ {
+		call(slowPing(i))
+	}
+	if got := offReader.Load(); got > calls/10 {
+		t.Errorf("%d of %d fast slowPings ran beside an extra goroutine: not answered by the reader", got, calls)
+	}
+
+	call(slowPing(waits))
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(ctx, 0, 1, slowPing(-1))
+		blocked <- err
+	}()
+	recvWithin(t, "handler to block", entered)
+	for i := 0; i < 50; i++ {
+		call(ping(i))
+	}
+	close(release)
+	if err := recvWithin(t, "blocked call", blocked); err != nil {
+		t.Fatalf("blocked call: %v", err)
 	}
 }
 

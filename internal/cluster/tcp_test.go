@@ -17,7 +17,16 @@ import (
 // Next carries that number plus one.
 func ping(n int) proto.LogTailReq { return proto.LogTailReq{Max: n} }
 
-func pingN(req any) int { return req.(proto.LogTailReq).Max }
+// slowPing is ping as a request the server serves off the connection's
+// reader (mayWait), for test handlers that block.
+func slowPing(n int) proto.DecideReq { return proto.DecideReq{Txn: proto.TxnID(n)} }
+
+func pingN(req any) int {
+	if m, ok := req.(proto.DecideReq); ok {
+		return int(m.Txn)
+	}
+	return req.(proto.LogTailReq).Max
+}
 
 func pong(req any) proto.LogTailRep { return proto.LogTailRep{Next: uint64(pingN(req) + 1)} }
 
@@ -255,12 +264,35 @@ func TestTCPHandlerPanicIsTyped(t *testing.T) {
 	defer srv.Close()
 	tr := NewTCPTransport(map[proto.NodeID]string{7: srv.Addr()})
 	defer tr.Close()
-	_, err = tr.Call(context.Background(), 0, 7, ping(0))
-	if !errors.Is(err, ErrRemotePanic) {
-		t.Fatalf("err = %v, want ErrRemotePanic identity to survive the wire", err)
+	// On the reader and off it: both recover the panic into the reply.
+	for _, req := range []any{ping(0), slowPing(0)} {
+		_, err = tr.Call(context.Background(), 0, 7, req)
+		if !errors.Is(err, ErrRemotePanic) {
+			t.Fatalf("%T: err = %v, want ErrRemotePanic identity to survive the wire", req, err)
+		}
+		if errors.Is(err, ErrTransient) {
+			t.Fatalf("%T: handler panic must not be retryable", req)
+		}
 	}
-	if errors.Is(err, ErrTransient) {
-		t.Fatal("handler panic must not be retryable")
+}
+
+// Exactly the two requests a durable replica answers after a WAL wait are
+// served off the reader; reads and admin requests are answered inline.
+func TestMayWait(t *testing.T) {
+	for _, c := range []struct {
+		req  any
+		want bool
+	}{
+		{proto.PrepareReq{}, true},
+		{proto.DecideReq{}, true},
+		{proto.ReadReq{}, false},
+		{proto.BatchReadReq{}, false},
+		{proto.LoadReq{}, false},
+		{proto.LogTailReq{}, false},
+	} {
+		if got := mayWait(c.req); got != c.want {
+			t.Errorf("mayWait(%T) = %v, want %v", c.req, got, c.want)
+		}
 	}
 }
 

@@ -206,6 +206,8 @@ func TestTCPMultiSentinelOverWire(t *testing.T) {
 // Pipelining proof: slow calls issued concurrently to one peer must overlap
 // on the single multiplexed connection instead of queueing behind each
 // other, and the transport must hold exactly one connection for the peer.
+// The calls are slowPings, which the server serves off the reader, as it
+// does a prepare waiting for a WAL.
 func TestTCPCallsArePipelined(t *testing.T) {
 	const workers, delay = 8, 100 * time.Millisecond
 	srv, err := ListenTCP(1, "127.0.0.1:0", func(_ proto.NodeID, req any) any {
@@ -225,7 +227,7 @@ func TestTCPCallsArePipelined(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := tr.Call(context.Background(), 0, 1, ping(i))
+			resp, err := tr.Call(context.Background(), 0, 1, slowPing(i))
 			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return

@@ -41,7 +41,10 @@ var ErrTransient = errors.New("cluster: transient fault")
 var ErrRemotePanic = errors.New("cluster: remote handler panicked")
 
 // Handler processes one request on behalf of a node and returns the reply.
-// Handlers must be safe for concurrent use.
+// Handlers must be safe for concurrent use. The TCP server calls a handler
+// on the goroutine that read the request, so it stalls its connection while
+// it runs; only a PrepareReq or DecideReq that waits (for a durable
+// replica's WAL) is moved to a goroutine of its own.
 type Handler func(from proto.NodeID, req any) any
 
 // Transport delivers request/reply messages between nodes.

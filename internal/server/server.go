@@ -148,6 +148,10 @@ func (r *Replica) Metrics() *Metrics { return &r.metrics }
 // (bootstrap, reconfiguration, catch-up, trace collection) by handleAdmin,
 // so the hot path's stack frame is not sized by the cold one's.
 //
+// Over TCP, Handle runs on the connection's reader (see cluster.Handler);
+// only prepares and decides, which wait in wal.Append on a durable replica,
+// move off it, so a cold admin request there holds its connection a flush.
+//
 // Delivery contract: with the cluster layer's RetryTransport (and
 // FaultTransport's duplicate injection) a request may be delivered more than
 // once — a reply lost to a connection reset is retried by the client even

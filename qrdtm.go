@@ -283,7 +283,9 @@ func NewTCPTransport(peers map[NodeID]string, opts ...TCPOption) *TCPTransport {
 func WithDialTimeout(d time.Duration) TCPOption { return cluster.WithDialTimeout(d) }
 
 // ListenTCP starts a TCP server for node id on addr ("host:0" picks a free
-// port) serving h — typically a replica's Handle method.
+// port) serving h — typically a replica's Handle method. The server calls h
+// on the goroutine that read the request (bar prepares and decides waiting
+// for a WAL), so an h that blocks stalls its connection.
 func ListenTCP(id NodeID, addr string, h func(from NodeID, req any) any) (*TCPServer, error) {
 	return cluster.ListenTCP(id, addr, h)
 }
@@ -428,13 +430,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	return c, nil
-}
-
-// Sharded reports whether the cluster routes through a shard map.
-func (c *Cluster) Sharded() bool {
-	c.smapMu.RLock()
-	defer c.smapMu.RUnlock()
-	return c.smap.Sharded()
 }
 
 // ShardMap returns a copy of the cluster's live placement map (zero when

@@ -67,9 +67,6 @@ func transfer(tx *qrdtm.Txn, from, to qrdtm.ObjectID) error {
 
 func TestShardedClusterBasics(t *testing.T) {
 	c, _ := shardCluster(t, 13, 4, 8, qrdtm.Closed, nil)
-	if !c.Sharded() {
-		t.Fatal("cluster should be sharded")
-	}
 	m := c.ShardMap()
 	if len(m.Shards) != 4 {
 		t.Fatalf("shards = %d, want 4", len(m.Shards))
