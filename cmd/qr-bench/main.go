@@ -1,11 +1,14 @@
 // Command qr-bench regenerates the paper's evaluation artifacts: every
 // figure and table of "On Closed Nesting and Checkpointing in
 // Fault-Tolerant Distributed Transactional Memory" (IPDPS 2013), plus the
-// ablations called out in DESIGN.md.
+// ablations called out in DESIGN.md and the shard and open-loop load
+// experiments. Every experiment reports through the same tables, printed
+// aligned or, with -csv, as CSV on stdout (only -cpuprofile and
+// -memprofile write files).
 //
 // Usage:
 //
-//	qr-bench -exp fig5            # one experiment (see -list: fig5..fig10, chkovh, abl*, ntfa, quorums)
+//	qr-bench -exp fig5            # one experiment (see -list: fig5..fig10, chkovh, abl*, ntfa, quorums, faults, shard, load)
 //	qr-bench -exp all             # the whole suite
 //	qr-bench -exp fig8 -quick     # reduced scale (seconds instead of minutes)
 //	qr-bench -exp fig9 -csv       # machine-readable output
@@ -31,15 +34,11 @@ func main() {
 	txns := flag.Int("txns", 0, "override transactions per client")
 	nodes := flag.Int("nodes", 0, "override replica count")
 	seed := flag.Uint64("seed", 0, "override RNG seed")
-	shardOut := flag.String("shard-out", harness.BenchShardPath, "output path for the shard experiment's JSON (empty disables)")
-	loadOut := flag.String("load-out", harness.BenchLoadPath, "output path for the load experiment's JSON (empty disables)")
 	cpuProf := flag.String("cpuprofile", "", "per-step CPU profile prefix for the load experiment (measured window only)")
 	memProf := flag.String("memprofile", "", "per-step heap profile prefix for the load experiment (measured window only)")
 	admin := flag.String("admin", "", "serve the load experiment's obs registry on this address (e.g. 127.0.0.1:7500) for qr-top")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
-	harness.BenchShardPath = *shardOut
-	harness.BenchLoadPath = *loadOut
 	harness.CPUProfilePrefix = *cpuProf
 	harness.MemProfilePrefix = *memProf
 	harness.LoadAdminAddr = *admin

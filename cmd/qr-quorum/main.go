@@ -29,6 +29,11 @@ func main() {
 	benchN := flag.Int("bench", 0, "time N read+write quorum constructions and print percentiles")
 	prom := flag.Bool("prom", false, "print the -bench histogram in Prometheus text format instead of a summary line")
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "qr-quorum: -nodes must be at least 1, got %d\n", *nodes)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	tree := quorum.NewTree(*nodes)
 	down := map[proto.NodeID]bool{}

@@ -20,6 +20,20 @@ import (
 
 const roundWatchdog = 10 * time.Second
 
+// callMany and callOne run one round under the watchdog, so a server that
+// stalls its connection fails the test instead of hanging it.
+func callMany(tr *TCPTransport, nodes []proto.NodeID, req any) []Reply {
+	ctx, cancel := context.WithTimeout(context.Background(), roundWatchdog)
+	defer cancel()
+	return tr.CallMany(ctx, 0, nodes, req)
+}
+
+func callOne(tr *TCPTransport, to proto.NodeID, req any) (any, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), roundWatchdog)
+	defer cancel()
+	return tr.Call(ctx, 0, to, req)
+}
+
 // roundPeer is one test server: it counts deliveries, and parks a delivery in
 // the handler — until released — when its ping number is negative or
 // parkNext is set (which that delivery consumes). Tests park only slowPing
@@ -161,14 +175,13 @@ func TestRoundCreatesNoGoroutines(t *testing.T) {
 		}
 	})
 	nodes := nodeIDs(legs)
-	ctx := context.Background()
 	for i := 0; i < 20; i++ { // warm-up: dial, start the loops
-		checkPongs(t, tr.CallMany(ctx, 0, nodes, ping(i)), i+1)
+		checkPongs(t, callMany(tr, nodes, ping(i)), i+1)
 	}
 	idle := settledGoroutines(t)
 	maxSeen.Store(0)
 	for i := 0; i < rounds; i++ {
-		checkPongs(t, tr.CallMany(ctx, 0, nodes, ping(i)), i+1)
+		checkPongs(t, callMany(tr, nodes, ping(i)), i+1)
 	}
 	if got := maxSeen.Load(); got > int64(idle) {
 		t.Errorf("%d goroutines alive inside a handler, %d when idle: a round created %d", got, idle, got-int64(idle))
@@ -190,14 +203,14 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	const n, k = 5, 2
 	peers, tr := startRoundPeers(t, n, nil)
 	nodes := nodeIDs(n)
-	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, ping(1)), 2)
+	checkPongs(t, callMany(tr, nodes, ping(1)), 2)
 	before := tr.Stats()
 	conns := snapshotConns(tr)
 
 	for _, p := range peers[:k] {
 		p.parkNext.Store(true)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), roundWatchdog)
 	defer cancel()
 	done := make(chan []Reply, 1)
 	go func() { done <- tr.CallMany(ctx, 0, nodes, slowPing(7)) }()
@@ -230,7 +243,7 @@ func TestRoundCancelFailsOnlyUnansweredLegs(t *testing.T) {
 	}
 
 	// The same connections serve the next round, behind the parked handlers.
-	checkPongs(t, tr.CallMany(context.Background(), 0, nodes, ping(3)), 4)
+	checkPongs(t, callMany(tr, nodes, ping(3)), 4)
 	for id, mc := range snapshotConns(tr) {
 		if mc != conns[id] {
 			t.Errorf("node %v: connection was replaced after a cancelled round", id)
@@ -262,7 +275,7 @@ func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
 		peers, tr = startRoundPeers(t, n, nil)
 		nodes := nodeIDs(n)
 		if warm {
-			checkPongs(t, tr.CallMany(context.Background(), 0, nodes, ping(1)), 2)
+			checkPongs(t, callMany(tr, nodes, ping(1)), 2)
 		}
 		vp := peers[victim-1]
 		vp.parkNext.Store(true)
@@ -271,7 +284,7 @@ func TestRoundConnDeathResendsOnlyThatLeg(t *testing.T) {
 		}
 		before := tr.Stats()
 		done := make(chan []Reply, 1)
-		go func() { done <- tr.CallMany(context.Background(), 0, nodes, slowPing(5)) }()
+		go func() { done <- callMany(tr, nodes, slowPing(5)) }()
 		recvWithin(t, "victim handler to park", vp.entered)
 		snapshotConns(tr)[victim].kill(errKilled)
 		replies = recvWithin(t, "round", done)
@@ -354,7 +367,7 @@ func TestRoundColdDialsConcurrentAndSingleFlight(t *testing.T) {
 	nodes := nodeIDs(k)
 	done := make(chan []Reply, callers)
 	for c := 0; c < callers; c++ {
-		go func() { done <- tr.CallMany(context.Background(), 0, nodes, ping(1)) }()
+		go func() { done <- callMany(tr, nodes, ping(1)) }()
 	}
 	// A round that dialed its legs one after another would park here with a
 	// single dial in flight.
@@ -387,7 +400,7 @@ func TestRoundDialWaiterHonoursOwnContext(t *testing.T) {
 		}
 		return realDial(ctx, addr)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), roundWatchdog)
 	first := make(chan error, 1)
 	go func() {
 		_, err := tr.Call(ctx, 0, 1, ping(1))
@@ -396,7 +409,7 @@ func TestRoundDialWaiterHonoursOwnContext(t *testing.T) {
 	recvWithin(t, "dial to start", started)
 	second := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(context.Background(), 0, 1, ping(1))
+		_, err := callOne(tr, 1, ping(1))
 		second <- err
 	}()
 	cancel()
@@ -414,16 +427,15 @@ func TestRoundDialWaiterHonoursOwnContext(t *testing.T) {
 func TestRoundBlockedHandlerDoesNotStallConnection(t *testing.T) {
 	peers, tr := startRoundPeers(t, 1, nil)
 	p := peers[0]
-	ctx := context.Background()
-	checkPongs(t, tr.CallMany(ctx, 0, nodeIDs(1), ping(1)), 2)
+	checkPongs(t, callMany(tr, nodeIDs(1), ping(1)), 2)
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(ctx, 0, 1, slowPing(-1))
+		_, err := callOne(tr, 1, slowPing(-1))
 		blocked <- err
 	}()
 	recvWithin(t, "handler to park", p.entered)
 	for i := 0; i < 50; i++ {
-		resp, err := tr.Call(ctx, 0, 1, ping(i))
+		resp, err := callOne(tr, 1, ping(i))
 		if err != nil || pongN(resp) != i+1 {
 			t.Fatalf("call %d behind a blocked handler: resp %+v err %v", i, resp, err)
 		}
@@ -464,8 +476,7 @@ func TestRoundSequentialCallsStartNoServerGoroutine(t *testing.T) {
 		tr.Close()
 		_ = srv.Close()
 	})
-	ctx := context.Background()
-	if _, err := tr.Call(ctx, 0, 1, ping(0)); err != nil {
+	if _, err := callOne(tr, 1, ping(0)); err != nil {
 		t.Fatal(err)
 	}
 	idle := settledGoroutines(t)
@@ -474,7 +485,7 @@ func TestRoundSequentialCallsStartNoServerGoroutine(t *testing.T) {
 	}
 	maxSeen.Store(0)
 	for i := 0; i < calls; i++ {
-		resp, err := tr.Call(ctx, 0, 1, ping(i))
+		resp, err := callOne(tr, 1, ping(i))
 		if err != nil || pongN(resp) != i+1 {
 			t.Fatalf("call %d: resp %+v err %v", i, resp, err)
 		}
@@ -505,7 +516,7 @@ func TestRoundServerCloseWithSlowRequestInFlight(t *testing.T) {
 	tr := NewTCPTransport(map[proto.NodeID]string{1: srv.Addr()})
 	called := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(context.Background(), 0, 1, slowPing(1))
+		_, err := callOne(tr, 1, slowPing(1))
 		called <- err
 	}()
 	recvWithin(t, "handler to block", entered)
@@ -569,10 +580,9 @@ func TestRoundWaitingRequestFollowsTheLastOne(t *testing.T) {
 		tr.Close()
 		_ = srv.Close()
 	})
-	ctx := context.Background()
 	call := func(req any) {
 		t.Helper()
-		if resp, err := tr.Call(ctx, 0, 1, req); err != nil || pongN(resp) != pingN(req)+1 {
+		if resp, err := callOne(tr, 1, req); err != nil || pongN(resp) != pingN(req)+1 {
 			t.Fatalf("%+v: resp %+v err %v", req, resp, err)
 		}
 	}
@@ -592,7 +602,7 @@ func TestRoundWaitingRequestFollowsTheLastOne(t *testing.T) {
 	call(slowPing(waits))
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(ctx, 0, 1, slowPing(-1))
+		_, err := callOne(tr, 1, slowPing(-1))
 		blocked <- err
 	}()
 	recvWithin(t, "handler to block", entered)

@@ -57,7 +57,7 @@ func (tx *Txn) Open(locks []string, body func(*Txn) error, compensate func(*Txn)
 	if rt.mode == Checkpoint {
 		return ErrOpenInCheckpointed
 	}
-	root := tx.rootTxn()
+	root := tx.root()
 	// The open child commits on its own: a linked copy the parent prefetched
 	// may be stale once it has (link-prefetch rule 1, see usePrefetched).
 	tx.dropPrefetch()
@@ -145,13 +145,4 @@ func (rt *Runtime) finishOpen(tx *Txn, rootAborted bool) error {
 	tx.openCommits = nil
 	tx.absLocks = nil
 	return firstErr
-}
-
-// rootTxn walks to the root of the nesting chain.
-func (tx *Txn) rootTxn() *Txn {
-	r := tx
-	for r.parent != nil {
-		r = r.parent
-	}
-	return r
 }

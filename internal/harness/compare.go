@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"qrdtm"
@@ -119,14 +118,11 @@ func RunCompare(ctx context.Context, cfg CompareConfig) (CompareResult, error) {
 
 	switch cfg.System {
 	case "qr":
-		c, err := qrdtm.NewCluster(qrdtm.ClusterConfig{
-			Nodes:       cfg.Nodes,
-			Mode:        core.Flat, // the paper's QR-DTM comparison runs the base protocol
-			Latency:     cfg.Latency,
-			TxTime:      cfg.TxTime,
-			MaxRetries:  1_000_000,
-			BackoffBase: 2 * time.Millisecond,
-			BackoffMax:  16 * time.Millisecond,
+		c, err := simCluster(qrdtm.ClusterConfig{
+			Nodes:   cfg.Nodes,
+			Mode:    core.Flat, // the paper's QR-DTM comparison runs the base protocol
+			Latency: cfg.Latency,
+			TxTime:  cfg.TxTime,
 		})
 		if err != nil {
 			return CompareResult{}, err
@@ -159,28 +155,17 @@ func RunCompare(ctx context.Context, cfg CompareConfig) (CompareResult, error) {
 		return CompareResult{}, fmt.Errorf("harness: unknown system %q", cfg.System)
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Clients)
-	for cl := 0; cl < cfg.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(cfg.Seed, uint64(cl)+1))
-			for i := 0; i < cfg.TxnsPerClient; i++ {
-				if err := bankTxn(ctx, systems[cl], rng, cfg.Accounts, cfg.ReadRatio); err != nil {
-					errs[cl] = err
-					return
-				}
+	elapsed, err := runClients(cfg.Clients, func(cl int) error {
+		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(cl)+1))
+		for i := 0; i < cfg.TxnsPerClient; i++ {
+			if err := bankTxn(ctx, systems[cl], rng, cfg.Accounts, cfg.ReadRatio); err != nil {
+				return err
 			}
-		}(cl)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return CompareResult{}, err
 		}
+		return nil
+	})
+	if err != nil {
+		return CompareResult{}, err
 	}
 
 	commits := cfg.Clients * cfg.TxnsPerClient

@@ -176,7 +176,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 
-	c, err := qrdtm.NewCluster(qrdtm.ClusterConfig{
+	c, err := simCluster(qrdtm.ClusterConfig{
 		Nodes:           cfg.Nodes,
 		Mode:            cfg.Mode,
 		Latency:         cfg.Latency,
@@ -186,14 +186,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		CheckpointCost:  cfg.CheckpointCost,
 		LockWaitRetries: cfg.LockWaitRetries,
 		SpreadQuorums:   cfg.SpreadReads,
-		MaxRetries:      1_000_000,
-		// Full-abort retries back off at commit-window scale, mirroring
-		// the paper's testbed where a retry inherently costs a ~30 ms
-		// request round before it can conflict again.
-		BackoffBase:   2 * time.Millisecond,
-		BackoffMax:    16 * time.Millisecond,
-		WrapTransport: wrap,
-		Obs:           cfg.Obs,
+		WrapTransport:   wrap,
+		Obs:             cfg.Obs,
 	})
 	if err != nil {
 		return Result{}, err
@@ -222,30 +216,18 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		faultsBefore = faultT.Faults()
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Clients)
-	for cl := 0; cl < cfg.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(cfg.Seed, uint64(cl)+1))
-			rt := runtimes[cl]
-			for i := 0; i < cfg.TxnsPerClient; i++ {
-				st, steps := w.NewTxn(rng, cfg.Params)
-				if _, err := rt.AtomicSteps(ctx, st, steps); err != nil {
-					errs[cl] = fmt.Errorf("client %d txn %d: %w", cl, i, err)
-					return
-				}
+	elapsed, err := runClients(cfg.Clients, func(cl int) error {
+		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(cl)+1))
+		for i := 0; i < cfg.TxnsPerClient; i++ {
+			st, steps := w.NewTxn(rng, cfg.Params)
+			if _, err := runtimes[cl].AtomicSteps(ctx, st, steps); err != nil {
+				return fmt.Errorf("client %d txn %d: %w", cl, i, err)
 			}
-		}(cl)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
 		}
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
 	snap := c.Metrics().Snapshot().Sub(before)
@@ -289,4 +271,57 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// simCluster builds a simulated cluster with the harness's retry policy:
+// retries are effectively unbounded, so every cell runs its transactions to
+// completion, and full-abort retries back off at commit-window scale,
+// mirroring the paper's testbed where a retry inherently costs a ~30 ms
+// request round before it can conflict again.
+func simCluster(cfg qrdtm.ClusterConfig) (*qrdtm.Cluster, error) {
+	cfg.MaxRetries = 1_000_000
+	cfg.BackoffBase = 2 * time.Millisecond
+	cfg.BackoffMax = 16 * time.Millisecond
+	return qrdtm.NewCluster(cfg)
+}
+
+// runClients runs n closed-loop clients, client cl on its own goroutine
+// running body(cl) — a fixed count of transactions, or transactions until a
+// stop signal — and returns the time until the last one returned and the
+// first client's error.
+func runClients(n int, body func(cl int) error) (time.Duration, error) {
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for cl := 0; cl < n; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			errs[cl] = body(cl)
+		}(cl)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for _, err := range errs {
+		if err != nil {
+			return elapsed, err
+		}
+	}
+	return elapsed, nil
+}
+
+// untilClosed is a stop-based client body: it runs txn back to back until
+// stop closes. Stop is checked only between transactions, never mid-flight,
+// so a client drains gracefully instead of abandoning a call.
+func untilClosed(stop <-chan struct{}, txn func() error) error {
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		if err := txn(); err != nil {
+			return err
+		}
+	}
 }

@@ -2,13 +2,12 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"qrdtm/internal/core"
@@ -17,10 +16,6 @@ import (
 	"qrdtm/internal/proto"
 	"qrdtm/internal/testcluster"
 )
-
-// BenchLoadPath is where the Load experiment writes its machine-readable
-// output ("" disables the file; cmd/qr-bench exposes it as -load-out).
-var BenchLoadPath = "BENCH_load.json"
 
 // CPUProfilePrefix / MemProfilePrefix, when set (qr-bench -cpuprofile /
 // -memprofile), capture per-step pprof profiles over the measured window
@@ -46,58 +41,40 @@ const (
 	kneeP99Factor     = 5.0
 )
 
-// loadStep is one ladder step's record in BENCH_load.json.
+// loadStep is one ladder step's measurements.
 type loadStep struct {
-	Step          int     `json:"step"`
-	TargetRate    float64 `json:"target_txn_per_sec"`
-	OfferedRate   float64 `json:"offered_txn_per_sec"`
-	CompletedRate float64 `json:"completed_txn_per_sec"`
-	CompletedFrac float64 `json:"completed_frac"` // completed / offered
-	P50Ms         float64 `json:"p50_ms"`         // intended-time latency
-	P99Ms         float64 `json:"p99_ms"`
-	P999Ms        float64 `json:"p999_ms"`
-	ServiceP50Ms  float64 `json:"service_p50_ms"` // closed-loop-style contrast
-	ServiceP99Ms  float64 `json:"service_p99_ms"`
-	Shed          uint64  `json:"shed"`
-	Queued        uint64  `json:"queued"`
-	Failed        uint64  `json:"failed"`
-	MaxLagMs      float64 `json:"max_lag_ms"` // worst dispatcher schedule lag
+	OfferedRate   float64
+	CompletedRate float64
+	CompletedFrac float64 // completed / offered
+	P50Ms         float64 // intended-time latency
+	P99Ms         float64
+	P999Ms        float64
+	ServiceP50Ms  float64 // closed-loop-style contrast
+	ServiceP99Ms  float64
+	Shed          uint64
+	Queued        uint64
+	Failed        uint64
+	MaxLagMs      float64 // worst dispatcher schedule lag
 
-	Aborts          map[string]uint64 `json:"aborts"` // per-cause deltas this step
-	AuditViolations uint64            `json:"audit_violations"`
-	AuditGapSpans   uint64            `json:"audit_gap_spans"`
-
-	Timeline []load.Point `json:"timeline,omitempty"`
+	Aborts          uint64 // root aborts this step, every cause
+	AuditViolations uint64
+	AuditGapSpans   uint64
 }
 
-// kneeRecord marks the detected saturation knee in BENCH_load.json.
-type kneeRecord struct {
-	Step        int     `json:"step"`
-	TargetRate  float64 `json:"target_txn_per_sec"`
-	Reason      string  `json:"reason"`
-	BaselineP99 float64 `json:"baseline_p99_ms"`
-}
-
-// loadBench is the whole BENCH_load.json document.
-type loadBench struct {
-	Nodes        int         `json:"nodes"`
-	Shards       int         `json:"shards"`
-	Workers      int         `json:"workers"`
-	Schedule     string      `json:"schedule"`
-	LocalityFrac float64     `json:"locality_fraction"`
-	CapacityTxns float64     `json:"capacity_txn_per_sec"` // closed-loop calibration
-	BaselineP99  float64     `json:"baseline_p99_ms"`
-	Steps        []loadStep  `json:"steps"`
-	Knee         *kneeRecord `json:"knee,omitempty"`
-	Verified     bool        `json:"verified"` // conservation oracle after the run
+// loadRun is the whole ladder: the cluster shape, the calibrated capacity,
+// every step, and the knee (Knee < 0 when no step crossed a threshold).
+type loadRun struct {
+	Nodes, Shards int
+	Capacity      float64
+	Steps         []loadStep
+	Knee          int
+	KneeReason    string
 }
 
 // newLoadStep turns one generator run into its ladder-step record (the
 // cluster-side fields — aborts, audit deltas — are the caller's to fill).
-func newLoadStep(step int, target float64, st load.Stats) loadStep {
+func newLoadStep(st load.Stats) loadStep {
 	rec := loadStep{
-		Step:          step,
-		TargetRate:    target,
 		OfferedRate:   st.OfferedRate,
 		CompletedRate: st.CompletedRate,
 		P50Ms:         float64(st.Latency.P50()) / 1e6,
@@ -109,7 +86,6 @@ func newLoadStep(step int, target float64, st load.Stats) loadStep {
 		Queued:        st.Queued,
 		Failed:        st.Failed,
 		MaxLagMs:      float64(st.MaxLag) / 1e6,
-		Timeline:      st.Timeline,
 	}
 	if st.Offered > 0 {
 		rec.CompletedFrac = float64(st.Completed) / float64(st.Offered)
@@ -142,29 +118,66 @@ func DetectKnee(steps []loadStep) (int, string) {
 // Load walks offered load across a rate ladder over the sharded 13-node
 // localhost TCP cluster and records the first honest latency-under-load
 // curves for it: open-loop Poisson arrivals, coordinated-omission-free
-// intended-time latency, offered-vs-completed throughput, abort-cause mix
-// and saturation-knee detection, all into BENCH_load.json.
+// intended-time latency (and service time for contrast), offered-vs-completed
+// throughput, aborts, trace-audit deltas and saturation-knee detection.
 //
 // The run is anchored by a closed-loop calibration burst whose completion
 // rate defines "capacity"; the ladder is a set of fractions of it spanning
 // comfortably-below to past saturation. Every step's traffic runs under the
 // streaming trace auditor, and the whole run must end balance-conserving.
 func Load(ctx context.Context, s Scale) ([]Table, error) {
+	r, err := runLoad(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{r.table()}, nil
+}
+
+// table renders the ladder: one row per step, then the knee row if any.
+func (r loadRun) table() Table {
+	t := Table{
+		ID:    "load",
+		Title: fmt.Sprintf("open-loop rate ladder, %d-shard %d-node TCP cluster (capacity ~%.0f txn/s)", r.Shards, r.Nodes, r.Capacity),
+		Header: []string{"offered/s", "completed/s", "done%", "p50 ms", "p99 ms", "p999 ms",
+			"svc p50 ms", "svc p99 ms", "shed", "queued", "failed", "lag ms", "aborts", "audit"},
+	}
+	for _, st := range r.Steps {
+		t.Rows = append(t.Rows, []string{
+			f0(st.OfferedRate), f0(st.CompletedRate),
+			fmt.Sprintf("%.0f%%", 100*st.CompletedFrac),
+			fmt.Sprintf("%.2f", st.P50Ms), fmt.Sprintf("%.2f", st.P99Ms),
+			fmt.Sprintf("%.2f", st.P999Ms),
+			fmt.Sprintf("%.2f", st.ServiceP50Ms), fmt.Sprintf("%.2f", st.ServiceP99Ms),
+			fmt.Sprint(st.Shed), fmt.Sprint(st.Queued), fmt.Sprint(st.Failed),
+			fmt.Sprintf("%.1f", st.MaxLagMs), fmt.Sprint(st.Aborts),
+			fmt.Sprintf("%dv/%dg", st.AuditViolations, st.AuditGapSpans),
+		})
+	}
+	if r.Knee >= 0 {
+		knee := []string{"knee", fmt.Sprintf("step %d", r.Knee), r.KneeReason}
+		for len(knee) < len(t.Header) {
+			knee = append(knee, "")
+		}
+		t.Rows = append(t.Rows, knee)
+	}
+	return t
+}
+
+// runLoad calibrates the cluster's capacity, walks the ladder, and fails on
+// a trace violation below the knee or a final state that lost money.
+func runLoad(ctx context.Context, s Scale) (loadRun, error) {
 	quick := s.Txns < FullScale().Txns
-	nodes := s.Nodes
-	shards := 2
-	if nodes >= 12 {
-		shards = 4
+	r := loadRun{Nodes: s.Nodes, Shards: 2}
+	if r.Nodes >= 12 {
+		r.Shards = 4
 	}
 	workers := 128
 	stepDur, warmup := 5*time.Second, 1*time.Second
-	sampleEvery := 500 * time.Millisecond
 	calDur := 800 * time.Millisecond // per calibration burst
 	fracs := []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0}
 	if quick {
 		workers = 32
 		stepDur, warmup = 1200*time.Millisecond, 300*time.Millisecond
-		sampleEvery = 300 * time.Millisecond
 		calDur = 400 * time.Millisecond
 		fracs = []float64{0.4, 2.0} // the CI smoke: one below, one past the knee
 	}
@@ -175,14 +188,14 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 	auditor.Start()
 	defer auditor.Stop()
 
-	m := proto.PartitionMap(nodesList(nodes), shards)
+	m := proto.PartitionMap(nodesList(r.Nodes), r.Shards)
 	c, err := testcluster.Start(testcluster.Options{
-		Nodes: nodes,
+		Nodes: r.Nodes,
 		Obs:   func(proto.NodeID) *obs.Registry { return reg },
 		Map:   m,
 	})
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	defer c.Close()
 	const initBalance = 100
@@ -194,7 +207,7 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 			Source("obs", func() any { return reg.Snapshot() })
 		addr, shutdown, err := admin.ListenAndServe(LoadAdminAddr)
 		if err != nil {
-			return nil, err
+			return r, err
 		}
 		defer func() { _ = shutdown() }()
 		fmt.Fprintf(os.Stderr, "load: admin surface on http://%s (point qr-top at it)\n", addr)
@@ -209,9 +222,9 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 	rts := make([]*core.Runtime, workers)
 	rngs := make([]*rand.Rand, workers)
 	for w := 0; w < workers; w++ {
-		rt, err := shardRuntime(c, proto.NodeID(w%nodes), mapFn, ids, metrics, reg)
+		rt, err := shardRuntime(c, proto.NodeID(w%r.Nodes), mapFn, ids, metrics, reg)
 		if err != nil {
-			return nil, fmt.Errorf("load: worker %d runtime: %w", w, err)
+			return r, fmt.Errorf("load: worker %d runtime: %w", w, err)
 		}
 		rts[w] = rt
 		rngs[w] = rand.New(rand.NewPCG(s.Seed, uint64(w)))
@@ -227,36 +240,18 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 	// into conflict-retry churn below its own peak). The ladder has to be
 	// anchored to the peak, or its "past capacity" steps would sit inside
 	// the sustainable region and never find the knee.
-	var capacity float64
 	for _, n := range []int{max(1, workers/8), workers / 4, workers / 2, workers} {
 		rate, err := calibrateCapacity(ctx, n, calDur, txn)
 		if err != nil {
-			return nil, fmt.Errorf("load: calibration at %d clients: %w", n, err)
+			return r, fmt.Errorf("load: calibration at %d clients: %w", n, err)
 		}
-		if rate > capacity {
-			capacity = rate
-		}
-	}
-
-	doc := loadBench{
-		Nodes: nodes, Shards: shards, Workers: workers,
-		Schedule: load.Poisson.String(), LocalityFrac: shardLocality,
-		CapacityTxns: capacity,
-	}
-	t := Table{
-		ID:    "load",
-		Title: fmt.Sprintf("open-loop rate ladder, %d-shard %d-node TCP cluster (capacity ~%.0f txn/s)", shards, nodes, capacity),
-		Header: []string{"offered/s", "completed/s", "done%", "p50 ms", "p99 ms", "p999 ms",
-			"shed", "queued", "lag ms", "aborts", "audit"},
+		r.Capacity = max(r.Capacity, rate)
 	}
 
 	prevAborts := reg.AbortCounts()
 	prevAudit := auditor.Stats()
 	for i, frac := range fracs {
-		rate := frac * capacity
-		if rate < 1 {
-			rate = 1
-		}
+		rate := max(frac*r.Capacity, 1)
 		gen, err := load.New(load.Config{
 			Rate:           rate,
 			Schedule:       load.Poisson,
@@ -266,16 +261,15 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 			Warmup:         warmup,
 			Seed:           s.Seed + uint64(i),
 			Obs:            reg,
-			SampleEvery:    sampleEvery,
 			OnMeasureStart: profileStart(i),
 			OnOfferEnd:     profileStop(i),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("load: step %d: %w", i, err)
+			return r, fmt.Errorf("load: step %d: %w", i, err)
 		}
 		st, err := gen.Run(ctx, func(ctx context.Context, w, _ int) error { return txn(ctx, w) })
 		if err != nil {
-			return nil, fmt.Errorf("load: step %d (%.0f txn/s): %w", i, rate, err)
+			return r, fmt.Errorf("load: step %d (%.0f txn/s): %w", i, rate, err)
 		}
 
 		// Let the streaming auditor settle past its dangling-parent window
@@ -283,126 +277,61 @@ func Load(ctx context.Context, s Scale) ([]Table, error) {
 		time.Sleep(700 * time.Millisecond)
 		auditor.Poll(false)
 		audit := auditor.Stats()
+		rec := newLoadStep(st)
 		aborts := reg.AbortCounts()
-		abortDelta := make(map[string]uint64, len(aborts))
-		var abortTotal uint64
 		for cause, n := range aborts {
-			if d := n - prevAborts[cause]; d > 0 {
-				abortDelta[cause] = d
-				abortTotal += d
-			}
+			rec.Aborts += n - prevAborts[cause]
 		}
 		prevAborts = aborts
-
-		rec := newLoadStep(i, rate, st)
-		rec.Aborts = abortDelta
 		rec.AuditViolations = audit.Violations - prevAudit.Violations
 		rec.AuditGapSpans = audit.GapSpans - prevAudit.GapSpans
 		prevAudit = audit
-		doc.Steps = append(doc.Steps, rec)
-		t.Rows = append(t.Rows, []string{
-			f0(rec.OfferedRate), f0(rec.CompletedRate),
-			fmt.Sprintf("%.0f%%", 100*rec.CompletedFrac),
-			fmt.Sprintf("%.2f", rec.P50Ms), fmt.Sprintf("%.2f", rec.P99Ms),
-			fmt.Sprintf("%.2f", rec.P999Ms),
-			fmt.Sprint(rec.Shed), fmt.Sprint(rec.Queued),
-			fmt.Sprintf("%.1f", rec.MaxLagMs), fmt.Sprint(abortTotal),
-			fmt.Sprintf("%dv/%dg", rec.AuditViolations, rec.AuditGapSpans),
-		})
-	}
-
-	doc.BaselineP99 = doc.Steps[0].P99Ms
-	if knee, reason := DetectKnee(doc.Steps); knee >= 0 {
-		doc.Knee = &kneeRecord{
-			Step: knee, TargetRate: doc.Steps[knee].TargetRate,
-			Reason: reason, BaselineP99: doc.BaselineP99,
-		}
-		t.Rows = append(t.Rows, []string{
-			"knee", fmt.Sprintf("step %d", knee), reason, "", "", "", "", "", "", "", "",
-		})
+		r.Steps = append(r.Steps, rec)
 	}
 
 	// Below the knee the cluster must be healthy: completed within 5% of
 	// offered (the knee rule itself) and a clean trace audit. A violation
 	// there is a protocol bug surfaced by load, not a saturation artifact.
-	below := len(doc.Steps)
-	if doc.Knee != nil {
-		below = doc.Knee.Step
+	r.Knee, r.KneeReason = DetectKnee(r.Steps)
+	below := len(r.Steps)
+	if r.Knee >= 0 {
+		below = r.Knee
 	}
-	for _, st := range doc.Steps[:below] {
+	for i, st := range r.Steps[:below] {
 		if st.AuditViolations > 0 {
-			return nil, fmt.Errorf("load: step %d (below knee) has %d trace violations: %s",
-				st.Step, st.AuditViolations, prevAudit.LastViolation)
+			return r, fmt.Errorf("load: step %d (below knee) has %d trace violations: %s",
+				i, st.AuditViolations, prevAudit.LastViolation)
 		}
 	}
-
-	verified, err := checkShardConservation(c, buckets, initBalance)
-	if err != nil {
-		return nil, err
-	}
-	doc.Verified = verified
-
-	if BenchLoadPath != "" {
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("load: encoding %s: %w", BenchLoadPath, err)
-		}
-		if err := os.WriteFile(BenchLoadPath, append(b, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("load: writing %s: %w", BenchLoadPath, err)
-		}
-	}
-	return []Table{t}, nil
+	return r, checkShardConservation(c, buckets, initBalance)
 }
 
 // calibrateCapacity measures the cluster's closed-loop completion rate with
-// the full worker pool driving back-to-back transactions — the anchor the
-// rate ladder is expressed against. The burst drains gracefully (a stop flag
+// `workers` clients driving back-to-back transactions — the anchor the rate
+// ladder is expressed against. The burst drains gracefully (a stop signal
 // checked between transactions, never a mid-flight context cancel): an
 // abandoned call would leave a replica's serve span dangling past its
 // client-side parent and trip the trace auditor on phantom violations.
 func calibrateCapacity(ctx context.Context, workers int, dur time.Duration, txn func(context.Context, int) error) (float64, error) {
 	stop := make(chan struct{})
 	time.AfterFunc(dur, func() { close(stop) })
-	var wg sync.WaitGroup
-	counts := make([]uint64, workers)
-	errs := make([]error, workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if err := txn(ctx, w); err != nil {
-					errs[w] = err
-					return
-				}
-				counts[w]++
+	var total atomic.Uint64
+	elapsed, err := runClients(workers, func(w int) error {
+		return untilClosed(stop, func() error {
+			if err := txn(ctx, w); err != nil {
+				return err
 			}
-		}(w)
+			total.Add(1)
+			return nil
+		})
+	})
+	if err != nil {
+		return 0, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var total uint64
-	for _, n := range counts {
-		total += n
-	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if total == 0 {
+	if total.Load() == 0 {
 		return 0, fmt.Errorf("no transactions completed in %v", dur)
 	}
-	return float64(total) / elapsed.Seconds(), nil
+	return float64(total.Load()) / elapsed.Seconds(), nil
 }
 
 // cpuProfileFile holds the step's open CPU profile between the two hooks

@@ -2,9 +2,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -92,7 +89,7 @@ func TestKneeOnStubService(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps = append(steps, newLoadStep(i, frac*capacity, st))
+		steps = append(steps, newLoadStep(st))
 	}
 	if last := steps[1]; last.Shed == 0 && last.Queued == 0 {
 		t.Errorf("past-capacity step shows no queueing or shedding: %+v", last)
@@ -103,67 +100,63 @@ func TestKneeOnStubService(t *testing.T) {
 }
 
 // TestLoadExperiment runs the open-loop ladder at the CI smoke scale (2
-// steps, 13 nodes, real localhost TCP) and pins the structural contract of
-// BENCH_load.json: the cluster shape, per-step rates and ordered
-// intended-time quantiles, timelines, a conserving final state, and a clean
-// audit below whatever knee the run found. It asserts no rate: where the
-// knee falls on a live cluster depends on the machine and on what else runs
-// beside the test (TestKneeOnStubService owns those claims, make
-// bench-load-quick shows the live knee).
+// steps, 13 nodes, real localhost TCP) and pins its structural contract: the
+// cluster shape, per-step rates and ordered intended-time quantiles, one
+// table row per step plus the knee row when there is a knee, and a clean
+// audit below whatever knee the run found (runLoad itself fails on a final
+// state that lost money). It asserts no rate: where the knee falls on a live
+// cluster depends on the machine and on what else runs beside the test
+// (TestKneeOnStubService owns those claims, make bench-load-quick shows the
+// live knee).
 func TestLoadExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	old := BenchLoadPath
-	BenchLoadPath = filepath.Join(t.TempDir(), "load.json")
-	defer func() { BenchLoadPath = old }()
-
-	tables, err := Load(context.Background(), QuickScale())
+	r, err := runLoad(context.Background(), QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 1 || len(tables[0].Rows) < 2 {
-		t.Fatalf("tables = %+v", tables)
+	if r.Nodes != 13 || r.Shards != 4 {
+		t.Fatalf("cluster shape %d nodes / %d shards, want 13/4", r.Nodes, r.Shards)
 	}
-
-	b, err := os.ReadFile(BenchLoadPath)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Steps) != 2 {
+		t.Fatalf("quick ladder has %d steps, want 2", len(r.Steps))
 	}
-	var doc loadBench
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
+	if r.Capacity <= 0 {
+		t.Fatalf("calibrated capacity %v", r.Capacity)
 	}
-	if doc.Nodes != 13 || doc.Shards != 4 {
-		t.Fatalf("cluster shape %d nodes / %d shards, want 13/4", doc.Nodes, doc.Shards)
-	}
-	if len(doc.Steps) != 2 {
-		t.Fatalf("quick ladder has %d steps, want 2", len(doc.Steps))
-	}
-	if doc.CapacityTxns <= 0 {
-		t.Fatalf("calibrated capacity %v", doc.CapacityTxns)
-	}
-	if !doc.Verified {
-		t.Fatal("final state not balance-conserving")
-	}
-	for _, st := range doc.Steps {
+	for i, st := range r.Steps {
 		if st.OfferedRate <= 0 || st.CompletedRate <= 0 {
-			t.Fatalf("step %d rates: %+v", st.Step, st)
+			t.Fatalf("step %d rates: %+v", i, st)
 		}
 		if st.P50Ms <= 0 || st.P99Ms < st.P50Ms || st.P999Ms < st.P99Ms {
-			t.Fatalf("step %d quantiles not ordered: %+v", st.Step, st)
+			t.Fatalf("step %d quantiles not ordered: %+v", i, st)
 		}
-		if len(st.Timeline) == 0 {
-			t.Fatalf("step %d has no timeline", st.Step)
+		if st.ServiceP50Ms <= 0 || st.ServiceP99Ms < st.ServiceP50Ms {
+			t.Fatalf("step %d service quantiles not ordered: %+v", i, st)
 		}
 	}
-	below := len(doc.Steps)
-	if doc.Knee != nil {
-		below = doc.Knee.Step
+	below := len(r.Steps)
+	if r.Knee >= 0 {
+		below = r.Knee
 	}
-	for _, st := range doc.Steps[:below] {
+	for i, st := range r.Steps[:below] {
 		if st.AuditViolations != 0 {
-			t.Errorf("step %d (below the knee) has %d trace violations", st.Step, st.AuditViolations)
+			t.Errorf("step %d (below the knee) has %d trace violations", i, st.AuditViolations)
+		}
+	}
+
+	tab := r.table()
+	rows := len(r.Steps)
+	if r.Knee >= 0 {
+		rows++
+	}
+	if len(tab.Rows) != rows {
+		t.Fatalf("load table has %d rows, want %d (knee %d): %+v", len(tab.Rows), rows, r.Knee, tab.Rows)
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Fatalf("row %q has %d cells, header %d", row, len(row), len(tab.Header))
 		}
 	}
 }

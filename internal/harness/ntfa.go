@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"qrdtm"
@@ -90,14 +89,11 @@ func runScan(ctx context.Context, s Scale, system string, nested bool) (float64,
 		}
 		// Same fan-out-priced transport as Figure 9, so the two systems'
 		// request costs are comparable.
-		c, err := qrdtm.NewCluster(qrdtm.ClusterConfig{
-			Nodes:       s.Nodes,
-			Mode:        mode,
-			Latency:     cluster.ZeroLatency{},
-			TxTime:      time.Millisecond,
-			MaxRetries:  1_000_000,
-			BackoffBase: 2 * time.Millisecond,
-			BackoffMax:  16 * time.Millisecond,
+		c, err := simCluster(qrdtm.ClusterConfig{
+			Nodes:   s.Nodes,
+			Mode:    mode,
+			Latency: cluster.ZeroLatency{},
+			TxTime:  time.Millisecond,
 		})
 		if err != nil {
 			return 0, err
@@ -163,24 +159,12 @@ func runScan(ctx context.Context, s Scale, system string, nested bool) (float64,
 		return 0, fmt.Errorf("harness: unknown scan system %q", system)
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, s.Clients)
-	for cl := 0; cl < s.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			errs[cl] = run(cl)
-		}(cl)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("scan %s nested=%v: %w", system, nested, err)
-		}
+	elapsed, err := runClients(s.Clients, run)
+	if err != nil {
+		return 0, fmt.Errorf("scan %s nested=%v: %w", system, nested, err)
 	}
 	commits := s.Clients * s.Txns
-	return float64(commits) / time.Since(start).Seconds(), nil
+	return float64(commits) / elapsed.Seconds(), nil
 }
 
 // qrScanOp reads the scanned rows and rewrites the last with their sum.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"time"
 
 	"qrdtm"
 	"qrdtm/internal/core"
@@ -49,14 +47,11 @@ func runHotCounter(ctx context.Context, s Scale, model string) (tput, abortsPerT
 	if model != "flat" {
 		mode = core.Closed
 	}
-	c, err := qrdtm.NewCluster(qrdtm.ClusterConfig{
-		Nodes:       s.Nodes,
-		Mode:        mode,
-		Latency:     s.Latency,
-		TxTime:      s.TxTime,
-		MaxRetries:  1_000_000,
-		BackoffBase: 2 * time.Millisecond,
-		BackoffMax:  16 * time.Millisecond,
+	c, err := simCluster(qrdtm.ClusterConfig{
+		Nodes:   s.Nodes,
+		Mode:    mode,
+		Latency: s.Latency,
+		TxTime:  s.TxTime,
 	})
 	if err != nil {
 		return 0, 0, false, err
@@ -81,61 +76,51 @@ func runHotCounter(ctx context.Context, s Scale, model string) (tput, abortsPerT
 	}
 
 	before := c.Metrics().Snapshot()
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, s.Clients)
-	for cl := 0; cl < s.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			rt := c.Runtime(proto.NodeID(cl % s.Nodes))
-			rng := rand.New(rand.NewPCG(s.Seed, uint64(cl)+1))
-			for i := 0; i < s.Txns; i++ {
-				rows := make([]int, scan)
-				for j := range rows {
-					rows[j] = rng.IntN(accounts)
+	elapsed, err := runClients(s.Clients, func(cl int) error {
+		rt := c.Runtime(proto.NodeID(cl % s.Nodes))
+		rng := rand.New(rand.NewPCG(s.Seed, uint64(cl)+1))
+		for i := 0; i < s.Txns; i++ {
+			rows := make([]int, scan)
+			for j := range rows {
+				rows[j] = rng.IntN(accounts)
+			}
+			err := rt.Atomic(ctx, func(tx *core.Txn) error {
+				// The hot shared counter is taken FIRST (as an id/size
+				// counter would be), so under flat and closed nesting it
+				// sits stale in the footprint for the whole transaction.
+				var err error
+				switch model {
+				case "open":
+					// Commutative op: no abstract lock needed; commits
+					// immediately, so the root never carries it.
+					err = tx.Open(nil, bump, unbump)
+				case "closed":
+					err = tx.Nested(bump)
+				default:
+					err = bump(tx)
 				}
-				errs[cl] = rt.Atomic(ctx, func(tx *core.Txn) error {
-					// The hot shared counter is taken FIRST (as an id/size
-					// counter would be), so under flat and closed nesting it
-					// sits stale in the footprint for the whole transaction.
-					var err error
-					switch model {
-					case "open":
-						// Commutative op: no abstract lock needed; commits
-						// immediately, so the root never carries it.
-						err = tx.Open(nil, bump, unbump)
-					case "closed":
-						err = tx.Nested(bump)
-					default:
-						err = bump(tx)
-					}
+				if err != nil {
+					return err
+				}
+				// Private work: scan and adjust one account.
+				var sum int64
+				for _, row := range rows[:scan-1] {
+					v, err := tx.Read(scanID(row))
 					if err != nil {
 						return err
 					}
-					// Private work: scan and adjust one account.
-					var sum int64
-					for _, row := range rows[:scan-1] {
-						v, err := tx.Read(scanID(row))
-						if err != nil {
-							return err
-						}
-						sum += int64(v.(proto.Int64))
-					}
-					return tx.Write(scanID(rows[scan-1]), proto.Int64(sum))
-				})
-				if errs[cl] != nil {
-					return
+					sum += int64(v.(proto.Int64))
 				}
+				return tx.Write(scanID(rows[scan-1]), proto.Int64(sum))
+			})
+			if err != nil {
+				return err
 			}
-		}(cl)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, false, e
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, false, err
 	}
 
 	snap := c.Metrics().Snapshot().Sub(before)

@@ -2,11 +2,8 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,48 +13,31 @@ import (
 	"qrdtm/internal/testcluster"
 )
 
-// BenchShardPath is where the Shard experiment writes its machine-readable
-// output ("" disables the file; cmd/qr-bench exposes it as -shard-out).
-var BenchShardPath = "BENCH_shard.json"
-
 // shardLocality is the fraction of transfers staying within one shard — the
 // branch-locality assumption that makes sharding pay: a bank's transfers are
 // mostly intra-branch, so most commits touch one (small) write quorum.
 const shardLocality = 0.95
 
-// shardRecord is one scaling cell's row in BENCH_shard.json.
+// shardRecord is one scaling cell's measurements. A cell that ends without
+// conserving the total balance fails instead of producing a record.
 type shardRecord struct {
-	Shards      int     `json:"shards"`
-	Nodes       int     `json:"nodes"`
-	Clients     int     `json:"clients"`
-	Txns        int     `json:"txns_per_client"`
-	Commits     uint64  `json:"commits"`
-	Throughput  float64 `json:"txn_per_sec"`
-	Speedup     float64 `json:"speedup_vs_single"`
-	CommitP50Ms float64 `json:"commit_p50_ms"`
-	CommitP99Ms float64 `json:"commit_p99_ms"`
-	Verified    bool    `json:"verified"` // conservation oracle held after the run
+	Shards      int
+	Clients     int
+	Commits     uint64
+	Throughput  float64
+	Speedup     float64 // vs the single-shard cell
+	CommitP50Ms float64
+	CommitP99Ms float64
 }
 
-// migrationRecord summarizes the live add-shard cell in BENCH_shard.json.
+// migrationRecord summarizes the live add-shard cell, which fails instead
+// when money is lost or the merged trace breaks an invariant.
 type migrationRecord struct {
-	FromShards    int    `json:"from_shards"`
-	AddedShard    int    `json:"added_shard"`
-	SlotsMoved    int    `json:"slots_moved"`
-	EpochBefore   uint64 `json:"epoch_before"`
-	EpochAfter    uint64 `json:"epoch_after"`
-	CommitsDuring uint64 `json:"commits_during"`
-	Traces        int    `json:"traces_checked"`
-	Violations    int    `json:"trace_violations"`
-	Verified      bool   `json:"verified"`
-}
-
-// shardBench is the whole BENCH_shard.json document.
-type shardBench struct {
-	Scaling      []shardRecord   `json:"scaling"`
-	Speedup4Vs1  float64         `json:"speedup_4_vs_1"`
-	Migration    migrationRecord `json:"migration"`
-	LocalityFrac float64         `json:"locality_fraction"`
+	SlotsMoved    int
+	EpochBefore   uint64
+	EpochAfter    uint64
+	CommitsDuring uint64
+	Traces        int
 }
 
 // Shard prices sharding the object space into independent quorum groups. Two
@@ -77,56 +57,57 @@ type shardBench struct {
 // kept flowing, and the merged trace satisfies every protocol invariant
 // including cross-shard 2PC atomicity.
 func Shard(ctx context.Context, s Scale) ([]Table, error) {
+	cells, mig, err := runShard(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{shardTable(cells, mig)}, nil
+}
+
+// shardTable renders one row per scaling cell, then the migration row.
+func shardTable(cells []shardRecord, mig migrationRecord) Table {
 	t := Table{
 		ID:     "shard",
 		Title:  "sharded quorum trees: throughput scaling and online migration (real TCP)",
-		Header: []string{"shards", "clients", "txn/s", "speedup", "commit p50 ms", "commit p99 ms", "verified"},
+		Header: []string{"shards", "clients", "txn/s", "speedup", "commit p50 ms", "commit p99 ms"},
 	}
-	doc := shardBench{LocalityFrac: shardLocality}
-	for _, shards := range []int{1, 2, 4} {
-		rec, err := runShardCell(ctx, s, shards)
-		if err != nil {
-			return nil, fmt.Errorf("shard cell %d: %w", shards, err)
-		}
-		if len(doc.Scaling) > 0 {
-			rec.Speedup = rec.Throughput / doc.Scaling[0].Throughput
-		} else {
-			rec.Speedup = 1
-		}
-		doc.Scaling = append(doc.Scaling, rec)
+	for _, rec := range cells {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(rec.Shards), fmt.Sprint(rec.Clients),
 			f1(rec.Throughput), fmt.Sprintf("%.2fx", rec.Speedup),
 			fmt.Sprintf("%.2f", rec.CommitP50Ms), fmt.Sprintf("%.2f", rec.CommitP99Ms),
-			fmt.Sprint(rec.Verified),
 		})
 	}
-	doc.Speedup4Vs1 = doc.Scaling[len(doc.Scaling)-1].Speedup
-
-	mig, err := runShardMigrationCell(ctx, s)
-	if err != nil {
-		return nil, fmt.Errorf("shard migration cell: %w", err)
-	}
-	doc.Migration = mig
 	t.Rows = append(t.Rows, []string{
 		"2→3 (live)", "3",
 		fmt.Sprintf("moved %d slots", mig.SlotsMoved),
 		fmt.Sprintf("epoch %d→%d", mig.EpochBefore, mig.EpochAfter),
 		fmt.Sprintf("%d commits", mig.CommitsDuring),
-		fmt.Sprintf("%d traces, %d violations", mig.Traces, mig.Violations),
-		fmt.Sprint(mig.Verified),
+		fmt.Sprintf("%d traces, 0 violations", mig.Traces),
 	})
+	return t
+}
 
-	if BenchShardPath != "" {
-		b, err := json.MarshalIndent(doc, "", "  ")
+// runShard runs the scaling cells at 1, 2 and 4 shards, then the live
+// migration cell.
+func runShard(ctx context.Context, s Scale) ([]shardRecord, migrationRecord, error) {
+	var cells []shardRecord
+	for _, shards := range []int{1, 2, 4} {
+		rec, err := runShardCell(ctx, s, shards)
 		if err != nil {
-			return nil, fmt.Errorf("shard: encoding %s: %w", BenchShardPath, err)
+			return nil, migrationRecord{}, fmt.Errorf("shard cell %d: %w", shards, err)
 		}
-		if err := os.WriteFile(BenchShardPath, append(b, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("shard: writing %s: %w", BenchShardPath, err)
+		rec.Speedup = 1
+		if len(cells) > 0 {
+			rec.Speedup = rec.Throughput / cells[0].Throughput
 		}
+		cells = append(cells, rec)
 	}
-	return []Table{t}, nil
+	mig, err := runShardMigrationCell(ctx, s)
+	if err != nil {
+		return nil, migrationRecord{}, fmt.Errorf("shard migration cell: %w", err)
+	}
+	return cells, mig, nil
 }
 
 // refShards is the finest scaling cell. Accounts are bucketed by the
@@ -191,7 +172,7 @@ func pickTransfer(rng *rand.Rand, buckets [][]proto.ObjectID) (from, to proto.Ob
 
 // checkShardConservation resolves every account through the highest version
 // any replica holds and compares the sum against the loaded total.
-func checkShardConservation(c *testcluster.Cluster, buckets [][]proto.ObjectID, balance int64) (bool, error) {
+func checkShardConservation(c *testcluster.Cluster, buckets [][]proto.ObjectID, balance int64) error {
 	total, count := int64(0), 0
 	for _, b := range buckets {
 		for _, id := range b {
@@ -202,16 +183,16 @@ func checkShardConservation(c *testcluster.Cluster, buckets [][]proto.ObjectID, 
 				}
 			}
 			if best.Val == nil {
-				return false, fmt.Errorf("account %s vanished", id)
+				return fmt.Errorf("account %s vanished", id)
 			}
 			total += int64(best.Val.(proto.Int64))
 			count++
 		}
 	}
 	if total != int64(count)*balance {
-		return false, fmt.Errorf("conservation violated: total = %d, want %d", total, int64(count)*balance)
+		return fmt.Errorf("conservation violated: total = %d, want %d", total, int64(count)*balance)
 	}
-	return true, nil
+	return nil
 }
 
 // shardRuntime builds a client runtime for the cell, routed through mapFn's
@@ -237,7 +218,6 @@ func runShardCell(ctx context.Context, s Scale, shards int) (shardRecord, error)
 	const initBalance = 100
 	nodes := s.Nodes
 	clients := 4 * s.Clients // the scaling win is a saturation effect
-	txns := s.Txns
 
 	var m proto.ShardMap
 	if shards > 1 {
@@ -259,51 +239,35 @@ func runShardCell(ctx context.Context, s Scale, shards int) (shardRecord, error)
 	ids := core.NewIDGen()
 	metrics := &core.Metrics{}
 	reg := obs.NewRegistry()
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	start := time.Now()
-	for cl := 0; cl < clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			rt, err := shardRuntime(c, proto.NodeID(cl%nodes), mapFn, ids, metrics, reg)
-			if err != nil {
-				errs[cl] = err
-				return
-			}
-			rng := rand.New(rand.NewPCG(s.Seed, uint64(cl)))
-			for i := 0; i < txns; i++ {
-				from, to := pickTransfer(rng, buckets)
-				if err := rt.Atomic(ctx, transferTxn(from, to)); err != nil {
-					errs[cl] = fmt.Errorf("client %d txn %d: %w", cl, i, err)
-					return
-				}
-			}
-		}(cl)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+	elapsed, err := runClients(clients, func(cl int) error {
+		rt, err := shardRuntime(c, proto.NodeID(cl%nodes), mapFn, ids, metrics, reg)
 		if err != nil {
-			return shardRecord{}, err
+			return err
 		}
-	}
-	verified, err := checkShardConservation(c, buckets, initBalance)
+		rng := rand.New(rand.NewPCG(s.Seed, uint64(cl)))
+		for i := 0; i < s.Txns; i++ {
+			from, to := pickTransfer(rng, buckets)
+			if err := rt.Atomic(ctx, transferTxn(from, to)); err != nil {
+				return fmt.Errorf("client %d txn %d: %w", cl, i, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
+		return shardRecord{}, err
+	}
+	if err := checkShardConservation(c, buckets, initBalance); err != nil {
 		return shardRecord{}, err
 	}
 	commit := reg.Snapshot().Hists[obs.SiteCommitRTT].Stats()
 	commits := metrics.Commits.Load()
 	return shardRecord{
 		Shards:      shards,
-		Nodes:       nodes,
 		Clients:     clients,
-		Txns:        txns,
 		Commits:     commits,
 		Throughput:  float64(commits) / elapsed.Seconds(),
 		CommitP50Ms: commit.P50Ms,
 		CommitP99Ms: commit.P99Ms,
-		Verified:    verified,
 	}, nil
 }
 
@@ -360,39 +324,31 @@ func runShardMigrationCell(ctx context.Context, s Scale) (migrationRecord, error
 	defer cancel()
 	stop := make(chan struct{})
 	var commits atomic.Uint64
-	var wg sync.WaitGroup
 	ids := core.NewIDGen()
 	metrics := &core.Metrics{}
-	errs := make([]error, 3)
-	for cl := 0; cl < 3; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
+	traffic := make(chan error, 1)
+	go func() {
+		_, err := runClients(3, func(cl int) error {
 			node := proto.NodeID(cl % nodes)
 			mapFn := func() (proto.ShardMap, error) {
 				return core.FetchShardMap(runCtx, c.Transport, node, c.Nodes())
 			}
 			rt, err := shardRuntime(c, node, mapFn, ids, metrics, reg)
 			if err != nil {
-				errs[cl] = err
-				return
+				return err
 			}
 			rng := rand.New(rand.NewPCG(s.Seed+77, uint64(cl)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			return untilClosed(stop, func() error {
 				from, to := pickTransfer(rng, buckets)
 				if err := rt.Atomic(runCtx, transferTxn(from, to)); err != nil {
-					errs[cl] = err
-					return
+					return err
 				}
 				commits.Add(1)
-			}
-		}(cl)
-	}
+				return nil
+			})
+		})
+		traffic <- err
+	}()
 
 	// Let traffic establish, then migrate every third slot to a new shard
 	// over nodes 10..12 while the transfers keep flowing.
@@ -408,20 +364,16 @@ func runShardMigrationCell(ctx context.Context, s Scale) (migrationRecord, error
 	final, err := core.Reshard(runCtx, c.Transport, 0, c.Nodes(), before, proto.ShardSpec{ID: newID, Members: members}, slots)
 	if err != nil {
 		close(stop)
-		wg.Wait()
+		<-traffic
 		return migrationRecord{}, fmt.Errorf("reshard: %w", err)
 	}
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return migrationRecord{}, err
-		}
+	if err := <-traffic; err != nil {
+		return migrationRecord{}, err
 	}
 
-	verified, err := checkShardConservation(c, buckets, initBalance)
-	if err != nil {
+	if err := checkShardConservation(c, buckets, initBalance); err != nil {
 		return migrationRecord{}, err
 	}
 	spans := obs.MergeSpans(reg.Spans().Spans())
@@ -436,14 +388,10 @@ func runShardMigrationCell(ctx context.Context, s Scale) (migrationRecord, error
 		return migrationRecord{}, fmt.Errorf("no transfers committed across the migration")
 	}
 	return migrationRecord{
-		FromShards:    len(before.Shards),
-		AddedShard:    int(newID),
 		SlotsMoved:    len(slots),
 		EpochBefore:   before.Epoch,
 		EpochAfter:    final.Epoch,
 		CommitsDuring: commits.Load(),
 		Traces:        res.Traces,
-		Violations:    len(res.Violations),
-		Verified:      verified,
 	}, nil
 }

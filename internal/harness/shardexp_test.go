@@ -2,65 +2,40 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // TestShardExperiment runs the sharding experiment at a small scale over real
 // localhost TCP and pins its structural properties: three scaling cells at
-// equal verified commits (speedup magnitudes are for the full bench run, not
-// asserted here), and the live add-shard migration cell ending conserving
-// with a violation-free trace and the epoch advanced by two (fence, flip).
+// equal commits (speedup magnitudes are for the full bench run, not asserted
+// here), and the live add-shard migration cell with a checked trace and the
+// epoch advanced by two (fence, flip). runShard itself fails on a cell that
+// loses money or a trace that breaks an invariant.
 func TestShardExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	old := BenchShardPath
-	BenchShardPath = filepath.Join(t.TempDir(), "shard.json")
-	defer func() { BenchShardPath = old }()
-
 	s := QuickScale()
 	s.Clients, s.Txns = 1, 6 // 4 worker goroutines per cell; keep the 13 nodes
-	tables, err := Shard(context.Background(), s)
+	cells, mig, err := runShard(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 1 || len(tables[0].Rows) != 4 {
-		t.Fatalf("tables = %+v", tables)
+	if len(cells) != 3 {
+		t.Fatalf("scaling cells = %+v", cells)
 	}
-
-	b, err := os.ReadFile(BenchShardPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc shardBench
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Scaling) != 3 {
-		t.Fatalf("scaling cells = %+v", doc.Scaling)
-	}
-	for _, rec := range doc.Scaling {
-		if !rec.Verified {
-			t.Fatalf("cell shards=%d not verified: %+v", rec.Shards, rec)
-		}
+	for _, rec := range cells {
 		if rec.Commits == 0 {
 			t.Fatalf("cell shards=%d committed nothing", rec.Shards)
 		}
 		// Every cell runs the identical transfer count to completion, so the
-		// throughput comparison is priced at equal verified commits.
-		if rec.Commits != doc.Scaling[0].Commits {
-			t.Fatalf("unequal verified commits across cells: %+v", doc.Scaling)
+		// throughput comparison is priced at equal commits.
+		if rec.Commits != cells[0].Commits {
+			t.Fatalf("unequal commits across cells: %+v", cells)
 		}
 	}
-	mig := doc.Migration
-	if !mig.Verified {
-		t.Fatalf("migration cell not conserving: %+v", mig)
-	}
-	if mig.Violations != 0 || mig.Traces == 0 {
-		t.Fatalf("migration trace check: %+v", mig)
+	if mig.Traces == 0 {
+		t.Fatalf("migration cell checked no traces: %+v", mig)
 	}
 	if mig.EpochAfter != mig.EpochBefore+2 {
 		t.Fatalf("migration must advance the epoch by two (fence, flip): %+v", mig)
@@ -70,5 +45,14 @@ func TestShardExperiment(t *testing.T) {
 	}
 	if mig.SlotsMoved == 0 {
 		t.Fatalf("migration moved no slots: %+v", mig)
+	}
+	tab := shardTable(cells, mig)
+	if len(tab.Rows) != 4 {
+		t.Fatalf("shard table has %d rows, want 3 cells and the migration: %+v", len(tab.Rows), tab.Rows)
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Fatalf("row %q has %d cells, header %d", row, len(row), len(tab.Header))
+		}
 	}
 }

@@ -67,8 +67,6 @@ type Config struct {
 	// they ride /metrics and the Prometheus exposition. A node that never
 	// runs a generator never sees them — its scrape stays byte-identical.
 	Obs *obs.Registry
-	// SampleEvery, when > 0, samples the run timeline at that period.
-	SampleEvery time.Duration
 	// OnMeasureStart runs on the scheduler goroutine just before the first
 	// measured (post-warmup) arrival is dispatched. Hook for starting a
 	// steady-state profile.
@@ -104,18 +102,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Point is one timeline sample: per-interval offered/completed/shed deltas
-// plus instantaneous pool state at the sample instant.
-type Point struct {
-	Sec        float64 `json:"sec"`
-	Offered    uint64  `json:"offered"`
-	Completed  uint64  `json:"completed"`
-	Shed       uint64  `json:"shed"`
-	InFlight   int64   `json:"in_flight"`
-	QueueDepth int64   `json:"queue_depth"`
-	LagMs      float64 `json:"lag_ms"`
-}
-
 // Stats is one run's measured-window accounting.
 type Stats struct {
 	// Offered counts measured arrivals (completed + failed + shed, once the
@@ -146,9 +132,6 @@ type Stats struct {
 	// completion time minus execution start. Under saturation Latency
 	// diverges from Service — that gap is what coordinated omission hides.
 	Service obs.HistSnapshot `json:"-"`
-
-	// Timeline carries the periodic samples (nil unless SampleEvery set).
-	Timeline []Point `json:"timeline,omitempty"`
 }
 
 // Generator runs one open-loop schedule against a TxnFunc.
@@ -250,18 +233,6 @@ func (g *Generator) Run(ctx context.Context, fn TxnFunc) (Stats, error) {
 	measureStart := start.Add(cfg.Warmup)
 	gaps := newGapSource(cfg.Schedule, cfg.Rate, rand.New(rand.NewPCG(cfg.Seed, 0x10AD)))
 
-	var sampleStop chan struct{}
-	var sampleDone sync.WaitGroup
-	var timeline []Point
-	if cfg.SampleEvery > 0 {
-		sampleStop = make(chan struct{})
-		sampleDone.Add(1)
-		go func() {
-			defer sampleDone.Done()
-			timeline = g.sampleTimeline(measureStart, cfg.SampleEvery, sampleStop)
-		}()
-	}
-
 	var offerErr error
 	measuring := false
 	next := start
@@ -323,10 +294,6 @@ func (g *Generator) Run(ctx context.Context, fn TxnFunc) (Stats, error) {
 	}
 	close(work)
 	wg.Wait()
-	if sampleStop != nil {
-		close(sampleStop)
-		sampleDone.Wait()
-	}
 	g.lagUS.Store(0)
 
 	elapsed := offerEnd.Sub(measureStart)
@@ -343,40 +310,8 @@ func (g *Generator) Run(ctx context.Context, fn TxnFunc) (Stats, error) {
 		MaxLag:    time.Duration(g.maxLag.Load()),
 		Latency:   g.latency.Snapshot(),
 		Service:   g.service.Snapshot(),
-		Timeline:  timeline,
 	}
 	st.OfferedRate = float64(st.Offered) / elapsed.Seconds()
 	st.CompletedRate = float64(st.Completed) / elapsed.Seconds()
 	return st, offerErr
-}
-
-// sampleTimeline polls the live counters every period until stop closes,
-// recording per-interval deltas plus instantaneous pool state.
-func (g *Generator) sampleTimeline(measureStart time.Time, period time.Duration, stop <-chan struct{}) []Point {
-	var points []Point
-	var prevOff, prevDone, prevShed uint64
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	sample := func(now time.Time) {
-		off, done, shed := g.mOffered.Load(), g.mCompleted.Load(), g.mShed.Load()
-		points = append(points, Point{
-			Sec:        now.Sub(measureStart).Seconds(),
-			Offered:    off - prevOff,
-			Completed:  done - prevDone,
-			Shed:       shed - prevShed,
-			InFlight:   g.inflight.Load(),
-			QueueDepth: g.depth.Load(),
-			LagMs:      float64(g.lagUS.Load()) / 1e3,
-		})
-		prevOff, prevDone, prevShed = off, done, shed
-	}
-	for {
-		select {
-		case t := <-tick.C:
-			sample(t)
-		case <-stop:
-			sample(time.Now())
-			return points
-		}
-	}
 }

@@ -277,33 +277,6 @@ func TestGaugesOnlyWhenAttached(t *testing.T) {
 	}
 }
 
-func TestTimeline(t *testing.T) {
-	g, err := New(Config{
-		Rate:        2000,
-		Workers:     8,
-		Duration:    220 * time.Millisecond,
-		Seed:        11,
-		SampleEvery: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := g.Run(context.Background(), func(ctx context.Context, _, _ int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Timeline) < 3 {
-		t.Fatalf("timeline has %d points, want >= 3", len(st.Timeline))
-	}
-	var sum uint64
-	for _, p := range st.Timeline {
-		sum += p.Offered
-	}
-	if sum != st.Offered {
-		t.Errorf("timeline offered deltas sum to %d, stats say %d", sum, st.Offered)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Rate: 0, Arrivals: 10}, // no rate

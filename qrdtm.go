@@ -114,8 +114,6 @@ type (
 	LoadGenerator = load.Generator
 	// LoadStats is a completed run's accounting.
 	LoadStats = load.Stats
-	// LoadPoint is one timeline sample of a running generator.
-	LoadPoint = load.Point
 	// LoadSchedule selects the arrival process (Poisson or Uniform).
 	LoadSchedule = load.Schedule
 	// TxnFunc is the per-arrival transaction body a Generator drives.
