@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -84,6 +85,10 @@ func main() {
 		tables, err := gen(ctx, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qr-bench: %s: %v\n", id, err)
+			if errors.Is(err, harness.ErrScale) {
+				flag.Usage()
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		for _, t := range tables {

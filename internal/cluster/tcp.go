@@ -183,6 +183,7 @@ func (s *TCPServer) serveWire(conn net.Conn) {
 	defer c.wg.Wait()
 	defer close(c.done)
 	var scratch []byte
+	ids := proto.NewIDTable()
 	for {
 		payload, err := readFrame(br, scratch)
 		if err != nil {
@@ -193,9 +194,10 @@ func (s *TCPServer) serveWire(conn net.Conn) {
 			return
 		}
 		// Decode inline: the codec copies everything out of the frame buffer,
-		// so scratch is reusable immediately.
+		// so scratch is reusable immediately, and object ids come from this
+		// reader's intern table, which only this goroutine touches.
 		id := binary.BigEndian.Uint64(payload)
-		from, req, err := decodeRequestBody(payload[9:])
+		from, req, err := decodeRequestBody(payload[9:], ids)
 		var out any
 		switch {
 		case err != nil:
@@ -938,10 +940,12 @@ func (mc *muxConn) deathErr() error {
 	return mc.err
 }
 
-// readLoop demultiplexes reply frames to waiting callers by request id.
+// readLoop demultiplexes reply frames to waiting callers by request id. It
+// owns the connection's intern table: replies' object ids decode through it.
 func (mc *muxConn) readLoop() {
 	br := bufio.NewReader(mc.conn)
 	var scratch []byte
+	ids := proto.NewIDTable()
 	for {
 		payload, err := readFrame(br, scratch)
 		if err != nil {
@@ -954,7 +958,7 @@ func (mc *muxConn) readLoop() {
 			return
 		}
 		id := binary.BigEndian.Uint64(payload)
-		resp, rerr := decodeReply(payload[9:])
+		resp, rerr := decodeReply(payload[9:], ids)
 		mc.deliver(id, resp, rerr)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -130,20 +131,48 @@ func recvWithin[T any](t *testing.T, what string, ch <-chan T) T {
 // count must read the same on ten consecutive polls.
 func settledGoroutines(t *testing.T) int {
 	t.Helper()
+	return settled(t, runtime.NumGoroutine)
+}
+
+// settled returns count() once it reads the same on ten consecutive polls.
+func settled(t *testing.T, count func() int) int {
+	t.Helper()
 	deadline := time.Now().Add(roundWatchdog)
-	prev, same := runtime.NumGoroutine(), 0
+	prev, same := count(), 0
 	for same < 10 {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutine count never settled (last %d)", prev)
 		}
 		time.Sleep(2 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n == prev {
+		if n := count(); n == prev {
 			same++
 		} else {
 			prev, same = n, 0
 		}
 	}
 	return prev
+}
+
+// clusterGoroutines counts the goroutines whose stack runs a function of
+// this package, or that a function of this package started.
+func clusterGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("\nqrdtm/internal/cluster.")) ||
+			bytes.Contains(g, []byte("\ncreated by qrdtm/internal/cluster.")) {
+			count++
+		}
+	}
+	return count
 }
 
 func checkPongs(t *testing.T, replies []Reply, want int) {
@@ -162,11 +191,15 @@ func checkPongs(t *testing.T, replies []Reply, want int) {
 // inside every handler of 1 000 seven-leg rounds — when a per-leg client
 // goroutine or a per-request server goroutine would be alive — never exceeds
 // the idle count, and the idle count is the same afterwards.
+//
+// It counts only goroutines running (or started by) this package's code: a
+// runtime or library goroutine that comes and goes mid-test is not the
+// round's.
 func TestRoundCreatesNoGoroutines(t *testing.T) {
 	const legs, rounds = 7, 1000
 	var maxSeen atomic.Int64
 	peers, tr := startRoundPeers(t, legs, func() {
-		n := int64(runtime.NumGoroutine())
+		n := int64(clusterGoroutines())
 		for {
 			cur := maxSeen.Load()
 			if n <= cur || maxSeen.CompareAndSwap(cur, n) {
@@ -178,7 +211,7 @@ func TestRoundCreatesNoGoroutines(t *testing.T) {
 	for i := 0; i < 20; i++ { // warm-up: dial, start the loops
 		checkPongs(t, callMany(tr, nodes, ping(i)), i+1)
 	}
-	idle := settledGoroutines(t)
+	idle := settled(t, clusterGoroutines)
 	maxSeen.Store(0)
 	for i := 0; i < rounds; i++ {
 		checkPongs(t, callMany(tr, nodes, ping(i)), i+1)
@@ -186,7 +219,7 @@ func TestRoundCreatesNoGoroutines(t *testing.T) {
 	if got := maxSeen.Load(); got > int64(idle) {
 		t.Errorf("%d goroutines alive inside a handler, %d when idle: a round created %d", got, idle, got-int64(idle))
 	}
-	if after := settledGoroutines(t); after != idle {
+	if after := settled(t, clusterGoroutines); after != idle {
 		t.Errorf("goroutines %d before %d warm rounds, %d after", idle, rounds, after)
 	}
 	for _, p := range peers {

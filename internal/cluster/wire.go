@@ -148,13 +148,14 @@ func appendRequestBody(buf []byte, from proto.NodeID, req any) ([]byte, error) {
 	return appendMessage(buf, req)
 }
 
-// decodeRequestBody reverses appendRequestBody.
-func decodeRequestBody(b []byte) (proto.NodeID, any, error) {
+// decodeRequestBody reverses appendRequestBody, interning object ids in ids
+// (the connection reader's table).
+func decodeRequestBody(b []byte, ids *proto.IDTable) (proto.NodeID, any, error) {
 	from, n := binary.Varint(b)
 	if n <= 0 {
 		return 0, nil, errors.New("cluster: corrupt request frame")
 	}
-	msg, err := proto.DecodeWire(b[n:])
+	msg, err := ids.Decode(b[n:])
 	return proto.NodeID(from), msg, err
 }
 
@@ -271,14 +272,15 @@ func appendReply(buf []byte, resp any, err error) ([]byte, error) {
 	return append(buf, msg...), nil
 }
 
-// decodeReply reverses appendReply.
-func decodeReply(b []byte) (any, error) {
+// decodeReply reverses appendReply, interning object ids in ids (the
+// connection reader's table).
+func decodeReply(b []byte, ids *proto.IDTable) (any, error) {
 	if len(b) == 0 {
 		return nil, errors.New("cluster: empty reply frame")
 	}
 	switch b[0] {
 	case statusOK:
-		return proto.DecodeWire(b[1:])
+		return ids.Decode(b[1:])
 	case statusErr:
 		flags, n := binary.Uvarint(b[1:])
 		if n <= 0 {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,6 +181,11 @@ type Runtime struct {
 	// routes is replaced wholesale by RefreshQuorums and never mutated, so
 	// readers route against one consistent snapshot without locking.
 	routes atomic.Pointer[routeTable]
+
+	// txns recycles root transaction shells across attempts (rootTxn,
+	// recycle), so a transaction does not reallocate its sets, log and
+	// entries.
+	txns sync.Pool
 }
 
 // routeTable is a runtime's routing state: the shard map and each shard's

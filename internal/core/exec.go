@@ -35,33 +35,34 @@ func (rt *Runtime) Atomic(ctx context.Context, body func(*Txn) error) error {
 		if rt.maxRetries > 0 && attempt >= rt.maxRetries {
 			return ErrTooManyRetries
 		}
-		tx := newRootTxn(rt, ctx)
+		tx := rt.rootTxn(ctx)
+		id := tx.id
 		asp := rt.obs.StartSpan(proto.SpanAttempt, rt.node, rsp.Context())
-		asp.SetTxn(tx.id)
+		asp.SetTxn(id)
 		tx.tc = asp.Context()
 		aborted, err := rt.attemptRoot(tx, body)
 		asp.SetOK(err == nil && !aborted)
 		asp.End()
+		// The body may have committed open subtransactions: an attempt that
+		// failed or aborted undoes them, and every attempt releases their
+		// abstract locks. Then the shell goes back to the pool.
+		ferr := rt.finishOpen(tx, err != nil || aborted)
+		rt.recycle(tx)
 		if err != nil {
-			// The body may have committed open subtransactions before
-			// failing; undo them before surfacing the error.
-			if ferr := rt.finishOpen(tx, true); ferr != nil {
+			if ferr != nil {
 				return errors.Join(err, ferr)
 			}
 			return err
 		}
+		if ferr != nil {
+			return ferr
+		}
 		if !aborted {
-			if ferr := rt.finishOpen(tx, false); ferr != nil {
-				return ferr
-			}
 			rt.metrics.Commits.Add(1)
 			rt.obs.ObserveSince(obs.SiteTxnLatency, t0)
-			rsp.SetTxn(tx.id)
+			rsp.SetTxn(id)
 			rsp.SetOK(true)
 			return nil
-		}
-		if ferr := rt.finishOpen(tx, true); ferr != nil {
-			return ferr
 		}
 		rt.metrics.RootAborts.Add(1)
 		rt.backoff(attempt)
@@ -217,6 +218,7 @@ func (tx *Txn) Nested(body func(*Txn) error) error {
 		return body(tx)
 	}
 	child := tx.child()
+	defer tx.park(child)
 	for attempt := 0; ; attempt++ {
 		if err := tx.ctx.Err(); err != nil {
 			return err
@@ -360,7 +362,7 @@ func (tx *Txn) commitParts(absLocks []string) ([]*commitPart, error) {
 	}
 	for _, e := range tx.writeset {
 		p := part(e.copyv.ID)
-		p.writes = append(p.writes, e.copyv.Clone())
+		p.writes = append(p.writes, e.copyv)
 	}
 	for _, l := range absLocks {
 		p := part(proto.ObjectID(l))
@@ -719,7 +721,8 @@ func (rt *Runtime) atomicCheckpointed(ctx context.Context, initial State, steps 
 // attempt's transaction id is returned so the caller can stamp the root
 // span exactly like Atomic does.
 func (rt *Runtime) checkpointedAttempt(ctx context.Context, initial State, steps []Step, rtc proto.TraceContext) (st State, id proto.TxnID, aborted bool, err error) {
-	tx := newRootTxn(rt, ctx)
+	tx := rt.rootTxn(ctx)
+	defer rt.recycle(tx)
 	id = tx.id
 	asp := rt.obs.StartSpan(proto.SpanAttempt, rt.node, rtc)
 	asp.SetTxn(tx.id)

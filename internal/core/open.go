@@ -142,7 +142,5 @@ func (rt *Runtime) finishOpen(tx *Txn, rootAborted bool) error {
 		}
 		cluster.Multicast(tx.ctx, rt.trans, rt.node, targets, proto.ReleaseReq{Owner: tx.id, TC: tx.tc})
 	}
-	tx.openCommits = nil
-	tx.absLocks = nil
 	return firstErr
 }

@@ -85,9 +85,10 @@ type entry struct {
 	ownerChk   int
 }
 
+// clone copies the entry onto the heap, outside the root's slab. The value
+// is shared: values inside the engine are immutable.
 func (e *entry) clone() *entry {
 	out := *e
-	out.copyv = e.copyv.Clone()
 	return &out
 }
 
@@ -106,7 +107,9 @@ func throwAbort(depth, chk int) {
 }
 
 // Txn is one (possibly nested) transaction. A Txn is confined to the
-// goroutine executing its body; the engine never shares it.
+// goroutine executing its body; the engine never shares it. The engine
+// recycles a Txn once its attempt is over (see Runtime.recycle), so a body
+// must not keep or use its Txn after it returns.
 type Txn struct {
 	rt     *Runtime
 	ctx    context.Context
@@ -163,6 +166,12 @@ type Txn struct {
 	// that round's shard.
 	pf      map[proto.ObjectID]pfCopy
 	pfShard proto.ShardID
+
+	// Recycling. kid is the closed-nested shell this scope's Nested calls
+	// reuse (nil while one is running); slab holds the read- and write-set
+	// entries of the root's attempt (roots only, see newEntry).
+	kid  *Txn
+	slab []entry
 }
 
 // pfCopy is one link-prefetch cache entry: the highest-versioned copy the
@@ -192,17 +201,75 @@ func (tx *Txn) crossShard() bool {
 	return r.shardDirty || r.multiShard
 }
 
+// newRootTxn builds a root transaction of its own, outside the runtime's
+// pool: an open subtransaction's, whose lifetime the enclosing root's
+// attempt does not bound.
 func newRootTxn(rt *Runtime, ctx context.Context) *Txn {
-	return &Txn{
+	tx := &Txn{
 		rt:       rt,
-		ctx:      ctx,
-		id:       rt.ids.Next(),
 		readset:  make(map[proto.ObjectID]*entry),
 		writeset: make(map[proto.ObjectID]*entry),
 		wm:       make(map[proto.NodeID]int),
-		wmEpoch:  rt.ViewEpoch(),
-		shard:    proto.NoShard,
 	}
+	tx.begin(ctx)
+	return tx
+}
+
+// begin readies a new or recycled root shell for one attempt.
+func (tx *Txn) begin(ctx context.Context) {
+	tx.ctx = ctx
+	tx.id = tx.rt.ids.Next()
+	tx.wmEpoch = tx.rt.ViewEpoch()
+	tx.shard = proto.NoShard
+}
+
+// rootTxn takes a root shell from the runtime's pool for one attempt of
+// Atomic or AtomicSteps; recycle returns it.
+func (rt *Runtime) rootTxn(ctx context.Context) *Txn {
+	if tx, ok := rt.txns.Get().(*Txn); ok {
+		tx.begin(ctx)
+		return tx
+	}
+	return newRootTxn(rt, ctx)
+}
+
+// recycle returns a root shell to the pool once its attempt is over (after
+// finishOpen): the sets, watermarks and prefetch cache are cleared, the
+// footprint log, open-nesting records and entry slab truncated, and every
+// other field zeroed. The cached closed-nested shells stay; Nested clears
+// each before use.
+func (rt *Runtime) recycle(tx *Txn) {
+	clear(tx.readset)
+	clear(tx.writeset)
+	clear(tx.wm)
+	clear(tx.pf)
+	clear(tx.openCommits) // drop the compensation closures
+	clear(tx.slab)        // drop the entries' values
+	*tx = Txn{
+		rt:          rt,
+		readset:     tx.readset,
+		writeset:    tx.writeset,
+		wm:          tx.wm,
+		pf:          tx.pf,
+		fpLog:       tx.fpLog[:0],
+		openCommits: tx.openCommits[:0],
+		absLocks:    tx.absLocks[:0],
+		kid:         tx.kid,
+		slab:        tx.slab[:0],
+	}
+	rt.txns.Put(tx)
+}
+
+// newEntry places a read- or write-set entry in the root attempt's slab.
+// Entries never move: a full slab is replaced by one twice its size, and the
+// sets keep the old one alive while they point into it.
+func (tx *Txn) newEntry(e entry) *entry {
+	r := tx.root()
+	if len(r.slab) == cap(r.slab) {
+		r.slab = make([]entry, 0, max(16, 2*cap(r.slab)))
+	}
+	r.slab = append(r.slab, e)
+	return &r.slab[len(r.slab)-1]
 }
 
 // root walks up to the root transaction, which owns the footprint log and
@@ -265,23 +332,35 @@ func (tx *Txn) fpReown(mark, depth int) {
 	}
 }
 
+// child takes the closed-nested shell for a subtransaction of tx: the one
+// tx cached, cleared, or a new one when there is none or it is running (a
+// body that calls Nested on an enclosing scope). park gives it back.
 func (tx *Txn) child() *Txn {
-	return &Txn{
-		rt:       tx.rt,
-		ctx:      tx.ctx,
-		id:       tx.id,
-		depth:    tx.depth + 1,
-		parent:   tx,
-		tc:       tx.tc, // until the CT attempt span replaces it
-		readset:  make(map[proto.ObjectID]*entry),
-		writeset: make(map[proto.ObjectID]*entry),
+	c := tx.kid
+	tx.kid = nil
+	if c == nil {
+		c = &Txn{
+			readset:  make(map[proto.ObjectID]*entry),
+			writeset: make(map[proto.ObjectID]*entry),
+		}
 	}
+	c.rt = tx.rt
+	c.ctx = tx.ctx
+	c.id = tx.id
+	c.depth = tx.depth + 1
+	c.parent = tx
+	c.tc = tx.tc // until the CT attempt span replaces it
+	c.reset()
+	return c
 }
+
+// park caches c, a child shell whose Nested call is over, for tx's next one.
+func (tx *Txn) park(c *Txn) { tx.kid = c }
 
 // reset clears the transaction's footprint for a retry.
 func (tx *Txn) reset() {
-	tx.readset = make(map[proto.ObjectID]*entry)
-	tx.writeset = make(map[proto.ObjectID]*entry)
+	clear(tx.readset)
+	clear(tx.writeset)
 }
 
 // ID returns the identifier of the transaction attempt (shared by a root
@@ -385,12 +464,11 @@ func (tx *Txn) Write(id proto.ObjectID, val proto.Value) error {
 		// level; the merge on subtransaction commit propagates it upward.
 		// Not logged for delta-Rqv: the footprint dedup always resolves this
 		// object to the ancestor's shallower, earlier-epoch entry anyway.
-		ne := &entry{
+		tx.writeset[id] = tx.newEntry(entry{
 			copyv:      proto.ObjectCopy{ID: id, Version: e.copyv.Version, Val: cloneVal(val)},
 			ownerDepth: tx.depth,
 			ownerChk:   tx.ownerChkNow(),
-		}
-		tx.writeset[id] = ne
+		})
 		return nil
 	}
 	e, err := tx.acquireOne(id, true)
@@ -418,11 +496,11 @@ func (tx *Txn) Create(id proto.ObjectID, val proto.Value) {
 // footprint log (so the next round or the prepare validates it), and counted
 // as an acquisition.
 func (tx *Txn) admit(c proto.ObjectCopy, write bool) *entry {
-	e := &entry{
+	e := tx.newEntry(entry{
 		copyv:      c,
 		ownerDepth: tx.depth,
 		ownerChk:   tx.ownerChkNow(),
-	}
+	})
 	if write {
 		tx.writeset[c.ID] = e
 	} else {

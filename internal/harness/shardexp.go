@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
@@ -57,12 +58,24 @@ type migrationRecord struct {
 // kept flowing, and the merged trace satisfies every protocol invariant
 // including cross-shard 2PC atomicity.
 func Shard(ctx context.Context, s Scale) ([]Table, error) {
+	if s.Nodes < shardMinNodes {
+		return nil, fmt.Errorf("%w: the shard experiment needs at least %d nodes (its migration carves a shard of the last 3), got %d",
+			ErrScale, shardMinNodes, s.Nodes)
+	}
 	cells, mig, err := runShard(ctx, s)
 	if err != nil {
 		return nil, err
 	}
 	return []Table{shardTable(cells, mig)}, nil
 }
+
+// shardMinNodes is the smallest cluster the shard experiment runs on: the
+// migration cell's new shard is the last three replicas.
+const shardMinNodes = 3
+
+// ErrScale reports a Scale an experiment cannot run at (a usage error: the
+// caller asked for too few nodes, say); the error names the bound.
+var ErrScale = errors.New("harness: scale out of range")
 
 // shardTable renders one row per scaling cell, then the migration row.
 func shardTable(cells []shardRecord, mig migrationRecord) Table {

@@ -2,8 +2,22 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
+
+// TestShardRejectsTooFewNodes: below three nodes the migration cell has no
+// three replicas to carve a shard from; Shard must say so as ErrScale before
+// starting any cluster, not panic.
+func TestShardRejectsTooFewNodes(t *testing.T) {
+	s := QuickScale()
+	for _, n := range []int{0, 1, 2} {
+		s.Nodes = n
+		if tabs, err := Shard(context.Background(), s); !errors.Is(err, ErrScale) || tabs != nil {
+			t.Fatalf("Shard at %d nodes = %v, %v; want ErrScale", n, tabs, err)
+		}
+	}
+}
 
 // TestShardExperiment runs the sharding experiment at a small scale over real
 // localhost TCP and pins its structural properties: three scaling cells at

@@ -246,9 +246,53 @@ func EncodeWire(buf []byte, msg any) ([]byte, error) {
 }
 
 // DecodeWire decodes one message produced by AppendWire. Trailing garbage is
-// an error: the enclosing frame length must match the encoding exactly.
+// an error: the enclosing frame length must match the encoding exactly. It
+// is the table-less case of IDTable.Decode: every object id becomes a new
+// string.
 func DecodeWire(b []byte) (any, error) {
-	r := &wireReader{b: b}
+	return (*IDTable)(nil).Decode(b)
+}
+
+// IDTable interns the object ids one decoder reads, so a connection that
+// sees the same ids over and over allocates each string once instead of once
+// per message. A table belongs to one goroutine (a connection's reader); the
+// strings it hands out are ordinary immutable strings and may be shared
+// freely. It holds at most maxInterned ids and starts over when full, so a
+// stream of distinct ids costs memory bounded by that constant. A nil
+// *IDTable interns nothing.
+type IDTable struct {
+	ids map[string]ObjectID
+}
+
+// maxInterned bounds an IDTable: a few times the hot set of the benchmark
+// workloads (1024 bank accounts, a hashmap's heads and chain nodes).
+const maxInterned = 4096
+
+// NewIDTable returns an empty table.
+func NewIDTable() *IDTable {
+	return &IDTable{ids: make(map[string]ObjectID)}
+}
+
+// intern returns the id spelled by b, reusing the table's string when it
+// holds one.
+func (t *IDTable) intern(b []byte) ObjectID {
+	if t == nil {
+		return ObjectID(b)
+	}
+	if id, ok := t.ids[string(b)]; ok {
+		return id
+	}
+	if len(t.ids) >= maxInterned {
+		clear(t.ids)
+	}
+	id := ObjectID(b)
+	t.ids[string(id)] = id
+	return id
+}
+
+// Decode is DecodeWire with the message's object ids interned in t.
+func (t *IDTable) Decode(b []byte) (any, error) {
+	r := &wireReader{b: b, ids: t}
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty buffer", errWireCorrupt)
 	}
@@ -258,7 +302,7 @@ func DecodeWire(b []byte) (any, error) {
 	case wireTagReadReq:
 		msg = ReadReq{
 			Txn:     TxnID(r.uvarint()),
-			Obj:     ObjectID(r.str()),
+			Obj:     r.id(),
 			Write:   r.bool(),
 			Depth:   int(r.varint()),
 			DataSet: r.items(),
@@ -278,7 +322,7 @@ func DecodeWire(b []byte) (any, error) {
 		if n := r.sliceLen(1); n > 0 {
 			m.Objs = make([]ObjectID, 0, n)
 			for i := 0; i < n; i++ {
-				m.Objs = append(m.Objs, ObjectID(r.str()))
+				m.Objs = append(m.Objs, r.id())
 			}
 		}
 		m.Write = r.bool()
@@ -332,7 +376,7 @@ func DecodeWire(b []byte) (any, error) {
 	case wireTagLoadRep:
 		msg = LoadRep{}
 	case wireTagDumpReq:
-		msg = DumpReq{Obj: ObjectID(r.str())}
+		msg = DumpReq{Obj: r.id()}
 	case wireTagDumpRep:
 		msg = DumpRep{OK: r.bool(), Copy: r.objCopy()}
 	case wireTagShardMapReq:
@@ -571,6 +615,7 @@ type wireReader struct {
 	b   []byte
 	off int
 	err error
+	ids *IDTable // interns object ids; nil allocates each one
 }
 
 func (r *wireReader) fail(what string) {
@@ -650,6 +695,9 @@ func (r *wireReader) take(n int) []byte {
 
 func (r *wireReader) str() string { return string(r.take(int(r.uvarint()))) }
 
+// id reads an object id through the reader's intern table.
+func (r *wireReader) id() ObjectID { return r.ids.intern(r.take(int(r.uvarint()))) }
+
 func (r *wireReader) tc() TraceContext {
 	if r.byte() == 0 {
 		return TraceContext{}
@@ -665,7 +713,7 @@ func (r *wireReader) items() []DataItem {
 	items := make([]DataItem, 0, n)
 	for i := 0; i < n; i++ {
 		items = append(items, DataItem{
-			ID:         ObjectID(r.str()),
+			ID:         r.id(),
 			Version:    Version(r.uvarint()),
 			OwnerDepth: int(r.varint()),
 			OwnerChk:   int(r.varint()),
@@ -678,7 +726,7 @@ func (r *wireReader) items() []DataItem {
 }
 
 func (r *wireReader) objCopy() ObjectCopy {
-	return ObjectCopy{ID: ObjectID(r.str()), Version: Version(r.uvarint()), Val: r.value()}
+	return ObjectCopy{ID: r.id(), Version: Version(r.uvarint()), Val: r.value()}
 }
 
 func (r *wireReader) copies() []ObjectCopy {

@@ -11,7 +11,9 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // gob is the codec's equivalence oracle, in tests only: it encodes
@@ -394,12 +396,27 @@ func fuzzWireMessage(z *fzReader) any {
 // must never panic the frame decoder, and every structured message derived
 // from those bytes must decode — through the binary codec — to exactly what
 // a gob round trip delivers. Gob is the test-only equivalence oracle: it
-// shares no code with the codec.
+// shares no code with the codec. Both the raw bytes and the structured
+// encoding also decode through one intern table, warmed by every earlier
+// input, to exactly what the table-less decode returns.
 func FuzzWireCodec(f *testing.F) {
 	for _, seed := range wireFuzzSeedInputs() {
 		f.Add(seed)
 	}
+	var warmMu sync.Mutex
+	warm := NewIDTable()
+	sameAsWarm := func(t *testing.T, b []byte) {
+		t.Helper()
+		want, wantErr := DecodeWire(b)
+		warmMu.Lock()
+		got, err := warm.Decode(b)
+		warmMu.Unlock()
+		if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("interned decode = %+v (%v), table-less = %+v (%v)", got, err, want, wantErr)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsWarm(t, data)
 		// Attacker-shaped bytes: errors expected, panics and giant
 		// allocations are bugs.
 		if msg, err := DecodeWire(data); err == nil {
@@ -424,11 +441,47 @@ func FuzzWireCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("DecodeWire(%T): %v", msg, err)
 		}
+		sameAsWarm(t, buf)
 		want := gobIfaceRoundTrip(t, msg)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T diverges from gob:\n wire: %+v\n  gob: %+v", msg, got, want)
 		}
 	})
+}
+
+// TestIDTableInternsAndResets: an id decoded twice through one table is one
+// string, and a table filled to its bound starts over instead of growing.
+func TestIDTableInternsAndResets(t *testing.T) {
+	tab := NewIDTable()
+	rep := BatchReadRep{OK: true, Copies: []ObjectCopy{{ID: "acct/0007", Version: 3, Val: Int64(1)}}}
+	b, ok := AppendWire(nil, rep)
+	if !ok {
+		t.Fatal("AppendWire rejected a BatchReadRep")
+	}
+	var ids []ObjectID
+	for range 2 {
+		msg, err := tab.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, msg.(BatchReadRep).Copies[0].ID)
+	}
+	if unsafe.StringData(string(ids[0])) != unsafe.StringData(string(ids[1])) {
+		t.Fatal("the same id decoded twice through one table is two strings")
+	}
+	if msg, _ := DecodeWire(b); unsafe.StringData(string(msg.(BatchReadRep).Copies[0].ID)) == unsafe.StringData(string(ids[0])) {
+		t.Fatal("the table-less decode shared the table's string")
+	}
+
+	for i := len(tab.ids); i < maxInterned; i++ {
+		tab.intern([]byte(fmt.Sprintf("fill/%d", i)))
+	}
+	if len(tab.ids) != maxInterned {
+		t.Fatalf("table holds %d ids, want the bound %d", len(tab.ids), maxInterned)
+	}
+	if id := tab.intern([]byte("one/more")); id != "one/more" || len(tab.ids) != 1 {
+		t.Fatalf("past the bound: intern = %q and the table holds %d ids, want one/more and 1", id, len(tab.ids))
+	}
 }
 
 // wireFuzzSeedInputs is the in-code seed corpus for FuzzWireCodec: valid

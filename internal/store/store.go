@@ -324,7 +324,9 @@ func (s *Store) validateLocked(self proto.TxnID, items []proto.DataItem) Validat
 // Read returns the committed copy of id and records txn as a potential
 // reader (or writer, when write is true). Per Algorithm 2, only root
 // transactions are recorded — closed-nested transactions must leave no
-// remote metadata so they can commit locally.
+// remote metadata so they can commit locally. The copy shares the stored
+// value, which is never mutated in place (see Commit), so the caller must
+// not mutate it either.
 func (s *Store) Read(txn proto.TxnID, id proto.ObjectID, write, recordTxn bool) proto.ObjectCopy {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,7 +349,7 @@ func (s *Store) Read(txn proto.TxnID, id proto.ObjectID, write, recordTxn bool) 
 		}
 		(*target)[txn] = struct{}{}
 	}
-	return r.copyv.Clone()
+	return r.copyv
 }
 
 // maxPrefetch bounds how many linked copies one batched read reply carries
@@ -362,7 +364,7 @@ const maxPrefetch = 64
 // no potential reader or writer: nothing has read these objects yet, and a
 // client that never uses a copy must leave no trace. The walk holds the
 // store lock once. When no copy in from has links it returns nil without
-// allocating.
+// allocating. Like Read, the copies share the stored values.
 func (s *Store) Linked(from []proto.ObjectCopy) []proto.ObjectCopy {
 	var links []proto.ObjectID
 	for _, c := range from {
@@ -402,7 +404,7 @@ func (s *Store) Linked(from []proto.ObjectCopy) []proto.ObjectCopy {
 	}
 	out := make([]proto.ObjectCopy, n)
 	for i, r := range found[:n] {
-		out[i] = r.copyv.Clone()
+		out[i] = r.copyv
 	}
 	return out
 }
@@ -515,7 +517,9 @@ func (s *Store) AbstractLockHolder(name string) proto.TxnID {
 
 // Commit installs the decided writes (whose Version fields carry the new
 // version) and releases txn's locks on them. Stale replicas simply jump to
-// the new version.
+// the new version. The store keeps the written values themselves, not
+// copies: a value inside the engine is immutable, and an installed one is
+// only ever replaced, never changed.
 func (s *Store) Commit(txn proto.TxnID, writes []proto.ObjectCopy) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,7 +529,7 @@ func (s *Store) Commit(txn proto.TxnID, writes []proto.ObjectCopy) {
 	for _, w := range writes {
 		r := s.rec(w.ID)
 		if r.copyv.Version < w.Version {
-			r.copyv = w.Clone()
+			r.copyv = w
 		}
 		if r.protected && r.protector == txn {
 			r.protected = false
